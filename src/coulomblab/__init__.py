@@ -10,9 +10,9 @@ from .measures import (AtomicMeasure, CircleMeasure, Configuration, DiskUniformM
                        discrete_energy, discretize, equilibrium_discretization,
                        perturbation_ball, smooth, weighted_energy)
 from .fekete import FeketeResult, capacity_estimate, log_delta, solve
-from .sampler import (Chain, ChainConfig, EnsembleParams, in_low_energy_set,
-                      log_density_unnormalized, potential_scale_reduction, run_chain,
-                      tail_mass_estimate)
+from .sampler import (Chain, ChainConfig, EnsembleParams, InadmissibleParams,
+                      in_low_energy_set, log_density_unnormalized,
+                      potential_scale_reduction, run_chain, tail_mass_estimate)
 from .partition import (PartitionBounds, PartitionReport, asymptotic_residual,
                         bridge_residual, build_report, kappa_disk,
                         log_partition_disk_exact, partition_bounds,

@@ -64,7 +64,7 @@ class CriterionResult:
     def to_dict(self) -> dict:
         return {"number": self.number, "title": self.title, "passed": self.passed,
                 "runtime_seconds": self.runtime_seconds,
-                "clauses": [{"name": c.name, "ok": c.ok, "detail": c.detail,
+                "clauses": [{"name": c.name, "ok": bool(c.ok), "detail": c.detail,
                              "expected_to_fail": c.expected_to_fail} for c in self.clauses],
                 "diagnostics": self.diagnostics}
 
@@ -133,7 +133,7 @@ class AcceptanceLab:
 
     @cached_property
     def bl_distances(self):
-        return {n: res.bl_to(self.nu_eps, nodes_per_block=8, cap_points=3000)
+        return {n: res.bl_to(self.nu_eps, nodes_per_block=8)
                 for n, res in self.discretize_results.items()}
 
 

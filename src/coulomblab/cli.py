@@ -358,10 +358,10 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except sampler.InadmissibleParams as e:
+        print(f"constraint error: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:
-        if "inadmissible parameters" in str(e):
-            print(f"constraint error: {e}", file=sys.stderr)
-            return 3
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NonConvergenceError as e:

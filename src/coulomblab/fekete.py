@@ -62,16 +62,6 @@ def log_delta(K: CompactSet, c: Configuration) -> float:
     return float(np.sum(np.log(d)) - (n - 1) * np.sum(g))
 
 
-def _pair_objective(pts: np.ndarray, floor: float = 0.0) -> float:
-    iu, ju = np.triu_indices(pts.size, k=1)
-    d = np.abs(pts[iu] - pts[ju])
-    if floor:
-        d = np.maximum(d, floor)
-    elif np.any(d == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(d)))
-
-
 def _pair_log_dists(pts: np.ndarray) -> np.ndarray:
     iu, ju = np.triu_indices(pts.size, k=1)
     return np.log(np.maximum(np.abs(pts[iu] - pts[ju]), _PAIR_FLOOR))

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, vstack
 
 _PROB_TOL = 1e-12
@@ -424,31 +424,12 @@ def weighted_energy(mu: Measure, K, ell: float) -> float:
 # bounded-Lipschitz distance
 # ---------------------------------------------------------------------------
 
-def _bl_pairwise(points: np.ndarray, c: np.ndarray) -> float:
-    """Primal LP: maximize sum c_i f_i over |f_i| <= 1,
-    |f_i - f_j| <= |x_i - x_j|."""
-    n = points.size
-    iu, ju = np.triu_indices(n, k=1)
-    d = np.abs(points[iu] - points[ju])
-    m = iu.size
-    rows = np.concatenate([np.arange(m), np.arange(m),
-                           np.arange(m, 2 * m), np.arange(m, 2 * m)])
-    cols = np.concatenate([iu, ju, ju, iu])
-    vals = np.concatenate([np.ones(m), -np.ones(m), np.ones(m), -np.ones(m)])
-    A = coo_matrix((vals, (rows, cols)), shape=(2 * m, n)).tocsr()
-    res = linprog(-c, A_ub=A, b_ub=np.concatenate([d, d]), bounds=(-1, 1),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return float(-res.fun)
-
-
 def _bl_transport(x, wx, y, wy) -> float:
-    """Equivalent transportation LP with truncated ground cost min(d, 2).
+    """Transportation LP with truncated ground cost min(d, 2).
 
     For probability marginals the Kantorovich dual potentials are
     1-Lipschitz for min(d, 2) and have range at most 2, so after centering
-    they are feasible for the primal pairwise program; the two optimal
+    they are feasible for the bounded-Lipschitz supremum; the two optimal
     values coincide.
     """
     n1, n2 = x.size, y.size
@@ -466,53 +447,47 @@ def _bl_transport(x, wx, y, wy) -> float:
     return float(res.fun)
 
 
-def bl_distance(mu: AtomicMeasure, nu: AtomicMeasure, cap_points: int = 2000,
-                subsample_seed: int = 20240601, method: str = "auto") -> float:
+def _bl_assignment(x, y) -> float:
+    """The same transport problem for uniform weights when one atom count
+    divides the other.
+
+    Repeating each atom of the smaller side gives L atoms a side, and the
+    uniform transport plans become the L x L doubly stochastic matrices
+    scaled by 1/L.  Their extreme points are permutations
+    (Birkhoff-von Neumann), so one assignment problem is exact.
+    """
+    L = max(x.size, y.size)
+    x, y = np.repeat(x, L // x.size), np.repeat(y, L // y.size)
+    cost = np.minimum(np.abs(x[:, None] - y[None, :]), 2.0)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / L)
+
+
+def bl_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Exact bounded-Lipschitz distance between atomic probability measures.
 
-    sup of int f d(mu - nu) over |f| <= 1, Lip(f) <= 1 on the union of
-    supports.  Solved as a finite LP; measures whose union support exceeds
-    cap_points are subsampled i.i.d. with the documented seed, which makes
-    the result an O(cap^-1/2)-accurate estimate.
-
-    method: "pairwise" forces the primal formulation, "transport" the
-    equivalent truncated-cost transportation LP, "auto" picks by size.
+    sup of int f d(mu - nu) over |f| <= 1, Lip(f) <= 1, which equals
+    optimal transport with ground cost min(d, 2).  After coincident atoms
+    are merged, uniform weights with one atom count dividing the other are
+    solved as an assignment problem; any other weights by the
+    transportation LP.
     """
     for m in (mu, nu):
         if not m.is_probability:
             raise ValueError("bl_distance requires probability measures")
     mu, nu = mu.merged(), nu.merged()
-    if len(mu) + len(nu) > cap_points:
-        rng = np.random.default_rng(subsample_seed)
-        half = cap_points // 2
-
-        def shrink(m):
-            if len(m) <= half:
-                return m
-            idx = rng.choice(len(m), size=half, replace=True, p=m.weights / m.mass())
-            return AtomicMeasure(m.points[idx], np.full(half, 1.0 / half)).merged()
-
-        mu, nu = shrink(mu), shrink(nu)
-    if method == "auto":
-        method = "pairwise" if len(mu) + len(nu) <= 220 else "transport"
-    if method == "pairwise":
-        points = np.concatenate([mu.points, nu.points])
-        pts, inv = np.unique(points, return_inverse=True)
-        c = np.zeros(pts.size)
-        np.add.at(c, inv[:len(mu)], mu.weights)
-        np.add.at(c, inv[len(mu):], -nu.weights)
-        return max(0.0, _bl_pairwise(pts, c))
-    if method == "transport":
-        return max(0.0, _bl_transport(mu.points, mu.weights, nu.points, nu.weights))
-    raise ValueError(f"unknown method {method!r}")
+    uniform = all(np.all(m.weights == m.weights[0]) for m in (mu, nu))
+    if uniform and max(len(mu), len(nu)) % min(len(mu), len(nu)) == 0:
+        return _bl_assignment(mu.points, nu.points)
+    return max(0.0, _bl_transport(mu.points, mu.weights, nu.points, nu.weights))
 
 
 def bl_to_smoothed(nu: Union[Configuration, AtomicMeasure], target: SmoothedMeasure,
-                   nodes_per_block: int = 32, **kw) -> float:
+                   nodes_per_block: int = 32) -> float:
     """Distance between an atomic/empirical measure and a smoothed measure,
     with the smoothed side quantized by deterministic sunflower nodes."""
     atomic = nu.empirical_measure() if isinstance(nu, Configuration) else nu
-    return bl_distance(atomic, target.to_atomic(nodes_per_block), **kw)
+    return bl_distance(atomic, target.to_atomic(nodes_per_block))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +497,13 @@ def bl_to_smoothed(nu: Union[Configuration, AtomicMeasure], target: SmoothedMeas
 class _StripCDF:
     """Vertical mass profile of a smoothed measure inside one strip.
 
-    The width-density W(y) is a finite sum of chord-overlap lengths, smooth
-    between explicit kink ordinates, so panelwise Gauss quadrature gives
-    the conditional CDF to near machine precision.
+    In coordinates centred on block i, the block's mass below height y is
+    proportional to the area of its eps-disk between the strip edges
+    a = x_l - x_i, b = x_r - x_i and below t = y - y_i.  That area is
+    Phi(b, t) - Phi(a, t), where Phi(c, t) integrates clip(c, -h(s), h(s))
+    over -eps < s < t and h(s) = sqrt(eps^2 - s^2).  Phi is a sum of
+    circular-segment areas, so the CDF is closed-form and vectorized over
+    blocks.
     """
 
     def __init__(self, mu: SmoothedMeasure, x_left: float, x_right: float):
@@ -534,99 +513,58 @@ class _StripCDF:
         # a block only contributes when its chord actually enters the strip
         dx = np.maximum(np.maximum(x_left - px, px - x_right), 0.0)
         keep = dx < eps
-        self.x = px[keep]
-        self.y = py[keep]
-        self.w = w[keep]
+        self.x, self.y, self.w = px[keep], py[keep], w[keep]
         self.eps = eps
         self.xl, self.xr = x_left, x_right
-        half_span = np.sqrt(eps**2 - dx[keep] ** 2)
-        self._bottom = float(np.min(self.y - half_span)) if keep.any() else math.nan
-        cuts = set()
-        for xi, yi in zip(self.x, self.y):
-            cuts.update((yi - eps, yi + eps))
-            for edge in (x_left, x_right):
-                d_edge = abs(xi - edge)
-                if d_edge < eps:
-                    h = math.sqrt(eps**2 - d_edge**2)
-                    cuts.update((yi - h, yi + h))
-        self.edges = np.array(sorted(cuts)) if cuts else np.array([])
-        if self.edges.size:
-            x16, w16 = _gauss(24)
-            self._panel_mass = np.zeros(self.edges.size - 1)
-            for i, (a, b) in enumerate(zip(self.edges[:-1], self.edges[1:])):
-                t = 0.5 * (b - a) * x16 + 0.5 * (a + b)
-                self._panel_mass[i] = 0.5 * (b - a) * float(np.dot(self.width_density(t), w16))
-            self._cum = np.concatenate([[0.0], np.cumsum(self._panel_mass)])
+        if keep.any():
+            # greatest ordinate with zero strip mass below it: the lowest
+            # point of any chord that enters the strip
+            self.support_bottom = float(np.min(self.y - np.sqrt(eps**2 - dx[keep] ** 2)))
+            self.top = float(np.max(self.y)) + eps
+            self.mass = float(self.cdf(self.top))
         else:
-            self._panel_mass = np.zeros(0)
-            self._cum = np.zeros(1)
+            self.support_bottom = self.top = math.nan
+            self.mass = 0.0
 
-    def width_density(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        for xi, yi, wi in zip(self.x, self.y, self.w):
-            dy = t - yi
-            inside = np.abs(dy) < self.eps
-            if not inside.any():
-                continue
-            h = np.sqrt(np.maximum(self.eps**2 - dy[inside] ** 2, 0.0))
-            seg = np.minimum(self.xr, xi + h) - np.maximum(self.xl, xi - h)
-            out[inside] += wi * np.maximum(seg, 0.0)
-        return out / (math.pi * self.eps**2)
+    def _phi(self, c, t):
+        eps = self.eps
 
-    @property
-    def mass(self) -> float:
-        return float(self._cum[-1])
+        def segment(s):  # integral of h from 0 to s: signed half-disk slice area
+            return 0.5 * (s * np.sqrt(np.maximum(eps**2 - s * s, 0.0))
+                          + eps**2 * np.arcsin(np.clip(s / eps, -1.0, 1.0)))
 
-    @property
-    def support_bottom(self) -> float:
-        """Greatest ordinate with zero strip mass below it: the lowest
-        point of any chord that enters the strip."""
-        return self._bottom
+        s0 = np.sqrt(np.maximum(eps**2 - c * c, 0.0))  # where h(s) = |c|
+        u = np.clip(t, -s0, s0)
+        caps = segment(t) + 0.25 * math.pi * eps**2 - segment(u) - segment(s0)
+        return np.sign(c) * caps + c * (u + s0)
 
-    def cdf_between(self, a: float, b: float, order: int = 24) -> float:
-        """Mass on a kink-free interval (single panel)."""
-        x, w = _gauss(order)
-        t = 0.5 * (b - a) * x + 0.5 * (a + b)
-        return 0.5 * (b - a) * float(np.dot(self.width_density(t), w))
+    def cdf(self, y):
+        """Strip mass below each ordinate of y."""
+        t = np.clip(np.asarray(y, dtype=float)[..., None] - self.y, -self.eps, self.eps)
+        area = self._phi(self.xr - self.x, t) - self._phi(self.xl - self.x, t)
+        return area @ self.w / (math.pi * self.eps**2)
+
+    def width_density(self, y):
+        """Derivative of the CDF: the strip-clipped chord lengths."""
+        dy = np.asarray(y, dtype=float)[..., None] - self.y
+        h = np.sqrt(np.maximum(self.eps**2 - dy * dy, 0.0))
+        seg = np.clip(self.xr - self.x, -h, h) - np.clip(self.xl - self.x, -h, h)
+        return seg @ self.w / (math.pi * self.eps**2)
 
     def mass_between(self, a: float, b: float) -> float:
-        """Mass of an arbitrary interval, split at the kink ordinates."""
-        if b <= a:
-            return 0.0
-        cuts = [a] + [float(e) for e in self.edges if a < e < b] + [b]
-        return sum(self.cdf_between(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        """Strip mass between the ordinates a and b."""
+        return float(self.cdf(b) - self.cdf(a)) if b > a else 0.0
 
-    def invert(self, start_y: float, start_mass: float, target: float) -> float:
-        """Least y >= start_y with cumulative mass equal to target."""
-        if target > self.mass - 1e-13:
-            return float(self.edges[-1])
-        lo, hi = start_y, float(self.edges[-1])
-        acc = start_mass
-        # walk panels to bracket, then bisect inside one panel
-        idx = int(np.searchsorted(self.edges, start_y, side="right")) - 1
-        idx = max(idx, 0)
-        lo_edge = start_y
-        while idx < self._panel_mass.size:
-            step = self.cdf_between(lo_edge, float(self.edges[idx + 1]))
-            if acc + step >= target:
-                hi = float(self.edges[idx + 1])
-                lo = lo_edge
-                break
-            acc += step
-            lo_edge = float(self.edges[idx + 1])
-            idx += 1
-        else:
-            return float(self.edges[-1])
+    def invert(self, targets: np.ndarray) -> np.ndarray:
+        """Least ordinates whose mass below reaches each target, by one
+        bisection over all targets on the bracket [support_bottom, top]."""
+        lo = np.full(targets.shape, self.support_bottom)
+        hi = np.full(targets.shape, self.top)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if acc + self.cdf_between(lo, mid) < target:
-                acc += self.cdf_between(lo, mid)
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
+            below = self.cdf(mid) < targets
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
 
@@ -642,8 +580,8 @@ class DiscretizeResult:
     points_discarded: int
     strips: int
 
-    def bl_to(self, target: SmoothedMeasure, nodes_per_block: int = 32, **kw) -> float:
-        return bl_to_smoothed(self.configuration, target, nodes_per_block, **kw)
+    def bl_to(self, target: SmoothedMeasure, nodes_per_block: int = 32) -> float:
+        return bl_to_smoothed(self.configuration, target, nodes_per_block)
 
 
 def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
@@ -661,7 +599,7 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
     M = math.ceil(math.sqrt(N))
     x_lo, x_hi, _, _ = nu_eps.bounding_box()
     width = (x_hi - x_lo) / M
-    pts: list[complex] = []
+    pts = []
     strips_used = 0
     for j in range(M):
         xl = x_lo + j * width
@@ -670,17 +608,13 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
             continue
         strips_used += 1
         mj = int(math.floor(strip.mass * N + 1e-9))
-        y = strip.support_bottom
-        pts.append(xl + 1j * y)
-        acc = 0.0
-        for k in range(mj):
-            y = strip.invert(y, acc, acc + 1.0 / N)
-            acc += 1.0 / N
-            pts.append(xl + 1j * y)
-    total = len(pts)
+        ys = strip.invert(np.arange(1, mj + 1) / N)
+        pts.append(xl + 1j * np.concatenate([[strip.support_bottom], ys]))
+    pts = np.concatenate(pts)
+    total = pts.size
     if total < N:
-        raise AssertionError(f"strip construction produced {total} < N = {N} points")
-    config = Configuration(np.asarray(pts[:N]))
+        raise ValueError(f"strip construction produced {total} points, fewer than N = {N}")
+    config = Configuration(pts[:N])
     iu, ju = np.triu_indices(N, k=1)
     sep = float(np.min(np.abs(config.points[iu] - config.points[ju])))
     return DiscretizeResult(

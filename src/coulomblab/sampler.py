@@ -24,6 +24,10 @@ from . import fekete
 _FULL_RECOMPUTE_EVERY = 10_000
 
 
+class InadmissibleParams(ValueError):
+    """The ensemble triple violates s > N or the integrability condition."""
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Ensemble triple (N, s, beta) with slack constant c0.
@@ -43,11 +47,12 @@ class EnsembleParams:
         if self.beta <= 0 or self.c0 <= 0:
             raise ValueError("beta and c0 must be positive")
         if not self.s > self.N:
-            raise ValueError("require s > N")
+            raise InadmissibleParams(f"inadmissible parameters: require s > N, "
+                                     f"got s = {self.s:g}, N = {self.N}")
         if self.s != math.inf and self.beta * (self.s - self.N + 1) <= 2 + self.c0:
-            raise ValueError("inadmissible parameters: "
-                             f"beta*(s-N+1) = {self.beta * (self.s - self.N + 1):.6g} "
-                             f"must exceed 2 + c0 = {2 + self.c0:.6g}")
+            raise InadmissibleParams("inadmissible parameters: "
+                                     f"beta*(s-N+1) = {self.beta * (self.s - self.N + 1):.6g} "
+                                     f"must exceed 2 + c0 = {2 + self.c0:.6g}")
 
     def ell(self) -> float:
         return 0.0 if self.s == math.inf else self.N / self.s

@@ -50,6 +50,9 @@ def test_constraint_violation_exit_code(tmp_path):
                                    "ensemble": {"N": 16, "s": 16.5, "beta": 1.0,
                                                 "c0": 1.0}})
     assert run(["--config", cfg, "--out", str(tmp_path), "partition"]) == 3
+    # s <= N violates the ensemble constraint too
+    assert run(["--out", str(tmp_path), "partition", "--N", "16", "--s", "16"]) == 3
+    assert run(["--out", str(tmp_path), "sample", "--N", "8", "--s", "4"]) == 3
 
 
 def test_unknown_nested_key(tmp_path):
@@ -119,6 +122,16 @@ def test_discretize_outputs(tmp_path):
     assert csv.read_text().splitlines()[0] == "re,im"
 
 
+def test_discretize_default_config_exact_bl(tmp_path):
+    # the default config compares N = 256 points with 256 blocks x 8 nodes,
+    # 2304 atoms in all; the distance is the exact optimum of the transport
+    # LP for this configuration (HiGHS, about 30 s, so the value is frozen)
+    assert run(["--out", str(tmp_path), "discretize"]) == 0
+    report = json.loads(next(tmp_path.glob("discretize_*.json")).read_text())
+    assert report["N"] == 256
+    assert report["bl_distance"] == pytest.approx(0.09783524254376236, abs=1e-9)
+
+
 def test_rate_table(tmp_path):
     assert run(["--out", str(tmp_path), "rate"]) == 0
     rows = json.loads(next(tmp_path.glob("rate_*.json")).read_text())["rows"]
@@ -133,6 +146,9 @@ def test_verify_subset(tmp_path):
     assert payload["all_pass"] is True
     assert [c["number"] for c in payload["criteria"]] == [2, 11]
     assert all(c["passed"] for c in payload["criteria"])
+    # clause flags are JSON booleans, also where a criterion computes numpy ones
+    assert all(type(clause["ok"]) is bool
+               for c in payload["criteria"] for clause in c["clauses"])
 
 
 def test_linstat_outputs(tmp_path):

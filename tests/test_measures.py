@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.optimize import linprog
 
 import coulomblab as cl
-from coulomblab.measures import (_disk_pair_energy, bl_distance, uniform_disk_potential)
+from coulomblab import measures
+from coulomblab.measures import (_disk_pair_energy, _StripCDF, bl_distance,
+                                 uniform_disk_potential)
 
 DISK = cl.Disk(0.0, 1.0)
 
@@ -186,15 +189,56 @@ def test_bl_identical_and_permuted():
     assert bl_distance(mu, mu) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bl_pairwise_equals_transport():
-    # the dual-route check: primal pairwise LP vs truncated-cost transport
+def _bl_pairwise(mu, nu):
+    """Independent oracle: the primal LP, maximize sum_i c_i f_i over the
+    union support subject to |f_i| <= 1 and |f_i - f_j| <= |x_i - x_j|."""
+    pts, inv = np.unique(np.concatenate([mu.points, nu.points]), return_inverse=True)
+    c = np.zeros(pts.size)
+    np.add.at(c, inv[:len(mu)], mu.weights)
+    np.add.at(c, inv[len(mu):], -nu.weights)
+    iu, ju = np.triu_indices(pts.size, k=1)
+    diff = np.zeros((iu.size, pts.size))
+    diff[np.arange(iu.size), iu] = 1.0
+    diff[np.arange(iu.size), ju] = -1.0
+    d = np.abs(pts[iu] - pts[ju])
+    res = linprog(-c, A_ub=np.vstack([diff, -diff]), b_ub=np.concatenate([d, d]),
+                  bounds=(-1, 1), method="highs")
+    assert res.success, res.message
+    return -res.fun
+
+
+def test_bl_pairwise_equals_transport(monkeypatch):
+    # both library paths against the primal pairwise LP; disabling the other
+    # solver shows which path each case takes
     rng = np.random.default_rng(32)
-    for _ in range(12):
-        mu = _random_atomic(rng, int(rng.integers(2, 12)), scale=2.0)
-        nu = _random_atomic(rng, int(rng.integers(2, 12)), scale=2.0)
-        a = bl_distance(mu, nu, method="pairwise")
-        b = bl_distance(mu, nu, method="transport")
-        assert a == pytest.approx(b, abs=1e-9)
+
+    def pts(n):
+        return 2.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    twin = pts(6)
+    lp_cases = [(_random_atomic(rng, int(rng.integers(2, 12)), scale=2.0),
+                 _random_atomic(rng, int(rng.integers(2, 12)), scale=2.0)) for _ in range(12)]
+    lp_cases += [
+        (cl.AtomicMeasure(pts(5)), cl.AtomicMeasure(pts(7))),  # counts do not divide
+        # coincident atoms merge into unequal weights
+        (cl.AtomicMeasure(np.concatenate([twin, twin[:2]])), cl.AtomicMeasure(pts(4))),
+    ]
+    assignment_cases = [(cl.AtomicMeasure(pts(n)), cl.AtomicMeasure(pts(n * k)))
+                        for n, k in ((1, 1), (1, 5), (3, 1), (3, 4), (6, 2), (8, 1))]
+    # atoms coincident in pairs merge into uniform weights again
+    assignment_cases.append((cl.AtomicMeasure(np.repeat(twin, 2)), cl.AtomicMeasure(pts(12))))
+
+    def unused(*args, **kwargs):
+        raise AssertionError("solver on the wrong path was called")
+
+    for solver, cases in (("linprog", assignment_cases),
+                          ("linear_sum_assignment", lp_cases)):
+        with monkeypatch.context() as m:
+            m.setattr(measures, solver, unused)
+            for mu, nu in cases:
+                oracle = _bl_pairwise(mu, nu)
+                assert bl_distance(mu, nu) == pytest.approx(oracle, abs=1e-9)
+                assert bl_distance(nu, mu) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_bl_metric_properties():
@@ -213,15 +257,6 @@ def test_bl_range_and_validation():
     assert far == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(ValueError):
         bl_distance(cl.AtomicMeasure([0.0], [0.5]), cl.AtomicMeasure([1.0]))
-
-
-def test_bl_subsampling_cap():
-    rng = np.random.default_rng(34)
-    mu = cl.AtomicMeasure(rng.normal(size=300) + 1j * rng.normal(size=300))
-    nu = cl.AtomicMeasure(rng.normal(size=300) + 1j * rng.normal(size=300))
-    full = bl_distance(mu, nu)
-    capped = bl_distance(mu, nu, cap_points=200)
-    assert abs(full - capped) < 0.25  # documented estimate, not exact
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +279,6 @@ def test_discretize_basic_counts(nu_eps):
 def test_discretize_rectangle_masses(nu_eps):
     # each vertical step between consecutive points in a strip carries
     # exactly 1/N of mass: verify via the strip profile
-    from coulomblab.measures import _StripCDF
-
     N = 64
     res = cl.discretize(nu_eps, N)
     pts = res.configuration.points
@@ -283,12 +316,21 @@ def test_descent_toward_continuous_energy(nu_eps):
         assert res.discrete_energy >= cont - tol[n]
 
 
-def test_discretize_validation(nu_eps):
+def test_discretize_validation(nu_eps, monkeypatch):
     with pytest.raises(ValueError):
         cl.discretize(nu_eps, 3)
     bad = cl.smooth(cl.AtomicMeasure([0.0], [0.5]), 0.1)
     with pytest.raises(ValueError):
         cl.discretize(bad, 16)
+
+    class LossyStrip(_StripCDF):  # loses half of every strip's mass
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.mass *= 0.5
+
+    monkeypatch.setattr(measures, "_StripCDF", LossyStrip)
+    with pytest.raises(ValueError, match=r"produced \d+ points, fewer than N = 64"):
+        cl.discretize(nu_eps, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +397,6 @@ def test_smoothed_sidecar_round_trip(tmp_path):
 def test_strip_support_bottom_is_greatest_zero_ordinate():
     # a block whose center sits left of the strip enters only at
     # y_i - sqrt(eps^2 - dx^2), not at y_i - eps
-    from coulomblab.measures import _StripCDF
-
     eps = 0.5
     nu = cl.smooth(cl.AtomicMeasure([0.0]), eps)
     strip = _StripCDF(nu, 0.3, 0.6)  # dx = 0.3 from the center
@@ -364,3 +404,30 @@ def test_strip_support_bottom_is_greatest_zero_ordinate():
     assert strip.support_bottom == pytest.approx(expected, abs=1e-14)
     assert strip.mass_between(-1.0, strip.support_bottom) == pytest.approx(0.0, abs=1e-15)
     assert strip.mass_between(strip.support_bottom, strip.support_bottom + 0.01) > 0
+
+
+def test_strip_cdf_closed_form_quad_oracle():
+    # blocks centred left of, inside and right of the strip [0, 0.3]; the
+    # middle block is wider than that strip, and the strip [-0.35, 0.7]
+    # holds all three blocks whole
+    eps = 0.2
+    nu = cl.smooth(cl.AtomicMeasure([-0.1 + 0.05j, 0.15 - 0.1j, 0.45 + 0.2j],
+                                    [0.2, 0.5, 0.3]), eps)
+    for xl, xr in ((0.0, 0.3), (-0.35, 0.7)):
+        strip = _StripCDF(nu, xl, xr)
+        # the density is smooth between the ordinates where a chord starts,
+        # ends, or crosses a strip edge; check there and halfway between
+        kinks = [strip.y - eps, strip.y + eps]
+        for edge in (xl, xr):
+            h = np.sqrt(np.maximum(eps**2 - (edge - strip.x) ** 2, 0.0))
+            kinks += [strip.y - h, strip.y + h]
+        kinks = np.unique(np.concatenate(kinks))
+        breaks = np.sort(np.concatenate([kinks, 0.5 * (kinks[:-1] + kinks[1:])]))
+        assert float(strip.cdf(breaks[0])) == pytest.approx(0.0, abs=1e-15)
+        acc = 0.0
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            acc += quad(lambda y: float(strip.width_density(y)), a, b,
+                        epsabs=1e-14, epsrel=1e-13)[0]
+            assert float(strip.cdf(b)) == pytest.approx(acc, abs=1e-12)
+        assert strip.mass == pytest.approx(acc, abs=1e-12)
+    assert _StripCDF(nu, -0.35, 0.7).mass == pytest.approx(1.0, abs=1e-14)

@@ -19,12 +19,13 @@ def test_params_validation():
     p = cl.EnsembleParams(16, 32.0, 2.0, 0.1)
     assert p.ell() == 0.5
     cl.EnsembleParams(4, math.inf, 2.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(cl.InadmissibleParams):
         cl.EnsembleParams(16, 16.0, 2.0, 0.1)  # s must exceed N
-    with pytest.raises(ValueError):
+    with pytest.raises(cl.InadmissibleParams):
         cl.EnsembleParams(16, 16.5, 1.0, 1.0)  # beta(s-N+1) = 1.5 < 2 + c0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         cl.EnsembleParams(16, 32.0, -1.0, 0.1)
+    assert not isinstance(err.value, cl.InadmissibleParams)
 
 
 def test_params_round_trip():
