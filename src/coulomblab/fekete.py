@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .measures import Configuration
+from .measures import Configuration, _pair_distances, _pair_log_sum
 from .potential import CompactSet, Segment
 
 _PAIR_FLOOR = 1e-14  # soft distance floor inside logs during line search only
@@ -54,17 +52,12 @@ def log_delta(K: CompactSet, c: Configuration) -> float:
     n = pts.size
     if n < 2:
         raise ValueError("need at least two points")
-    iu, ju = np.triu_indices(n, k=1)
-    d = np.abs(pts[iu] - pts[ju])
-    if np.any(d == 0.0):
-        return -math.inf
     g = np.atleast_1d(K.green(pts))
-    return float(np.sum(np.log(d)) - (n - 1) * np.sum(g))
+    return float(_pair_log_sum(pts) - (n - 1) * np.sum(g))
 
 
 def _pair_log_dists(pts: np.ndarray) -> np.ndarray:
-    iu, ju = np.triu_indices(pts.size, k=1)
-    return np.log(np.maximum(np.abs(pts[iu] - pts[ju]), _PAIR_FLOOR))
+    return np.log(np.maximum(_pair_distances(pts), _PAIR_FLOOR))
 
 
 def _ascend_angles(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
@@ -169,19 +162,20 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
           max_iterations: int = 5000, seed=None) -> FeketeResult:
     """Multistart ascent for an N-point weighted Fekete configuration.
 
-    Starts are equilibrium draws jittered in the boundary parameter; the
-    best converged start is returned.  All iterates stay in K, so the
-    containment diagnostic max_green_violation is at the rounding level.
+    Starts are equilibrium draws jittered in the boundary parameter.  The
+    start with the largest log_delta is returned whether or not it
+    converged; `converged` reports whether that start met the gradient
+    tolerance 1e-8 N, and `start_index` which start it was.  All iterates
+    stay in K, so the containment diagnostic max_green_violation is at the
+    rounding level.
     """
     if N < 2:
         raise ValueError("need N >= 2")
     n_starts = starts if starts is not None else max(8, math.ceil(N / 8))
     grad_tol = 1e-8 * N
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(n_starts)
-
-    def run(idx: int):
-        rng = np.random.default_rng(children[idx])
+    best = None
+    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_starts)):
+        rng = np.random.default_rng(child)
         theta0 = rng.uniform(0.0, 2.0 * math.pi, N) + rng.normal(0.0, 0.1, N)
         if isinstance(K, Segment):
             x0 = K.boundary_point(theta0).real
@@ -189,17 +183,6 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
             pts = x + 0j
         else:
             theta, pts, trace, its, conv = _ascend_angles(K, theta0, max_iterations, grad_tol)
-        return pts, trace, its, conv
-
-    workers = int(os.environ.get("COULOMBLAB_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(run, range(n_starts)))
-    else:
-        outs = [run(i) for i in range(n_starts)]
-
-    best = None
-    for idx, (pts, trace, its, conv) in enumerate(outs):
         config = Configuration(pts)
         val = log_delta(K, config)  # final value without the soft floor
         if best is None or val > best[0]:

@@ -8,6 +8,7 @@ with numeric quadrature only for overlapping blocks.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -226,6 +227,30 @@ def uniform_disk_potential(d, eps: float):
 # energies
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _pair_index(n: int):
+    """Read-only index arrays (i, j) of the pairs i < j of n points, in
+    row-major order of the upper triangle."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
+def _pair_distances(pts: np.ndarray) -> np.ndarray:
+    """|z_i - z_j| over the pairs i < j, in _pair_index order."""
+    iu, ju = _pair_index(pts.size)
+    return np.abs(pts[iu] - pts[ju])
+
+
+def _pair_log_sum(pts: np.ndarray) -> float:
+    """sum_{i<j} log|z_i - z_j|: -inf on coincident points, 0.0 for one point."""
+    d = _pair_distances(pts)
+    if np.any(d == 0.0):
+        return -math.inf
+    return float(np.sum(np.log(d)))
+
+
 def discrete_energy(c: Configuration) -> float:
     """Off-diagonal pairwise energy N^-2 sum_{n != m} log 1/|z_n - z_m|.
 
@@ -235,11 +260,7 @@ def discrete_energy(c: Configuration) -> float:
     n = pts.size
     if n < 2:
         raise ValueError("need at least two points")
-    iu, ju = np.triu_indices(n, k=1)
-    d = np.abs(pts[iu] - pts[ju])
-    if np.any(d == 0.0):
-        return math.inf
-    return float(-2.0 * np.sum(np.log(d)) / n**2)
+    return -2.0 * _pair_log_sum(pts) / n**2
 
 
 _GAUSS_CACHE: dict = {}
@@ -314,11 +335,9 @@ def continuous_energy(mu: Measure) -> float:
         return 0.25 - math.log(mu.radius)
     if isinstance(mu, SmoothedMeasure):
         pts, w, eps = mu.base.points, mu.base.weights, mu.epsilon
-        n = pts.size
-        diff = np.abs(pts[:, None] - pts[None, :])
         energy = float(np.sum(w * w) * (0.25 - math.log(eps)))  # diagonal blocks
-        iu, ju = np.triu_indices(n, k=1)
-        d = diff[iu, ju]
+        iu, ju = _pair_index(pts.size)
+        d = _pair_distances(pts)
         far = d >= 2 * eps
         with np.errstate(divide="ignore"):
             energy += float(-2.0 * np.sum(w[iu[far]] * w[ju[far]] * np.log(d[far])))
@@ -615,8 +634,7 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
     if total < N:
         raise ValueError(f"strip construction produced {total} points, fewer than N = {N}")
     config = Configuration(pts[:N])
-    iu, ju = np.triu_indices(N, k=1)
-    sep = float(np.min(np.abs(config.points[iu] - config.points[ju])))
+    sep = float(np.min(_pair_distances(config.points)))
     return DiscretizeResult(
         configuration=config,
         min_separation=sep,
@@ -635,6 +653,7 @@ class PerturbationBall:
         self.center = center
         n = len(center)
         self.radius = separation_constant / (3.0 * math.sqrt(n))
+        self._center_energy = discrete_energy(center)
 
     def sample(self, seed=None) -> Configuration:
         rng = np.random.default_rng(seed)
@@ -649,7 +668,7 @@ class PerturbationBall:
         return bool(np.all(np.abs(c.points - self.center.points) < self.radius))
 
     def energy_deviation(self, c: Configuration) -> float:
-        return abs(discrete_energy(c) - discrete_energy(self.center))
+        return abs(discrete_energy(c) - self._center_energy)
 
 
 def perturbation_ball(c: Configuration, separation_constant: float) -> PerturbationBall:

@@ -23,6 +23,10 @@ MEMBERSHIP_TOL = 1e-12
 # report green == 0.0
 _GREEN_SNAP = 1e-15
 
+# ExteriorMap Newton inversion: accept w when |psi(w) - z| <= _NEWTON_TOL max(1, |z|)
+_NEWTON_MAX_ITER = 64
+_NEWTON_TOL = 1e-12
+
 
 class QuadratureError(RuntimeError):
     """Raised when dyadic refinement fails to reach the requested tolerance."""
@@ -220,8 +224,6 @@ class ExteriorMap:
 
     cap: float
     coeffs: tuple = ()
-    newton_tol: float = 1e-12
-    max_newton_iter: int = 64
 
     def __post_init__(self):
         if not self.cap > 0:
@@ -267,7 +269,7 @@ class ExteriorMap:
                 break
             w = rho[todo] * np.exp(1j * (phase0[todo] + 2 * math.pi * k / 6))
             target = flat[todo]
-            for _ in range(self.max_newton_iter):
+            for _ in range(_NEWTON_MAX_ITER):
                 dpsi = self.map_derivative(w)
                 step = (self.map(w) - target) / dpsi
                 w = w - step
@@ -275,7 +277,7 @@ class ExteriorMap:
                 w = np.where(np.abs(w) < 1e-12, 1e-12 + 0j, w)
                 if np.max(np.abs(step)) < 1e-15 * np.max(np.abs(w)):
                     break
-            good = (np.abs(self.map(w) - target) <= self.newton_tol * scale[todo]) & (np.abs(w) > 1.0)
+            good = (np.abs(self.map(w) - target) <= _NEWTON_TOL * scale[todo]) & (np.abs(w) > 1.0)
             idx = np.flatnonzero(todo)[good]
             out[idx] = w[good]
         return out.reshape(z.shape)

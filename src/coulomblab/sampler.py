@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import Configuration
+from .measures import Configuration, _pair_log_sum
 from .potential import CompactSet, MEMBERSHIP_TOL, compact_set_from_dict, robin_energy
 from . import fekete
 
@@ -80,12 +80,14 @@ class ChainConfig:
         return asdict(self)
 
 
-def _pair_log_sum(pts: np.ndarray) -> float:
-    iu, ju = np.triu_indices(pts.size, k=1)
-    d = np.abs(pts[iu] - pts[ju])
-    if np.any(d == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(d)))
+def _log_density(params: EnsembleParams, g: np.ndarray, pair_sum: float) -> float:
+    """-beta s sum(g) + beta pair_sum; in the hard-wall limit s = inf, -inf
+    when a point lies off K and beta pair_sum otherwise."""
+    if params.s == math.inf:
+        if np.any(g > MEMBERSHIP_TOL):
+            return -math.inf
+        return params.beta * pair_sum
+    return float(-params.beta * params.s * np.sum(g) + params.beta * pair_sum)
 
 
 def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configuration) -> float:
@@ -94,13 +96,7 @@ def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configura
     pts = c.points if isinstance(c, Configuration) else np.asarray(c, dtype=complex)
     if pts.size != params.N:
         raise ValueError(f"configuration has {pts.size} points, params expect {params.N}")
-    g = np.atleast_1d(K.green(pts))
-    pair = _pair_log_sum(pts) if pts.size > 1 else 0.0
-    if params.s == math.inf:
-        if np.any(g > MEMBERSHIP_TOL):
-            return -math.inf
-        return params.beta * pair
-    return float(-params.beta * params.s * np.sum(g) + params.beta * pair)
+    return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))
 
 
 def _move_delta(params: EnsembleParams, K: CompactSet, pts: np.ndarray,
@@ -204,7 +200,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
 
     scale = cfg.step_scale if cfg.step_scale is not None else 0.5 * K.capacity()
     g = np.atleast_1d(K.green(pts)).astype(float)
-    pair_sum = _pair_log_sum(pts) if n > 1 else 0.0
+    pair_sum = _pair_log_sum(pts)
 
     states: list[np.ndarray] = []
     log_dens: list[float] = []
@@ -240,18 +236,14 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                 steps_post += 1
                 if (step_index - cfg.burn_in + 1) % cfg.thin == 0:
                     states.append(pts.copy())
-                    if params.s == math.inf:
-                        ld = params.beta * pair_sum
-                    else:
-                        ld = -params.beta * params.s * float(np.sum(g)) + params.beta * pair_sum
-                    log_dens.append(ld)
+                    log_dens.append(_log_density(params, g, pair_sum))
             elif cfg.step_scale is None and (step_index + 1) % window == 0:
                 rate = accepted_window / window
                 scale *= math.exp(0.7 * (rate - 0.35))
                 scale = min(max(scale, 1e-4 * K.capacity()), 10.0 * K.capacity())
                 accepted_window = 0
             if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
-                pair_sum = _pair_log_sum(pts) if n > 1 else 0.0
+                pair_sum = _pair_log_sum(pts)
                 g = np.atleast_1d(K.green(pts)).astype(float)
         drawn += b
 

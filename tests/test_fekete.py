@@ -135,14 +135,6 @@ def test_fekete_result_save(tmp_path):
     assert np.allclose(loaded.points, res.configuration.points)
 
 
-def test_threaded_starts_match_sequential(monkeypatch):
-    seq = cl.solve(DISK, 9, seed=21)
-    monkeypatch.setenv("COULOMBLAB_THREADS", "3")
-    par = cl.solve(DISK, 9, seed=21)
-    assert par.log_delta == pytest.approx(seq.log_delta, abs=1e-12)
-    assert par.start_index == seq.start_index
-
-
 def test_capacity_estimate_segment_trend():
     ests = [cl.capacity_estimate(SEGMENT, n, seed=14) for n in (8, 16, 32)]
     assert all(a > b for a, b in zip(ests[:-1], ests[1:]))

@@ -41,6 +41,21 @@ def test_discrete_energy_coincident_infinite():
     assert cl.discrete_energy(cl.Configuration([1.0, 1.0, 2.0])) == math.inf
 
 
+def test_pair_kernel():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 17):
+        P = rng.normal(size=n) + 1j * rng.normal(size=n)
+        full = np.abs(P[:, None] - P[None, :])[np.triu_indices(n, 1)]
+        np.testing.assert_array_equal(measures._pair_distances(P), full)
+        assert measures._pair_log_sum(P) == float(np.sum(np.log(full)))
+    assert measures._pair_log_sum(np.array([0.5 + 0.5j])) == 0.0
+    assert measures._pair_log_sum(np.array([0.0, 1.0, 1.0 + 0j])) == -math.inf
+    iu, ju = measures._pair_index(5)
+    for idx in (iu, ju):
+        with pytest.raises(ValueError):
+            idx[0] = 1
+
+
 # ---------------------------------------------------------------------------
 # continuous energy
 # ---------------------------------------------------------------------------
