@@ -164,13 +164,16 @@ def _cmd_fekete(cfg, args) -> int:
                 {"N": n, "log_delta": result.log_delta,
                  "max_green_violation": result.max_green_violation,
                  "converged": result.converged, "iterations": result.iterations,
+                 "stop_reason": result.stop_reason,
                  "capacity_estimate": est, "capacity": K.capacity()}, cfg)
     print(f"fekete N={n}: log_delta={result.log_delta:.9g} "
           f"violation={result.max_green_violation:.2e} converged={result.converged}")
     if est is not None:
         print(f"capacity estimate {est:.6f} (closed form {K.capacity():.6f})")
     if not result.converged:
-        raise NonConvergenceError("no fekete start reached the gradient tolerance")
+        raise NonConvergenceError(
+            f"returned start {result.start_index} (largest log_delta) did not reach the "
+            f"gradient tolerance: stop_reason={result.stop_reason}")
     return 0
 
 

@@ -30,15 +30,20 @@ class FeketeResult:
     max_green_violation: float
     trace: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
     start_index: int = -1
+    stop_reason: str = ""  # "gradient_tol", "line_search" or "max_iterations"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gradient_tol"
 
     def save(self, basepath) -> None:
         base = Path(basepath)
         self.configuration.save_csv(base.with_suffix(".csv"))
         meta = {"log_delta": self.log_delta,
                 "max_green_violation": self.max_green_violation,
-                "iterations": self.iterations, "converged": self.converged}
+                "iterations": self.iterations, "converged": self.converged,
+                "stop_reason": self.stop_reason}
         base.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
 
@@ -65,7 +70,9 @@ def _ascend_angles(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: f
 
     The step divides the angle gradient by the diagonal pair curvature,
     which equalizes scales between flat and strongly curved boundary arcs;
-    convergence is measured on the arclength gradient.
+    convergence is measured on the arclength gradient.  The stop reason is
+    "gradient_tol" (converged), "line_search" (60 step halvings found no
+    gain) or "max_iterations".
     """
     theta = theta0.copy()
     pts = K.boundary_point(theta)
@@ -73,7 +80,7 @@ def _ascend_angles(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: f
     obj = float(np.sum(logs))
     step = 0.5
     trace = [obj]
-    converged = False
+    reason = "max_iterations"
     it = 0
     eye = np.eye(len(theta0), dtype=bool)
     for it in range(1, max_iter + 1):
@@ -86,7 +93,7 @@ def _ascend_angles(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: f
         grad = np.sum(np.where(eye, 0.0, inner / d2), axis=1)
         speed = np.abs(vel)
         if float(np.max(np.abs(grad / speed))) <= grad_tol:
-            converged = True
+            reason = "gradient_tol"
             break
         # exact diagonal Hessian of the angle objective; negative near a
         # maximizer, with the pair-curvature bound as a safeguarded fallback
@@ -113,18 +120,20 @@ def _ascend_angles(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: f
             step *= 0.5
         trace.append(obj)
         if not improved:
+            reason = "line_search"
             break
-    return theta, pts, trace, it, converged
+    return theta, pts, trace, it, reason
 
 
 def _ascend_segment(K: Segment, x0: np.ndarray, max_iter: int, grad_tol: float):
-    """Projected (clamped) diagonally preconditioned ascent on the segment."""
+    """Projected (clamped) diagonally preconditioned ascent on the segment,
+    with the stop reasons of `_ascend_angles`."""
     x = np.clip(x0, K.a, K.b)
     logs = _pair_log_dists(x + 0j)
     obj = float(np.sum(logs))
     step = 0.5
     trace = [obj]
-    converged = False
+    reason = "max_iterations"
     it = 0
     eye = np.eye(len(x0), dtype=bool)
     for it in range(1, max_iter + 1):
@@ -137,7 +146,7 @@ def _ascend_segment(K: Segment, x0: np.ndarray, max_iter: int, grad_tol: float):
         resid[(x <= K.a) & (resid < 0)] = 0.0
         resid[(x >= K.b) & (resid > 0)] = 0.0
         if float(np.max(np.abs(resid))) <= grad_tol:
-            converged = True
+            reason = "gradient_tol"
             break
         direction = grad / np.maximum(curv, 1e-300)
         improved = False
@@ -154,8 +163,9 @@ def _ascend_segment(K: Segment, x0: np.ndarray, max_iter: int, grad_tol: float):
             step *= 0.5
         trace.append(obj)
         if not improved:
+            reason = "line_search"
             break
-    return x, trace, it, converged
+    return x, trace, it, reason
 
 
 def solve(K: CompactSet, N: int, starts: Optional[int] = None,
@@ -165,9 +175,9 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     Starts are equilibrium draws jittered in the boundary parameter.  The
     start with the largest log_delta is returned whether or not it
     converged; `converged` reports whether that start met the gradient
-    tolerance 1e-8 N, and `start_index` which start it was.  All iterates
-    stay in K, so the containment diagnostic max_green_violation is at the
-    rounding level.
+    tolerance 1e-8 N, `stop_reason` why its ascent stopped, and
+    `start_index` which start it was.  All iterates stay in K, so the
+    containment diagnostic max_green_violation is at the rounding level.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -179,19 +189,20 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
         theta0 = rng.uniform(0.0, 2.0 * math.pi, N) + rng.normal(0.0, 0.1, N)
         if isinstance(K, Segment):
             x0 = K.boundary_point(theta0).real
-            x, trace, its, conv = _ascend_segment(K, x0, max_iterations, grad_tol)
+            x, trace, its, reason = _ascend_segment(K, x0, max_iterations, grad_tol)
             pts = x + 0j
         else:
-            theta, pts, trace, its, conv = _ascend_angles(K, theta0, max_iterations, grad_tol)
+            theta, pts, trace, its, reason = _ascend_angles(K, theta0, max_iterations,
+                                                            grad_tol)
         config = Configuration(pts)
         val = log_delta(K, config)  # final value without the soft floor
         if best is None or val > best[0]:
-            best = (val, config, trace, its, conv, idx)
-    val, config, trace, its, conv, idx = best
+            best = (val, config, trace, its, reason, idx)
+    val, config, trace, its, reason, idx = best
     violation = float(np.max(np.atleast_1d(K.green(config.points))))
     return FeketeResult(configuration=config, log_delta=val,
                         max_green_violation=violation, trace=trace,
-                        iterations=its, converged=conv, start_index=idx)
+                        iterations=its, start_index=idx, stop_reason=reason)
 
 
 def capacity_estimate(K: CompactSet, N: int, seed=None,

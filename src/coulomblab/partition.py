@@ -11,6 +11,7 @@ and cubature stay independent checks of each other.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,7 +92,13 @@ def _log_density_self_average(nu: SmoothedMeasure, cell: Optional[float] = None)
     """Integral of log(density) against the smoothed measure itself.
 
     The density is piecewise constant on disk-overlap regions; a midpoint
-    grid of the bounding box resolves it to the needed few digits."""
+    grid of the bounding box (cell eps/40 unless given) resolves it to the
+    needed few digits.  Each grid row only measures distances to the atoms
+    within eps of it in the imaginary part, and only over the columns those
+    atoms can reach; every other cell has density zero and adds nothing.
+    The kept atoms stay in their original order, so each cell and each row
+    sums the same nonzero terms in the same order as the full grid would.
+    """
     eps = nu.epsilon
     h = cell if cell is not None else eps / 40.0
     x0, x1, y0, y1 = nu.bounding_box()
@@ -99,12 +106,24 @@ def _log_density_self_average(nu: SmoothedMeasure, cell: Optional[float] = None)
     ys = np.arange(y0 + h / 2, y1, h)
     pts = nu.base.points
     w = nu.base.weights
+    # a hair wider than eps, so rounding in d2 never drops a reaching atom
+    reach = eps * (1.0 + 1e-9)
+    by_im = np.argsort(pts.imag, kind="stable")
+    im = pts.imag[by_im]
+    lo = np.searchsorted(im, ys - reach, side="left")
+    hi = np.searchsorted(im, ys + reach, side="right")
     total = 0.0
     norm = math.pi * eps * eps
-    for yc in ys:
-        centers = xs + 1j * yc
-        d2 = np.abs(centers[:, None] - pts[None, :]) ** 2
-        a = (d2 < eps * eps) @ w / norm
+    for yc, i0, i1 in zip(ys, lo, hi):
+        if i0 == i1:
+            continue
+        band = np.sort(by_im[i0:i1])
+        p = pts[band]
+        c0 = np.searchsorted(xs, p.real.min() - reach, side="left")
+        c1 = np.searchsorted(xs, p.real.max() + reach, side="right")
+        centers = xs[c0:c1] + 1j * yc
+        d2 = np.abs(centers[:, None] - p[None, :]) ** 2
+        a = (d2 < eps * eps) @ w[band] / norm
         pos = a > 0
         if pos.any():
             total += float(np.sum(a[pos] * np.log(a[pos]))) * h * h
@@ -146,7 +165,6 @@ def partition_bounds(K: CompactSet, params: EnsembleParams, fekete_result: Feket
     except (NotImplementedError, ValueError):
         inner = K
     if eps >= 1.0 / (2 * m):
-        import warnings
         warnings.warn(f"mollification eps={eps} is not below 1/(2m)={1/(2*m)}; "
                       "the support may spill far outside the inner set")
     nu = smooth(equilibrium_discretization(inner, atoms), eps)
@@ -341,11 +359,18 @@ class PartitionReport:
     cubature: Optional[float] = None    # log of the cubature value
     asymptote: Optional[float] = None   # -N(N+1) I[omega_K] + theta(ell) N
     residual: Optional[float] = None
+    # the PartitionBounds terms, set with lower and upper
+    nu_energy: Optional[float] = None
+    log_density_average: Optional[float] = None
+    green_average: Optional[float] = None
+    field_log_integral: Optional[float] = None
 
     def to_dict(self) -> dict:
         d = {"N": self.N, "s": "inf" if self.s == math.inf else self.s,
              "beta": self.beta}
-        for k in ("exact", "lower", "upper", "cubature", "asymptote", "residual"):
+        for k in ("exact", "lower", "upper", "cubature", "asymptote", "residual",
+                  "nu_energy", "log_density_average", "green_average",
+                  "field_log_integral"):
             v = getattr(self, k)
             if v is not None:
                 d[k] = v
@@ -376,6 +401,10 @@ def build_report(K: CompactSet, params: EnsembleParams,
     if fekete_result is not None:
         bounds = partition_bounds(K, params, fekete_result)
         rep.lower, rep.upper = bounds.lower, bounds.upper
+        rep.nu_energy = bounds.nu_energy
+        rep.log_density_average = bounds.log_density_average
+        rep.green_average = bounds.green_average
+        rep.field_log_integral = bounds.field_log_integral
     if with_cubature and N <= 3:
         rep.cubature = math.log(partition_cubature(K, params))
     return rep

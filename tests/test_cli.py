@@ -178,9 +178,14 @@ def test_unknown_statistic_rejected(tmp_path):
     assert run(["--config", cfg, "--out", str(tmp_path), "linstat"]) == 2
 
 
-def test_nonconvergence_exit_code(tmp_path):
+def test_nonconvergence_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "schema_version": 1,
         "fekete": {"N": 12, "max_iterations": 1},
     })
     assert run(["--config", cfg, "--out", str(tmp_path), "fekete"]) == 4
+    summary = json.loads(next(tmp_path.glob("fekete_*_summary.json")).read_text())
+    assert summary["stop_reason"] == "max_iterations"
+    err = capsys.readouterr().err
+    assert "no fekete start" not in err
+    assert "returned start " in err and "stop_reason=max_iterations" in err

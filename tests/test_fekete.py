@@ -72,6 +72,23 @@ def test_solve_containment():
         assert res.converged
 
 
+def test_stop_reason_line_search():
+    # the returned start stops well short of the iteration cap because 60
+    # step halvings found no gain, not because the cap was reached
+    res = cl.solve(cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)), 60, seed=0)
+    assert not res.converged
+    assert res.stop_reason == "line_search"
+    assert (res.iterations, res.start_index) == (372, 6)
+    assert res.log_delta == pytest.approx(122.86522208685675, rel=1e-12)
+
+
+def test_stop_reason_max_iterations():
+    for K in (DISK, SEGMENT):
+        res = cl.solve(K, 12, max_iterations=1, seed=8)
+        assert not res.converged
+        assert (res.stop_reason, res.iterations) == ("max_iterations", 1)
+
+
 def test_scaling_covariance():
     base = cl.solve(cl.Disk(0.0, 1.0), 12, seed=7)
     for r in (0.5, 2.0):
@@ -131,6 +148,7 @@ def test_fekete_result_save(tmp_path):
     meta = json.loads((tmp_path / "fekete_run.json").read_text())
     assert meta["log_delta"] == pytest.approx(res.log_delta)
     assert meta["converged"] is True
+    assert meta["stop_reason"] == res.stop_reason == "gradient_tol"
     loaded = cl.Configuration.load_csv(tmp_path / "fekete_run.csv")
     assert np.allclose(loaded.points, res.configuration.points)
 

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 import coulomblab as cl
-from coulomblab.partition import PartitionReport, build_report
+from coulomblab.measures import equilibrium_discretization, smooth
+from coulomblab.partition import PartitionReport, _log_density_self_average, build_report
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -157,6 +158,61 @@ def test_cubature_rejections():
 
 
 # ---------------------------------------------------------------------------
+# log-density average of the smoothed measure
+# ---------------------------------------------------------------------------
+
+def _log_density_full_grid(nu, cell=None):
+    # oracle: every cell of the midpoint grid against every atom
+    eps = nu.epsilon
+    h = cell if cell is not None else eps / 40.0
+    x0, x1, y0, y1 = nu.bounding_box()
+    xs = np.arange(x0 + h / 2, x1, h)
+    ys = np.arange(y0 + h / 2, y1, h)
+    pts, w = nu.base.points, nu.base.weights
+    total = 0.0
+    for yc in ys:
+        d2 = np.abs(xs[:, None] + 1j * yc - pts[None, :]) ** 2
+        a = (d2 < eps * eps) @ w / (math.pi * eps * eps)
+        pos = a > 0
+        if pos.any():
+            total += float(np.sum(a[pos] * np.log(a[pos]))) * h * h
+    return total
+
+
+def _inner_nu(K):
+    # the smoothed measure partition_bounds builds at its defaults
+    return smooth(equilibrium_discretization(K.inner_set(1.0 / 8), 128), 0.05)
+
+
+@pytest.mark.parametrize("K,cell", [(DISK, None), (SEGMENT, None),
+                                    (cl.Ellipse(0.0, 2.0, 1.0), None), (DISK, 0.05 / 20)],
+                         ids=["disk", "segment", "ellipse", "disk-cell"])
+def test_log_density_matches_full_grid(K, cell):
+    nu = _inner_nu(K)
+    assert _log_density_self_average(nu, cell) == pytest.approx(
+        _log_density_full_grid(nu, cell), rel=1e-12)
+
+
+def test_log_density_single_atom_closed_form():
+    # one unit atom: density 1/(pi eps^2) on its disk, so the average is
+    # log(1/(pi eps^2)) up to the grid's area error
+    eps = 0.05
+    nu = smooth(cl.AtomicMeasure([0.3 - 0.2j], [1.0]), eps)
+    assert _log_density_self_average(nu) == pytest.approx(
+        math.log(1.0 / (math.pi * eps * eps)), rel=2e-3)
+
+
+def test_log_density_skips_empty_row_bands():
+    # two far-apart half atoms leave every row between them empty; the
+    # disjoint disks give log(1/(2 pi eps^2))
+    eps = 0.05
+    nu = smooth(cl.AtomicMeasure([0.0, 0.4 + 1.0j]), eps)
+    value = _log_density_self_average(nu)
+    assert value == pytest.approx(_log_density_full_grid(nu), rel=1e-12)
+    assert value == pytest.approx(math.log(1.0 / (2 * math.pi * eps * eps)), rel=2e-3)
+
+
+# ---------------------------------------------------------------------------
 # sandwich bounds
 # ---------------------------------------------------------------------------
 
@@ -175,6 +231,13 @@ def test_bounds_sandwich_segment_cubature():
     z = cl.partition_cubature(SEGMENT, p)
     assert b.lower <= math.log(z) <= b.upper
     assert b.green_average > 0  # smoothed segment measure spills off K
+
+
+def test_bounds_warn_on_wide_mollifier():
+    p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
+    fr = cl.solve(DISK, 2, seed=5)
+    with pytest.warns(UserWarning, match="mollification"):
+        cl.partition_bounds(DISK, p, fr, m=8, eps=0.1)
 
 
 def test_bounds_trend():
@@ -209,3 +272,18 @@ def test_report_s_inf():
     rep = build_report(DISK, p)
     assert rep.exact == pytest.approx(4 * math.log(math.pi))
     assert rep.residual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_report_lower_bound_terms():
+    p = cl.EnsembleParams(8, 16.0, 2.0, 0.1)
+    fr = cl.solve(DISK, 8, seed=4)
+    rep = build_report(DISK, p, fekete_result=fr)
+    b = cl.partition_bounds(DISK, p, fr)
+    d = rep.to_dict()
+    for k in ("nu_energy", "log_density_average", "green_average", "field_log_integral"):
+        assert d[k] == getattr(b, k)
+    assert d["lower"] == b.lower
+    # the terms stay out of the CSV
+    assert PartitionReport.CSV_HEADER == "N,s,exact,lower,upper,asymptote,residual"
+    assert rep.csv_row().count(",") == 6
+    assert "nu_energy" not in build_report(DISK, p).to_dict()
