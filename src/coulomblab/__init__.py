@@ -1,8 +1,8 @@
 """Simulation and verification lab for two-dimensional potential-theoretic
 particle ensembles on regular compact sets."""
 
-from .potential import (CompactSet, Disk, Ellipse, ExteriorMap, Polynomial, Segment,
-                        balayage_disk, capacity, compact_set_from_dict, contains,
+from .potential import (CompactSet, Disk, Ellipse, ExteriorMap, InversionError, Polynomial,
+                        Segment, balayage_disk, capacity, compact_set_from_dict, contains,
                         equilibrium_integral, equilibrium_sample, green, log_potential,
                         mahler_measure, robin_energy)
 from .measures import (AtomicMeasure, CircleMeasure, Configuration, DiskUniformMeasure,

@@ -10,6 +10,7 @@ and cubature stay independent checks of each other.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -143,6 +144,19 @@ class PartitionBounds:
         return iter((self.lower, self.upper))
 
 
+@functools.lru_cache(maxsize=16)
+def _smoothed_terms(K: CompactSet, m: int, eps: float, atoms: int) -> tuple:
+    """Energy, log-density self-average and green average of the smoothed
+    equilibrium measure of K's inner set at margin 1/m: the terms of the
+    lower bound that do not depend on the ensemble (N, s, beta)."""
+    try:
+        inner = K.inner_set(1.0 / m)
+    except (NotImplementedError, ValueError):
+        inner = K
+    nu = smooth(equilibrium_discretization(inner, atoms), eps)
+    return continuous_energy(nu), _log_density_self_average(nu), _green_average(nu, K)
+
+
 def partition_bounds(K: CompactSet, params: EnsembleParams, fekete_result: FeketeResult,
                      m: int = 8, eps: float = 0.05, atoms: int = 128) -> PartitionBounds:
     """Sandwich for log Z: extremal-configuration upper bound and Jensen
@@ -160,17 +174,10 @@ def partition_bounds(K: CompactSet, params: EnsembleParams, fekete_result: Feket
     log_fi = math.log(fi) if fi > 0 else -math.inf
     upper = beta * fekete_result.log_delta + N * log_fi
 
-    try:
-        inner = K.inner_set(1.0 / m)
-    except (NotImplementedError, ValueError):
-        inner = K
     if eps >= 1.0 / (2 * m):
         warnings.warn(f"mollification eps={eps} is not below 1/(2m)={1/(2*m)}; "
                       "the support may spill far outside the inner set")
-    nu = smooth(equilibrium_discretization(inner, atoms), eps)
-    energy = continuous_energy(nu)
-    loga = _log_density_self_average(nu)
-    gavg = _green_average(nu, K)
+    energy, loga, gavg = _smoothed_terms(K, m, eps, atoms)
     if s == math.inf:
         field_term = 0.0 if gavg <= 1e-13 else math.inf
     else:

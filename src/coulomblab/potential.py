@@ -23,13 +23,20 @@ MEMBERSHIP_TOL = 1e-12
 # report green == 0.0
 _GREEN_SNAP = 1e-15
 
-# ExteriorMap Newton inversion: accept w when |psi(w) - z| <= _NEWTON_TOL max(1, |z|)
-_NEWTON_MAX_ITER = 64
+# ExteriorMap inversion: the largest root w of w^m (psi(w) - z) gets
+# _POLISH_STEPS Newton steps and must then satisfy
+# |psi(w) - z| <= _NEWTON_TOL max(1, |z|)
+_POLISH_STEPS = 2
 _NEWTON_TOL = 1e-12
 
 
 class QuadratureError(RuntimeError):
     """Raised when dyadic refinement fails to reach the requested tolerance."""
+
+
+class InversionError(ArithmeticError):
+    """Raised when ExteriorMap.green finds no accurate preimage of a point
+    outside K."""
 
 
 def _as_complex(z):
@@ -216,10 +223,15 @@ class Ellipse:
 class ExteriorMap:
     """Compact set given by a truncated univalent exterior Laurent map.
 
-    psi(w) = cap*w + coeffs[0] + coeffs[1]/w + coeffs[2]/w^2 + ... maps
-    {|w| > 1} onto the complement of K.  green(z) is computed by Newton
-    inversion with multistart; points where no start converges to |w| > 1
-    are classified as members of K.
+    psi(w) = cap*w + coeffs[0] + coeffs[1]/w + ... + coeffs[m]/w^m maps
+    {|w| > 1} onto the complement of K; the coefficients are assumed to make
+    psi univalent there.  The preimages of z are then the roots of the
+    degree m + 1 polynomial w^m (psi(w) - z), and by the argument principle
+    exactly one of them has |w| > 1 when z is outside K and none does when z
+    is in K.  green(z) takes the largest root of each point's companion
+    matrix, returns 0 where its modulus is at most 1, and otherwise polishes
+    it by Newton steps to g = log|w|.  An outside point whose polished root
+    misses |psi(w) - z| <= 1e-12 max(1, |z|) raises InversionError.
     """
 
     cap: float
@@ -253,40 +265,45 @@ class ExteriorMap:
                 out = out - k * c * u ** (k + 1)
         return out
 
-    def _invert(self, z):
-        """Return w with |w| > 1 and psi(w) = z, or nan where z is in K."""
-        z = _as_complex(z)
-        flat = z.ravel()
+    def _preimage(self, z):
+        """Flat indices of the points of z outside K and their preimages w,
+        with |w| > 1 and psi(w) = z."""
+        flat = _as_complex(z).ravel()
+        m = len(self.coeffs) - 1
         c0 = self.coeffs[0] if self.coeffs else 0.0
-        base = (flat - c0) / self.cap
-        rho = np.maximum(np.abs(base), 1.0 + 1e-9)
-        phase0 = np.angle(base)
-        out = np.full(flat.shape, np.nan + 1j * np.nan)
-        scale = np.maximum(1.0, np.abs(flat))
-        for k in range(6):
-            todo = np.isnan(out.real)
-            if not todo.any():
-                break
-            w = rho[todo] * np.exp(1j * (phase0[todo] + 2 * math.pi * k / 6))
-            target = flat[todo]
-            for _ in range(_NEWTON_MAX_ITER):
-                dpsi = self.map_derivative(w)
-                step = (self.map(w) - target) / dpsi
-                w = w - step
-                # keep iterates out of the singular disk |w| <= tiny
-                w = np.where(np.abs(w) < 1e-12, 1e-12 + 0j, w)
-                if np.max(np.abs(step)) < 1e-15 * np.max(np.abs(w)):
-                    break
-            good = (np.abs(self.map(w) - target) <= _NEWTON_TOL * scale[todo]) & (np.abs(w) > 1.0)
-            idx = np.flatnonzero(todo)[good]
-            out[idx] = w[good]
-        return out.reshape(z.shape)
+        if m < 1:  # psi is linear
+            w = (flat - c0) / self.cap
+            idx = np.flatnonzero(np.abs(w) > 1.0)
+            return idx, w[idx]
+        # companion matrices of w^m (psi(w) - z) / cap
+        #   = w^{m+1} + ((c0 - z)/cap) w^m + (c1/cap) w^{m-1} + ... + c_m/cap
+        comp = np.zeros((flat.size, m + 1, m + 1), dtype=complex)
+        comp[:, 0, 0] = (flat - c0) / self.cap
+        comp[:, 0, 1:] = np.asarray(self.coeffs[1:]) / -self.cap
+        comp[:, 1:, :-1] = np.eye(m)
+        roots = np.linalg.eigvals(comp)
+        w = roots[np.arange(flat.size), np.argmax(np.abs(roots), axis=1)]
+        idx = np.flatnonzero(np.abs(w) > 1.0)
+        w, target = w[idx], flat[idx]
+        for _ in range(_POLISH_STEPS):
+            # Newton on P(w) = w^m (psi(w) - z) by Horner, free of 1/w
+            p, dp = np.full_like(w, self.cap), np.zeros_like(w)
+            for c in (c0 - target,) + self.coeffs[1:]:
+                dp = dp * w + p
+                p = p * w + c
+            w = w - p / dp
+        miss = np.abs(self.map(w) - target) > _NEWTON_TOL * np.maximum(1.0, np.abs(target))
+        if miss.any():
+            raise InversionError(f"{int(miss.sum())} of {target.size} points outside K have no "
+                                 f"preimage with |psi(w) - z| <= {_NEWTON_TOL:g} max(1, |z|)")
+        return idx, w
 
     def green(self, z):
         z = _as_complex(z)
-        w = self._invert(z)
-        g = np.where(np.isnan(w.real), 0.0, np.log(np.maximum(np.abs(np.where(np.isnan(w), 1.0, w)), 1.0)))
-        return _snap(g)
+        idx, w = self._preimage(z)
+        g = np.zeros(z.size)
+        g[idx] = np.log(np.abs(w))
+        return _snap(g.reshape(z.shape))
 
     def boundary_point(self, theta):
         return self.map(np.exp(1j * np.asarray(theta, dtype=float)))

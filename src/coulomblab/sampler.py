@@ -255,6 +255,10 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc)
 
 
+def _low_energy_bound(K: CompactSet, n: int, eps: float) -> float:
+    return -(robin_energy(K) + eps) * n * (n - 1) / 2.0
+
+
 def in_low_energy_set(params: EnsembleParams, K: CompactSet, c: Configuration,
                       eps: float) -> bool:
     """Membership in the low-energy set: the weighted Fekete objective of
@@ -262,18 +266,22 @@ def in_low_energy_set(params: EnsembleParams, K: CompactSet, c: Configuration,
     n = len(c) if isinstance(c, Configuration) else np.asarray(c).size
     if n < 2:
         return True  # empty pair product: both sides are trivial
-    value = fekete.log_delta(K, c)
-    bound = -(robin_energy(K) + eps) * n * (n - 1) / 2.0
-    return bool(value >= bound)
+    return bool(fekete.log_delta(K, c) >= _low_energy_bound(K, n, eps))
 
 
 def tail_mass_estimate(chain: Chain, eps: float) -> float:
-    """Fraction of stored post-burn-in states outside the low-energy set."""
+    """Fraction of stored post-burn-in states outside the low-energy set.
+
+    Evaluates green once on all stored states; each state's weighted
+    Fekete objective is then the one fekete.log_delta computes."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
-    outside = sum(not in_low_energy_set(chain.params, chain.K, Configuration(s), eps)
-                  for s in chain.states)
-    return outside / len(chain)
+    states = chain.state_array()
+    n = states.shape[1]
+    g = chain.K.green(states)
+    bound = _low_energy_bound(chain.K, n, eps)
+    values = [_pair_log_sum(pts) - (n - 1) * np.sum(gs) for pts, gs in zip(states, g)]
+    return sum(not v >= bound for v in values) / len(chain)
 
 
 def potential_scale_reduction(chain: Chain) -> float:

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import coulomblab as cl
-from coulomblab.measures import equilibrium_discretization, smooth
+from coulomblab.measures import _green_average, equilibrium_discretization, smooth
 from coulomblab.partition import PartitionReport, _log_density_self_average, build_report
 
 DISK = cl.Disk(0.0, 1.0)
@@ -236,8 +236,21 @@ def test_bounds_sandwich_segment_cubature():
 def test_bounds_warn_on_wide_mollifier():
     p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
     fr = cl.solve(DISK, 2, seed=5)
-    with pytest.warns(UserWarning, match="mollification"):
-        cl.partition_bounds(DISK, p, fr, m=8, eps=0.1)
+    for _ in range(2):  # the second call reuses the smoothed-measure terms
+        with pytest.warns(UserWarning, match="mollification"):
+            cl.partition_bounds(DISK, p, fr, m=8, eps=0.1)
+
+
+def test_bounds_smoothed_terms_shared_across_ensembles():
+    # the lower bound's smoothed-measure terms depend on (K, m, eps, atoms)
+    # only; every ensemble on a set gets that set's values computed afresh
+    for K in (DISK, cl.Disk(0.0, 0.5)):
+        nu = _inner_nu(K)
+        fresh = (cl.continuous_energy(nu), _log_density_self_average(nu), _green_average(nu, K))
+        for n in (8, 16):
+            b = cl.partition_bounds(K, cl.EnsembleParams(n, 2.0 * n, 2.0, 0.1),
+                                    cl.solve(K, n, seed=4))
+            assert (b.nu_energy, b.log_density_average, b.green_average) == fresh
 
 
 def test_bounds_trend():

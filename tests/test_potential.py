@@ -1,6 +1,7 @@
 """Potential-theoretic primitives against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,11 +39,16 @@ def test_green_segment_inverse_joukowski():
 
 
 def test_green_ellipse_matches_exterior_map():
+    # the Laurent map 1.5 w + 0.5/w is the ellipse (2, 1): closed-form oracle
     rng = np.random.default_rng(3)
-    z = rng.uniform(-4, 4, 200) + 1j * rng.uniform(-3, 3, 200)
-    ge = cl.green(ELLIPSE, z)
-    gx = cl.green(EXTMAP, z)
-    assert np.max(np.abs(ge - gx)) < 1e-9
+    scattered = rng.uniform(-4, 4, 200) + 1j * rng.uniform(-3, 3, 200)
+    x, y = np.linspace(-3, 3, 121), np.linspace(-2, 2, 81)
+    grid = (x[:, None] + 1j * y[None, :]).ravel()
+    boundary = ELLIPSE.boundary_point(np.linspace(0, 2 * math.pi, 257))
+    far = 1e8 * np.exp(1j * np.linspace(0, 2 * math.pi, 17))
+    for z in (scattered, grid, boundary * (1 + 1e-10), boundary * (1 - 1e-10),
+              boundary * (1 + 1e-6), far):
+        assert np.max(np.abs(cl.green(EXTMAP, z) - cl.green(ELLIPSE, z))) <= 1e-14
 
 
 def _distance_to_set(K, z):
@@ -316,6 +322,69 @@ def test_exterior_map_higher_coefficients():
     shoelace = 0.5 * abs(np.trapezoid(b.real * np.gradient(b.imag, t)
                                       - b.imag * np.gradient(b.real, t), t))
     assert K.area() == pytest.approx(shoelace, rel=1e-4)
+
+
+def _winding_number(curve, z):
+    """Winding number of the closed polygon `curve` about each point of z,
+    with the distance from each point to the polygon's vertices."""
+    wind, dist = np.empty(z.size), np.empty(z.size)
+    for lo in range(0, z.size, 64):
+        d = curve[None, :] - z[lo:lo + 64, None]
+        wind[lo:lo + 64] = np.sum(np.angle(d[:, 1:] / d[:, :-1]), axis=1) / (2 * math.pi)
+        dist[lo:lo + 64] = np.min(np.abs(d), axis=1)
+    return np.rint(wind), dist
+
+
+@pytest.mark.parametrize("K", [cl.ExteriorMap(1.2, (0.0, 0.05, 0.0, 0.04)),
+                               cl.ExteriorMap(1.0, (0.0, 0.0, 0.15))])
+def test_exterior_map_membership_winding_oracle(K):
+    curve = K.boundary_point(np.linspace(0, 2 * math.pi, 20001))
+    x = np.linspace(-1.6, 1.6, 61)
+    z = (x[:, None] + 1j * x[None, :]).ravel()
+    wind, dist = _winding_number(curve, z)
+    z, wind = z[dist > 1e-3], wind[dist > 1e-3]
+    assert set(np.unique(wind)) == {0.0, 1.0}
+    g = K.green(z)
+    assert np.array_equal(g == 0.0, wind == 1.0)
+    idx, w = K._preimage(z)
+    assert np.array_equal(idx, np.flatnonzero(wind == 0.0))
+    assert np.all(np.abs(w) > 1.0)
+    assert np.max(np.abs(K.map(w) - z[idx])) <= 1e-12
+
+
+def test_linear_exterior_map_equals_disk():
+    disk = cl.Disk(0.2, 0.5)
+    x = np.linspace(-1.0, 1.4, 49)
+    z = np.concatenate([(x[:, None] + 1j * x[None, :]).ravel(), [0.2, 0.2 + 0.5j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K in (cl.ExteriorMap(0.5, (0.2,)), cl.ExteriorMap(0.5, (0.2, 0.0))):
+            assert np.max(np.abs(K.green(z) - disk.green(z))) <= 1e-14
+            assert K.green(0.2) == 0.0
+
+
+def test_exterior_map_green_shapes():
+    g = EXTMAP.green(2.5 + 1.0j)
+    assert type(g) is float and g == pytest.approx(ELLIPSE.green(2.5 + 1.0j), abs=1e-15)
+    assert type(EXTMAP.green(0.1)) is float
+    z = np.array([[0.0, 3.0], [1j, 2.5 + 1j], [-4.0, 0.5]])
+    assert EXTMAP.green(z).shape == (3, 2)
+    assert np.array_equal(EXTMAP.green(z), EXTMAP.green(z.ravel()).reshape(3, 2))
+
+
+class _ShiftedMap(cl.ExteriorMap):
+    """A map that disagrees with its Laurent coefficients by 1e-6."""
+
+    def map(self, w):
+        return super().map(w) + 1e-6
+
+
+def test_exterior_map_missed_residual_raises():
+    K = _ShiftedMap(1.5, (0.0, 0.5))
+    assert K.green(0.1 + 0.2j) == 0.0  # in K: no preimage is needed
+    with pytest.raises(cl.InversionError, match="2 of 2 points outside K"):
+        K.green(np.array([3.0, 0.1, 2.0j]))
+    assert issubclass(cl.InversionError, ArithmeticError)
 
 
 def test_exterior_map_field_integral_vs_cubature():

@@ -180,13 +180,33 @@ def test_in_low_energy_set_examples():
     assert cl.in_low_energy_set(cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK, fek, 1e-6)
 
 
+def _tail_mass_by_state(chain, eps):
+    """tail_mass_estimate as one in_low_energy_set call per stored state."""
+    return sum(not cl.in_low_energy_set(chain.params, chain.K, s, eps)
+               for s in chain.states) / len(chain)
+
+
 def test_tail_mass_estimate(chain8):
     assert cl.tail_mass_estimate(chain8, 10.0) == 0.0
     assert cl.tail_mass_estimate(chain8, 0.2) <= 0.01
+    for eps in (0.2, 0.01, 0.001):
+        assert cl.tail_mass_estimate(chain8, eps) == _tail_mass_by_state(chain8, eps)
     short = cl.Chain(chain8.params, DISK, chain8.cfg, 0, chain8.states[:10],
                      list(chain8.log_densities[:10]), 0.5, 1.0)
     with pytest.raises(ValueError):
         cl.tail_mass_estimate(short, 0.2)
+
+
+def test_tail_mass_estimate_exterior_map_and_one_particle():
+    K = cl.ExteriorMap(1.5, (0.0, 0.5))
+    ch = cl.run_chain(cl.EnsembleParams(6, 12.0, 2.0, 0.1), K,
+                      cl.ChainConfig(steps=1_000, burn_in=200, thin=1), seed=4)
+    masses = [cl.tail_mass_estimate(ch, eps) for eps in (0.2, 0.01, 0.001)]
+    assert masses == [_tail_mass_by_state(ch, eps) for eps in (0.2, 0.01, 0.001)]
+    assert 0.0 < masses[-1] < 1.0  # the comparison sees states on both sides
+    one = cl.run_chain(cl.EnsembleParams(1, 4.0, 2.0, 0.1), DISK,
+                       cl.ChainConfig(steps=1_000, burn_in=0, thin=1), seed=3)
+    assert cl.tail_mass_estimate(one, 0.2) == 0.0
 
 
 def test_chain_save_load_single_particle(tmp_path):
