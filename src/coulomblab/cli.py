@@ -164,7 +164,8 @@ def _cmd_fekete(cfg, args) -> int:
                 {"N": n, "log_delta": result.log_delta,
                  "max_green_violation": result.max_green_violation,
                  "converged": result.converged, "iterations": result.iterations,
-                 "stop_reason": result.stop_reason,
+                 "stop_reason": result.stop_reason, "start_index": result.start_index,
+                 "starts": result.starts,
                  "capacity_estimate": est, "capacity": K.capacity()}, cfg)
     print(f"fekete N={n}: log_delta={result.log_delta:.9g} "
           f"violation={result.max_green_violation:.2e} converged={result.converged}")

@@ -4,7 +4,8 @@ The weighted objective has its maximizers inside K (extremal polynomials
 attain their sup-norm on K), and on K the Green penalty vanishes, so the
 solver works directly in the boundary parametrization where containment
 is exact by construction: angles through the exterior map for disk,
-ellipse and exterior-map sets, the real coordinate for a segment.
+ellipse and exterior-map sets, and x = mid + half cos(theta) for a segment.
+One damped Newton ascent with the full angle Hessian serves every set type.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import Configuration, _pair_distances, _pair_log_sum
-from .potential import CompactSet, Segment
-
-_PAIR_FLOOR = 1e-14  # soft distance floor inside logs during line search only
+from .potential import CompactSet
 
 
 @dataclass
@@ -32,6 +31,7 @@ class FeketeResult:
     iterations: int = 0
     start_index: int = -1
     stop_reason: str = ""  # "gradient_tol", "line_search" or "max_iterations"
+    starts: list = field(default_factory=list)  # per start: log_delta, iterations, stop_reason
 
     @property
     def converged(self) -> bool:
@@ -43,7 +43,8 @@ class FeketeResult:
         meta = {"log_delta": self.log_delta,
                 "max_green_violation": self.max_green_violation,
                 "iterations": self.iterations, "converged": self.converged,
-                "stop_reason": self.stop_reason}
+                "stop_reason": self.stop_reason, "start_index": self.start_index,
+                "starts": self.starts}
         base.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
 
@@ -61,148 +62,121 @@ def log_delta(K: CompactSet, c: Configuration) -> float:
     return float(_pair_log_sum(pts) - (n - 1) * np.sum(g))
 
 
-def _pair_log_dists(pts: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(_pair_distances(pts), _PAIR_FLOOR))
+_EIG_FLOOR = 1e-8  # curvature floor relative to the largest |Hessian eigenvalue|
 
 
-def _ascend_angles(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
-    """Diagonally preconditioned backtracking ascent over boundary angles.
+def _angle_derivatives(K: CompactSet, theta: np.ndarray):
+    """Boundary points b(theta), and the exact gradient and N x N Hessian in
+    the angles of sum_{i<j} log|b(theta_i) - b(theta_j)|.
 
-    The step divides the angle gradient by the diagonal pair curvature,
-    which equalizes scales between flat and strongly curved boundary arcs;
-    convergence is measured on the arclength gradient.  The stop reason is
-    "gradient_tol" (converged), "line_search" (60 step halvings found no
-    gain) or "max_iterations".
+    With d_ij = b_i - b_j, log|d_ij| = Re log d_ij, so the gradient is
+    Re(b'_i sum_j 1/d_ij), the off-diagonal Hessian Re(b'_i b'_j / d_ij^2)
+    and the diagonal Re(b''_i sum_j 1/d_ij - b'_i^2 sum_j 1/d_ij^2).
+    """
+    pts = K.boundary_point(theta)
+    vel = K.boundary_velocity(theta)
+    acc = K.boundary_acceleration(theta)
+    diff = pts[:, None] - pts[None, :]
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    inv_sum = inv.sum(axis=1)
+    inv2 = inv * inv
+    grad = (vel * inv_sum).real
+    hess = (vel[:, None] * vel[None, :] * inv2).real
+    np.fill_diagonal(hess, (acc * inv_sum - vel**2 * inv2.sum(axis=1)).real)
+    return pts, grad, hess
+
+
+def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
+    """Damped Newton ascent over boundary angles with the full Hessian.
+
+    Each eigenvalue of the negated Hessian is replaced by its modulus,
+    floored at 1e-8 of the largest, so the step is an ascent direction where
+    the Hessian is indefinite, and a direction without curvature (the
+    disk's rotation) takes no step.  The step is halved until the gain,
+    summed per pair, is positive.  Near the optimum that gain can fall below
+    the rounding of the sum (eps times sum |log d_ij|); such a step is taken
+    only if it lowers the largest angle-gradient component, so the trace can
+    dip by that rounding.  Convergence is max |angle gradient| <= grad_tol:
+    the angle gradient stays meaningful where the segment's speed vanishes.
+    The stop reason is "gradient_tol" (converged), "line_search" (no step
+    gained or, at the rounding level, lowered the gradient) or
+    "max_iterations".
     """
     theta = theta0.copy()
-    pts = K.boundary_point(theta)
-    logs = _pair_log_dists(pts)
+    pts, grad, hess = _angle_derivatives(K, theta)
+    logs = np.log(_pair_distances(pts))
     obj = float(np.sum(logs))
-    step = 0.5
     trace = [obj]
     reason = "max_iterations"
     it = 0
-    eye = np.eye(len(theta0), dtype=bool)
     for it in range(1, max_iter + 1):
-        diff = pts[:, None] - pts[None, :]
-        d2 = np.maximum(np.abs(diff) ** 2, _PAIR_FLOOR**2)
-        np.fill_diagonal(d2, 1.0)
-        vel = K.boundary_velocity(theta)
-        acc = K.boundary_acceleration(theta)
-        inner = (vel[:, None] * diff.conj()).real
-        grad = np.sum(np.where(eye, 0.0, inner / d2), axis=1)
-        speed = np.abs(vel)
-        if float(np.max(np.abs(grad / speed))) <= grad_tol:
+        grad_max = float(np.max(np.abs(grad)))
+        if grad_max <= grad_tol:
             reason = "gradient_tol"
             break
-        # exact diagonal Hessian of the angle objective; negative near a
-        # maximizer, with the pair-curvature bound as a safeguarded fallback
-        hess = np.sum(np.where(eye, 0.0,
-                               ((acc[:, None] * diff.conj()).real + np.abs(vel[:, None]) ** 2) / d2
-                               - 2.0 * inner**2 / d2**2), axis=1)
-        fallback = speed**2 * np.sum(np.where(eye, 0.0, 1.0 / d2), axis=1)
-        scale = np.where(hess < 0, -hess, np.maximum(fallback, 1e-300))
-        direction = grad / scale
-        improved = False
+        lam, vecs = np.linalg.eigh(-hess)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIG_FLOOR * lam.max())
+        step = vecs @ ((vecs.T @ grad) / lam)
+        rounding = np.finfo(float).eps * float(np.sum(np.abs(logs)))
+        accepted = False
         for _ in range(60):
-            cand = theta + step * direction
-            cand_logs = _pair_log_dists(K.boundary_point(cand))
-            # gain summed per pair resolves improvements far below the
-            # absolute rounding floor of the full objective
+            cand = theta + step
+            with np.errstate(divide="ignore"):
+                cand_logs = np.log(_pair_distances(K.boundary_point(cand)))
             gain = float(np.sum(cand_logs - logs))
-            if gain > 0:
-                theta, logs = cand, cand_logs
-                pts = K.boundary_point(theta)
-                obj += gain
-                step = min(step * 1.5, 0.5)
-                improved = True
+            if gain > 0 or abs(gain) <= rounding:
+                accepted = True
                 break
             step *= 0.5
-        trace.append(obj)
-        if not improved:
+        if accepted:
+            cand_pts, cand_grad, cand_hess = _angle_derivatives(K, cand)
+            accepted = gain > 0 or float(np.max(np.abs(cand_grad))) < grad_max
+        if not accepted:
             reason = "line_search"
             break
-    return theta, pts, trace, it, reason
-
-
-def _ascend_segment(K: Segment, x0: np.ndarray, max_iter: int, grad_tol: float):
-    """Projected (clamped) diagonally preconditioned ascent on the segment,
-    with the stop reasons of `_ascend_angles`."""
-    x = np.clip(x0, K.a, K.b)
-    logs = _pair_log_dists(x + 0j)
-    obj = float(np.sum(logs))
-    step = 0.5
-    trace = [obj]
-    reason = "max_iterations"
-    it = 0
-    eye = np.eye(len(x0), dtype=bool)
-    for it in range(1, max_iter + 1):
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        grad = np.sum(np.where(eye, 0.0, 1.0 / diff), axis=1)
-        curv = np.sum(np.where(eye, 0.0, 1.0 / diff**2), axis=1)
-        # projected first-order residual: drop components pushing past the ends
-        resid = grad.copy()
-        resid[(x <= K.a) & (resid < 0)] = 0.0
-        resid[(x >= K.b) & (resid > 0)] = 0.0
-        if float(np.max(np.abs(resid))) <= grad_tol:
-            reason = "gradient_tol"
-            break
-        direction = grad / np.maximum(curv, 1e-300)
-        improved = False
-        for _ in range(60):
-            cand = np.clip(x + step * direction, K.a, K.b)
-            cand_logs = _pair_log_dists(cand + 0j)
-            gain = float(np.sum(cand_logs - logs))
-            if gain > 0:
-                x, logs = cand, cand_logs
-                obj += gain
-                step = min(step * 1.5, 0.5)
-                improved = True
-                break
-            step *= 0.5
+        theta, pts, grad, hess, logs = cand, cand_pts, cand_grad, cand_hess, cand_logs
+        obj += gain
         trace.append(obj)
-        if not improved:
-            reason = "line_search"
-            break
-    return x, trace, it, reason
+    return pts, trace, it, reason
 
 
 def solve(K: CompactSet, N: int, starts: Optional[int] = None,
           max_iterations: int = 5000, seed=None) -> FeketeResult:
-    """Multistart ascent for an N-point weighted Fekete configuration.
+    """Multistart Newton ascent for an N-point weighted Fekete configuration.
 
-    Starts are equilibrium draws jittered in the boundary parameter.  The
-    start with the largest log_delta is returned whether or not it
-    converged; `converged` reports whether that start met the gradient
-    tolerance 1e-8 N, `stop_reason` why its ascent stopped, and
-    `start_index` which start it was.  All iterates stay in K, so the
-    containment diagnostic max_green_violation is at the rounding level.
+    Starts are equilibrium draws jittered in the boundary angle, each
+    ascended by `_ascend`.  The start with the largest log_delta is returned
+    whether or not it converged; `converged` reports whether that start met
+    the angle-gradient tolerance 1e-8 N, `stop_reason` why its ascent
+    stopped, `start_index` which start it was, and `starts` the log_delta,
+    iterations and stop reason of every start.  All iterates lie on the
+    boundary of K, so the containment diagnostic max_green_violation is at
+    the rounding level.
     """
     if N < 2:
         raise ValueError("need N >= 2")
     n_starts = starts if starts is not None else max(8, math.ceil(N / 8))
     grad_tol = 1e-8 * N
     best = None
+    records = []
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_starts)):
         rng = np.random.default_rng(child)
         theta0 = rng.uniform(0.0, 2.0 * math.pi, N) + rng.normal(0.0, 0.1, N)
-        if isinstance(K, Segment):
-            x0 = K.boundary_point(theta0).real
-            x, trace, its, reason = _ascend_segment(K, x0, max_iterations, grad_tol)
-            pts = x + 0j
-        else:
-            theta, pts, trace, its, reason = _ascend_angles(K, theta0, max_iterations,
-                                                            grad_tol)
+        pts, trace, its, reason = _ascend(K, theta0, max_iterations, grad_tol)
         config = Configuration(pts)
-        val = log_delta(K, config)  # final value without the soft floor
+        val = log_delta(K, config)
+        records.append({"log_delta": val, "iterations": its, "stop_reason": reason})
         if best is None or val > best[0]:
             best = (val, config, trace, its, reason, idx)
     val, config, trace, its, reason, idx = best
     violation = float(np.max(np.atleast_1d(K.green(config.points))))
     return FeketeResult(configuration=config, log_delta=val,
                         max_green_violation=violation, trace=trace,
-                        iterations=its, start_index=idx, stop_reason=reason)
+                        iterations=its, start_index=idx, stop_reason=reason,
+                        starts=records)
 
 
 def capacity_estimate(K: CompactSet, N: int, seed=None,

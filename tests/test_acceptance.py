@@ -83,6 +83,10 @@ def test_criterion_3_upper_bound_at_64(lab):
 def test_criterion_4_containment(lab):
     result = _criterion(4, lab)
     _assert_attainable_clauses(result)
+    # per-start telemetry of the three N = 60 solves, eight starts each
+    runs = [d for d in result.diagnostics if " starts (" in d]
+    assert [d.split()[0] for d in runs] == ["disk", "segment", "ellipse"]
+    assert all(d.count("gradient_tol") == 8 for d in runs)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -90,6 +90,28 @@ def test_fekete_pair_log_delta(tmp_path):
     assert summary["max_green_violation"] <= 1e-8
 
 
+def test_fekete_per_start_telemetry(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "schema_version": 1,
+        "set": {"type": "exterior_map", "cap": 1.0, "coeffs": [[0, 0], [0, 0], [0.15, 0]]},
+        "fekete": {"N": 20, "starts": 3},
+    })
+    assert run(["--config", cfg, "--out", str(tmp_path), "fekete"]) == 0
+    summary = json.loads(next(tmp_path.glob("fekete_*_summary.json")).read_text())
+    meta = json.loads(next(p for p in tmp_path.glob("fekete_*.json")
+                           if not p.name.endswith("_summary.json")).read_text())
+    for record in (summary, meta):
+        starts = record["starts"]
+        assert len(starts) == 3
+        assert all(set(st) == {"log_delta", "iterations", "stop_reason"} for st in starts)
+        assert all(st["stop_reason"] == "gradient_tol" and st["iterations"] >= 1
+                   for st in starts)
+        best = starts[record["start_index"]]
+        assert best["log_delta"] == record["log_delta"] == max(st["log_delta"] for st in starts)
+        assert best["iterations"] == record["iterations"]
+        assert best["stop_reason"] == record["stop_reason"]
+
+
 def test_sample_and_reproducibility(tmp_path):
     cfg = _write_config(tmp_path, {
         "schema_version": 1,
