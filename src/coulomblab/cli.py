@@ -143,7 +143,8 @@ def _cmd_sample(cfg, args) -> int:
     _write_json(out / (_stem("chain", cfg) + "_summary.json"),
                 {"states": len(chain), "acceptance": chain.acceptance_rate,
                  "step_scale": chain.step_scale,
-                 "psr": sampler.potential_scale_reduction(chain)}, cfg)
+                 "psr": sampler.potential_scale_reduction(chain),
+                 "telemetry": chain.telemetry}, cfg)
     print(f"chain: {len(chain)} states, acceptance {chain.acceptance_rate:.3f} -> {base}.csv")
     if chain.zero_acceptance_burnin:
         raise NonConvergenceError("zero acceptance during burn-in")

@@ -238,9 +238,9 @@ def _pair_index(n: int):
 
 
 def _pair_distances(pts: np.ndarray) -> np.ndarray:
-    """|z_i - z_j| over the pairs i < j, in _pair_index order."""
-    iu, ju = _pair_index(pts.size)
-    return np.abs(pts[iu] - pts[ju])
+    """|z_i - z_j| over the pairs i < j of the last axis, in _pair_index order."""
+    iu, ju = _pair_index(pts.shape[-1])
+    return np.abs(pts[..., iu] - pts[..., ju])
 
 
 def _pair_log_sum(pts: np.ndarray) -> float:

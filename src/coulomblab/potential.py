@@ -63,10 +63,9 @@ class Disk:
         return self.radius
 
     def green(self, z):
+        # log(max(r, R) / R) is exactly 0 for r <= R
         r = np.abs(_as_complex(z) - self.center)
-        with np.errstate(divide="ignore"):
-            g = np.where(r > self.radius, np.log(np.maximum(r, self.radius) / self.radius), 0.0)
-        return _snap(g)
+        return _snap(np.log(np.maximum(r, self.radius) / self.radius))
 
     def boundary_point(self, theta):
         return self.center + self.radius * np.exp(1j * np.asarray(theta, dtype=float))

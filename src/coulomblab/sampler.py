@@ -4,10 +4,23 @@ Single-particle Gaussian proposals with an O(N) incremental density
 update; the proposal scale is tuned toward 0.35 acceptance during burn-in
 by stochastic approximation and frozen afterwards, so the post-burn-in
 kernel is exactly stationary for the target density.
+
+run_chain draws its proposals _DRAW_BLOCK at a time and walks each block
+in sub-blocks of at most _SUB_BLOCK steps that never cross a tuning
+window, so the scale is fixed inside a sub-block.  At the start of a
+sub-block it forms every proposal z = pts[k] + scale * move and evaluates
+green on all of them in one call.  A proposal whose particle was accepted
+earlier in the same sub-block is stale; it is re-formed from the current
+state and its green evaluated alone, as a length-1 array.  If the batched
+call raises InversionError, every proposal of that sub-block is evaluated
+alone in the same way, so only a point the chain really proposes can
+raise.  The chain is therefore the one-proposal-at-a-time chain step for
+step: same states, acceptance and step scale.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -17,11 +30,16 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import Configuration, _pair_log_sum
-from .potential import CompactSet, MEMBERSHIP_TOL, compact_set_from_dict, robin_energy
+from .measures import Configuration, _pair_distances, _pair_log_sum
+from .potential import (CompactSet, InversionError, MEMBERSHIP_TOL, compact_set_from_dict,
+                        robin_energy)
 from . import fekete
 
 _FULL_RECOMPUTE_EVERY = 10_000
+_DRAW_BLOCK = 4096   # proposals drawn from the generator at once
+_TUNE_WINDOW = 200   # burn-in steps per step-scale update
+_SUB_BLOCK = 10      # proposals per batched green call; divides _TUNE_WINDOW
+_CHUNK_ELEMENTS = 1 << 14  # values per state chunk of a chain statistic (~256 KB)
 
 
 class InadmissibleParams(ValueError):
@@ -76,6 +94,17 @@ class ChainConfig:
     thin: int = 10
     step_scale: Optional[float] = None  # None: start at 0.5 * capacity
 
+    def __post_init__(self):
+        if not self.thin >= 1:
+            raise ValueError(f"thin must be at least 1, got {self.thin}")
+        if not (self.steps >= 0 and self.burn_in >= 0):
+            raise ValueError(f"steps and burn_in must be non-negative, "
+                             f"got {self.steps} and {self.burn_in}")
+        if self.step_scale is not None and not (math.isfinite(self.step_scale)
+                                                and self.step_scale > 0):
+            raise ValueError(f"step_scale must be None or finite and positive, "
+                             f"got {self.step_scale}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -99,34 +128,51 @@ def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configura
     return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))
 
 
-def _move_delta(params: EnsembleParams, K: CompactSet, pts: np.ndarray,
-                k: int, z_new: complex, g_old: float) -> tuple[float, float, float]:
-    """O(N) change of the log density when particle k moves to z_new.
+def _move_delta(params: EnsembleParams, others: np.ndarray, moved: np.ndarray,
+                g_old: float, g_new: float) -> tuple[float, float]:
+    """O(N) change of the log density when one particle moves from
+    moved[1, 0] to moved[0, 0] among the particles `others`, with green
+    values g_old before and g_new after the move.
 
-    Returns (delta, delta_pair, g_new)."""
-    g_new = float(K.green(z_new))
-    mask = np.ones(pts.size, dtype=bool)
-    mask[k] = False
-    others = pts[mask]
-    d_new = np.abs(z_new - others)
-    if np.any(d_new == 0.0):
-        return -math.inf, -math.inf, g_new
-    d_old = np.abs(pts[k] - others)
-    delta_pair = float(np.sum(np.log(d_new)) - np.sum(np.log(d_old)))
+    Returns (delta, delta_pair); delta is -inf when the particle meets
+    another one or, for s = inf, leaves K."""
+    delta_pair = 0.0  # a lone particle has no pairs
+    if others.size:
+        d = np.abs(moved - others)
+        if 0.0 in d[0].tolist():
+            return -math.inf, -math.inf
+        log_sums = np.add.reduce(np.log(d), axis=1)
+        delta_pair = float(log_sums[0] - log_sums[1])
     if params.s == math.inf:
         if g_new > MEMBERSHIP_TOL:
-            return -math.inf, delta_pair, g_new
-        return params.beta * delta_pair, delta_pair, g_new
-    delta = params.beta * delta_pair - params.beta * params.s * (g_new - g_old)
-    return delta, delta_pair, g_new
+            return -math.inf, delta_pair
+        return params.beta * delta_pair, delta_pair
+    return params.beta * delta_pair - params.beta * params.s * (g_new - g_old), delta_pair
+
+
+@functools.lru_cache(maxsize=8)
+def _others_index(n: int) -> np.ndarray:
+    """Read-only (n, n - 1) table whose row k lists 0..n-1 without k."""
+    cols = np.arange(n - 1)
+    table = cols + (cols[None, :] >= np.arange(n)[:, None])
+    table.flags.writeable = False
+    return table
 
 
 class Chain:
-    """Thinned Metropolis chain with its acceptance and density trace."""
+    """Thinned Metropolis chain with its acceptance and density trace.
+
+    `telemetry` records what run_chain did: `window_acceptance` and
+    `scale_trace`, the acceptance of each 200-step burn-in window and the
+    step scale after it; `batched_points`, the proposals evaluated by a
+    sub-block's batched green call; and `stale_points`, the proposals
+    evaluated alone (stale ones, and every one of a sub-block whose batched
+    call raised InversionError)."""
 
     def __init__(self, params: EnsembleParams, K: CompactSet, cfg: ChainConfig,
                  seed, states: list, log_densities: list, acceptance_rate: float,
-                 step_scale: float, zero_acceptance_burnin: bool = False):
+                 step_scale: float, zero_acceptance_burnin: bool = False,
+                 telemetry: Optional[dict] = None):
         self.params = params
         self.K = K
         self.cfg = cfg
@@ -136,6 +182,7 @@ class Chain:
         self.acceptance_rate = acceptance_rate
         self.step_scale = step_scale
         self.zero_acceptance_burnin = zero_acceptance_burnin
+        self.telemetry = telemetry or {}
 
     def __len__(self) -> int:
         return len(self.states)
@@ -162,7 +209,8 @@ class Chain:
                    delimiter=",", header=header, comments="")
         meta = {"params": self.params.to_dict(), "set": self.K.to_dict(),
                 "cfg": self.cfg.to_dict(), "seed": self.seed,
-                "acceptance": self.acceptance_rate, "step_scale": self.step_scale}
+                "acceptance": self.acceptance_rate, "step_scale": self.step_scale,
+                "telemetry": self.telemetry}
         base.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
     @classmethod
@@ -176,7 +224,8 @@ class Chain:
         n = params.N
         states = [raw[i, 1:1 + 2 * n:2] + 1j * raw[i, 2:2 + 2 * n:2] for i in range(raw.shape[0])]
         return cls(params, K, cfg, meta["seed"], states, raw[:, -1].tolist(),
-                   meta["acceptance"], meta["step_scale"])
+                   meta["acceptance"], meta["step_scale"],
+                   telemetry=meta.get("telemetry"))
 
 
 def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] = None,
@@ -199,60 +248,88 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
         pts = np.asarray(K.boundary_point(theta), dtype=complex).reshape(n)
 
     scale = cfg.step_scale if cfg.step_scale is not None else 0.5 * K.capacity()
+    scale_lo, scale_hi = 1e-4 * K.capacity(), 10.0 * K.capacity()
     g = np.atleast_1d(K.green(pts)).astype(float)
     pair_sum = _pair_log_sum(pts)
+    others = list(_others_index(n))
+    moved_in = [-1] * n  # first step of the sub-block in which k last moved
+    moved = np.empty((2, 1), dtype=complex)  # a proposal above the point it moves
+    single = np.empty(1, dtype=complex)  # a stale proposal
 
     states: list[np.ndarray] = []
     log_dens: list[float] = []
+    window_acceptance: list[float] = []
+    scale_trace: list[float] = []
+    batched_points = stale_points = 0
     accepted_post = 0
-    steps_post = 0
     accepted_window = 0
-    window = 200
     burn_accepts = 0
 
     total = cfg.burn_in + cfg.steps
-    block = 4096
-    drawn = 0
-    while drawn < total:
-        b = min(block, total - drawn)
+    for first in range(0, total, _DRAW_BLOCK):
+        b = min(_DRAW_BLOCK, total - first)
         idxs = rng.integers(0, n, size=b)
         unit_moves = rng.standard_normal(b) + 1j * rng.standard_normal(b)
         logu = np.log(rng.random(b))
-        for j in range(b):
-            step_index = drawn + j
-            k = int(idxs[j])
-            z_new = pts[k] + scale * unit_moves[j]
-            delta, delta_pair, g_new = _move_delta(params, K, pts, k, z_new, g[k])
-            if delta > logu[j]:
-                pts[k] = z_new
-                g[k] = g_new
-                pair_sum += delta_pair
-                if step_index < cfg.burn_in:
-                    burn_accepts += 1
-                    accepted_window += 1
+        lo = 0
+        while lo < b:
+            # one sub-block: fixed scale, one batched green on its proposals
+            sub = first + lo
+            hi = min(b, lo + _SUB_BLOCK - sub % _SUB_BLOCK)
+            ks = idxs[lo:hi]
+            z_batch = pts[ks] + scale * unit_moves[lo:hi]
+            try:
+                g_batch = K.green(z_batch).tolist()
+                batched_points += hi - lo
+            except InversionError:
+                g_batch = None  # evaluate every proposal on its own below
+            z_batch, ks, us = z_batch.tolist(), ks.tolist(), logu[lo:hi].tolist()
+            for i in range(hi - lo):
+                step_index = sub + i
+                k = ks[i]
+                if g_batch is None or moved_in[k] == sub:
+                    z_new = single[0] = pts[k] + scale * unit_moves[lo + i]
+                    g_new = K.green(single).item()
+                    stale_points += 1
                 else:
-                    accepted_post += 1
-            if step_index >= cfg.burn_in:
-                steps_post += 1
-                if (step_index - cfg.burn_in + 1) % cfg.thin == 0:
-                    states.append(pts.copy())
-                    log_dens.append(_log_density(params, g, pair_sum))
-            elif cfg.step_scale is None and (step_index + 1) % window == 0:
-                rate = accepted_window / window
-                scale *= math.exp(0.7 * (rate - 0.35))
-                scale = min(max(scale, 1e-4 * K.capacity()), 10.0 * K.capacity())
-                accepted_window = 0
-            if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
-                pair_sum = _pair_log_sum(pts)
-                g = np.atleast_1d(K.green(pts)).astype(float)
-        drawn += b
+                    z_new, g_new = z_batch[i], g_batch[i]
+                moved[0, 0], moved[1, 0] = z_new, pts[k]
+                delta, delta_pair = _move_delta(params, pts[others[k]], moved, g[k], g_new)
+                if delta > us[i]:
+                    pts[k] = z_new
+                    g[k] = g_new
+                    pair_sum += delta_pair
+                    moved_in[k] = sub
+                    if step_index < cfg.burn_in:
+                        burn_accepts += 1
+                        accepted_window += 1
+                    else:
+                        accepted_post += 1
+                if step_index >= cfg.burn_in:
+                    if (step_index - cfg.burn_in + 1) % cfg.thin == 0:
+                        states.append(pts.copy())
+                        log_dens.append(_log_density(params, g, pair_sum))
+                elif (step_index + 1) % _TUNE_WINDOW == 0:
+                    rate = accepted_window / _TUNE_WINDOW
+                    if cfg.step_scale is None:
+                        scale *= math.exp(0.7 * (rate - 0.35))
+                        scale = min(max(scale, scale_lo), scale_hi)
+                    window_acceptance.append(rate)
+                    scale_trace.append(scale)
+                    accepted_window = 0
+                if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
+                    pair_sum = _pair_log_sum(pts)
+                    g = np.atleast_1d(K.green(pts)).astype(float)
+            lo = hi
 
     zero_acc = cfg.burn_in > 0 and burn_accepts == 0
     if zero_acc:
         warnings.warn("no proposal was accepted during burn-in; "
                       "the chain is almost surely mis-tuned")
-    acc_rate = accepted_post / steps_post if steps_post else 0.0
-    return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc)
+    acc_rate = accepted_post / cfg.steps if cfg.steps else 0.0
+    telemetry = {"scale_trace": scale_trace, "window_acceptance": window_acceptance,
+                 "batched_points": batched_points, "stale_points": stale_points}
+    return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc, telemetry)
 
 
 def _low_energy_bound(K: CompactSet, n: int, eps: float) -> float:
@@ -269,19 +346,30 @@ def in_low_energy_set(params: EnsembleParams, K: CompactSet, c: Configuration,
     return bool(fekete.log_delta(K, c) >= _low_energy_bound(K, n, eps))
 
 
+def _state_blocks(chain: Chain, per_state: int):
+    """The stored states as (states, N) arrays of about _CHUNK_ELEMENTS
+    values, at per_state values a state (at least one state a block)."""
+    step = max(1, _CHUNK_ELEMENTS // per_state)
+    for first in range(0, len(chain), step):
+        yield np.asarray(chain.states[first:first + step])
+
+
 def tail_mass_estimate(chain: Chain, eps: float) -> float:
     """Fraction of stored post-burn-in states outside the low-energy set.
 
-    Evaluates green once on all stored states; each state's weighted
-    Fekete objective is then the one fekete.log_delta computes."""
+    Works on blocks of stored states; each state's weighted
+    Fekete objective is the one fekete.log_delta computes."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
-    states = chain.state_array()
-    n = states.shape[1]
-    g = chain.K.green(states)
+    n = chain.params.N
     bound = _low_energy_bound(chain.K, n, eps)
-    values = [_pair_log_sum(pts) - (n - 1) * np.sum(gs) for pts, gs in zip(states, g)]
-    return sum(not v >= bound for v in values) / len(chain)
+    outside = 0
+    for block in _state_blocks(chain, n * n):
+        with np.errstate(divide="ignore"):  # a coincidence gives -inf, as in _pair_log_sum
+            pair = np.add.reduce(np.log(_pair_distances(block)), axis=1)
+        values = pair - (n - 1) * np.add.reduce(chain.K.green(block), axis=1)
+        outside += int(np.count_nonzero(~(values >= bound)))
+    return outside / len(chain)
 
 
 def potential_scale_reduction(chain: Chain) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .measures import Configuration, Measure, weighted_energy
 from .potential import CompactSet, equilibrium_integral, robin_energy
-from .sampler import Chain, EnsembleParams
+from .sampler import Chain, EnsembleParams, _state_blocks
 
 
 def symmetrize(f: Callable, state: Configuration, n: int):
@@ -27,24 +27,37 @@ def symmetrize(f: Callable, state: Configuration, n: int):
     complex array arguments.
     """
     pts = state.points if isinstance(state, Configuration) else np.asarray(state, dtype=complex)
-    N = pts.size
+    return _symmetrize_rows(f, pts[None, :], n)[0]
+
+
+def _symmetrize_rows(f: Callable, pts: np.ndarray, n: int) -> np.ndarray:
+    """symmetrize for every row of the (states, N) array pts."""
+    N = pts.shape[1]
     if n < 1 or n > 3:
         raise ValueError("supported orders are n in {1, 2, 3}")
     if n > N:
         raise ValueError("order exceeds configuration size")
     if n == 1:
-        return np.mean(f(pts))
+        return np.mean(f(pts), axis=1)
+    x, y = pts[:, :, None], pts[:, None, :]
     if n == 2:
-        full = np.sum(f(pts[:, None], pts[None, :]))
-        diag = np.sum(f(pts, pts))
+        full = np.sum(f(x, y), axis=(1, 2))
+        diag = np.sum(f(pts, pts), axis=1)
         return (full - diag) / (N * (N - 1))
-    full = np.sum(f(pts[:, None, None], pts[None, :, None], pts[None, None, :]))
-    s12 = np.sum(f(pts[:, None], pts[:, None], pts[None, :]))
-    s13 = np.sum(f(pts[:, None], pts[None, :], pts[:, None]))
-    s23 = np.sum(f(pts[None, :], pts[:, None], pts[:, None]))
-    s123 = np.sum(f(pts, pts, pts))
+    full = np.sum(f(pts[:, :, None, None], pts[:, None, :, None], pts[:, None, None, :]),
+                  axis=(1, 2, 3))
+    s12 = np.sum(f(x, x, y), axis=(1, 2))
+    s13 = np.sum(f(x, y, x), axis=(1, 2))
+    s23 = np.sum(f(y, x, x), axis=(1, 2))
+    s123 = np.sum(f(pts, pts, pts), axis=1)
     distinct = full - s12 - s13 - s23 + 2.0 * s123
     return distinct / (N * (N - 1) * (N - 2))
+
+
+def _chain_series(chain: Chain, f: Callable, n: int) -> np.ndarray:
+    """symmetrize(f, state, n) for every stored state, in state blocks."""
+    return np.concatenate([_symmetrize_rows(f, block, n)
+                           for block in _state_blocks(chain, chain.params.N ** n)])
 
 
 def tensor_integral(f: Callable, state: Configuration, n: int):
@@ -133,7 +146,7 @@ def linear_statistic(chain: Chain, f: Callable, n: int = 1, label: str = "") -> 
     batch-means standard error and the quadrature target."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
-    series = np.asarray([symmetrize(f, Configuration(s), n) for s in chain.states])
+    series = _chain_series(chain, f, n)
     target = equilibrium_tensor_integral(chain.K, f, n)
     return _batch_report(series, target, n, label)
 
@@ -143,7 +156,7 @@ def moment_statistic(chain: Chain, f: Callable, k: int, m: int, label: str = "")
     against the product of equilibrium averages."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
-    u = np.asarray([np.mean(f(s)) for s in chain.states])
+    u = _chain_series(chain, f, 1)
     series = u**k * np.conj(u) ** m
     base = complex(equilibrium_integral(chain.K, f))
     target = base**k * np.conj(base) ** m

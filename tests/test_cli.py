@@ -55,6 +55,14 @@ def test_constraint_violation_exit_code(tmp_path):
     assert run(["--out", str(tmp_path), "sample", "--N", "8", "--s", "4"]) == 3
 
 
+def test_invalid_chain_config_exit_code(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "sample", "--thin", "0"]) == 2
+    assert "thin" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, {"schema_version": 1, "sample": {"step_scale": -1.0}})
+    assert run(["--config", cfg, "--out", str(tmp_path), "sample"]) == 2
+    assert not list(tmp_path.glob("chain_*"))
+
+
 def test_unknown_nested_key(tmp_path):
     cfg = _write_config(tmp_path, {"schema_version": 1, "sample": {"stepz": 10}})
     assert run(["--config", cfg, "--out", str(tmp_path), "sample"]) == 2
@@ -127,6 +135,14 @@ def test_sample_and_reproducibility(tmp_path):
     assert csv1 == csv2  # bit-identical with the same config and seed
     name = next(out1.glob("chain_*.csv")).name
     assert "seed5" in name
+    summary = json.loads(next(out1.glob("chain_*_summary.json")).read_text())
+    meta = json.loads(next(p for p in out1.glob("chain_*.json")
+                           if not p.name.endswith("_summary.json")).read_text())
+    for record in (summary, meta):
+        tel = record["telemetry"]
+        assert len(tel["scale_trace"]) == len(tel["window_acceptance"]) == 400 // 200
+        assert tel["scale_trace"][-1] == record["step_scale"]
+        assert tel["batched_points"] == 2400 and tel["stale_points"] > 0
 
 
 def test_discretize_outputs(tmp_path):

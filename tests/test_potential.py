@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import coulomblab as cl
-from coulomblab.potential import MEMBERSHIP_TOL
+from coulomblab.potential import MEMBERSHIP_TOL, _snap
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -26,6 +26,32 @@ def test_green_disk_values():
     assert cl.green(DISK, 0.3 + 0.2j) == 0.0
     assert cl.green(DISK, 1.0) == 0.0
     assert cl.green(DISK, 2.0) == pytest.approx(math.log(2), abs=1e-15)
+
+
+def _disk_green_masked(K, z):
+    """The masked Disk.green formula: log(max(r, R)/R) where r > R, else 0."""
+    r = np.abs(np.asarray(z, dtype=complex) - K.center)
+    with np.errstate(divide="ignore"):
+        g = np.where(r > K.radius, np.log(np.maximum(r, K.radius) / K.radius), 0.0)
+    return _snap(g)
+
+
+def test_green_disk_equals_masked_formula():
+    # bit for bit, at r = 0, r = R, just above R, r = inf and r = nan
+    K = cl.Disk(0.25 - 0.5j, 1.5)
+    R = K.radius
+    radii = np.concatenate([[0.0, 0.3, R, np.nextafter(R, 0.0), np.nextafter(R, 3.0)],
+                            R * (1 + np.array([1e-16, 4e-16, 1e-15, 3e-15, 1e-12, 1e-6])),
+                            [2.0 * R, 1e300]])
+    angles = np.exp(1j * np.linspace(0.0, 2 * math.pi, 7))
+    special = [complex(math.inf, 1.0), complex(-math.inf, math.inf), complex(math.nan, 0.0),
+               complex(0.0, math.nan)]
+    z = np.concatenate([K.center + (radii[:, None] * angles[None, :]).ravel(), special])
+    new, old = K.green(z), _disk_green_masked(K, z)
+    assert new.tobytes() == old.tobytes()
+    assert list(new[-4:]) == [math.inf, math.inf, 0.0, 0.0]
+    for point in z:
+        assert repr(K.green(point)) == repr(_disk_green_masked(K, point))
 
 
 def test_green_segment_inverse_joukowski():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import coulomblab as cl
-from coulomblab.sampler import _move_delta
+from coulomblab.measures import _pair_log_sum
+from coulomblab.potential import MEMBERSHIP_TOL
+from coulomblab.sampler import _TUNE_WINDOW, _log_density, _move_delta, _others_index
 
 DISK = cl.Disk(0.0, 1.0)
 
@@ -81,13 +83,53 @@ def test_incremental_delta_matches_full():
         k = int(rng.integers(16))
         znew = complex(pts[k] + 0.4 * (rng.normal() + 1j * rng.normal()))
         g = np.atleast_1d(DISK.green(pts)).astype(float)
-        delta, _, _ = _move_delta(p, DISK, pts, k, znew, g[k])
+        moved = np.array([[znew], [pts[k]]])
+        delta, _ = _move_delta(p, pts[_others_index(16)[k]], moved, g[k],
+                               DISK.green(np.array([znew]))[0])
         before = cl.log_density_unnormalized(p, DISK, cl.Configuration(pts))
         pts2 = pts.copy()
         pts2[k] = znew
         after = cl.log_density_unnormalized(p, DISK, cl.Configuration(pts2))
         worst = max(worst, abs((after - before) - delta) / max(1.0, abs(delta)))
     assert worst <= 1e-9
+
+
+def test_move_delta_coincidence_and_hard_wall():
+    pts = np.array([0.1, -0.3j, 0.5 + 0.2j])
+    others = pts[_others_index(3)[0]]
+    p = cl.EnsembleParams(3, 8.0, 2.0, 0.1)
+    assert _move_delta(p, others, np.array([[-0.3j], [0.1]]), 0.0, 0.0) == (-math.inf,
+                                                                            -math.inf)
+    wall = cl.EnsembleParams(3, math.inf, 2.0, 0.1)
+    delta, delta_pair = _move_delta(wall, others, np.array([[1.5], [0.1]]), 0.0,
+                                    math.log(1.5))
+    assert delta == -math.inf and math.isfinite(delta_pair)
+
+
+def test_others_index():
+    table = _others_index(4)
+    assert table.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    assert _others_index(1).shape == (1, 0)
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+
+
+# ---------------------------------------------------------------------------
+# chain configuration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [{"thin": 0}, {"thin": -3}, {"steps": -1},
+                                    {"burn_in": -1}, {"step_scale": math.nan},
+                                    {"step_scale": math.inf}, {"step_scale": 0.0},
+                                    {"step_scale": -0.5}])
+def test_chain_config_rejects(kwargs):
+    with pytest.raises(ValueError):
+        cl.ChainConfig(**kwargs)
+
+
+def test_chain_config_accepts_edges():
+    cl.ChainConfig(steps=0, burn_in=0, thin=1, step_scale=None)
+    cl.ChainConfig(step_scale=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +259,166 @@ def test_chain_save_load_single_particle(tmp_path):
     loaded = cl.Chain.load(base)
     assert np.allclose(loaded.state_array(), ch.state_array())
     assert np.allclose(loaded.log_densities, ch.log_densities)
+
+
+# ---------------------------------------------------------------------------
+# byte-identity oracle: the one-proposal-at-a-time Metropolis loop
+# ---------------------------------------------------------------------------
+
+def _sequential_move_delta(params, K, pts, k, z_new, g_old):
+    """(delta, delta_pair, g_new) for moving particle k to z_new, with green
+    evaluated on the proposal alone and the others picked by a mask."""
+    g_new = float(K.green(z_new))
+    mask = np.ones(pts.size, dtype=bool)
+    mask[k] = False
+    others = pts[mask]
+    d_new = np.abs(z_new - others)
+    if np.any(d_new == 0.0):
+        return -math.inf, -math.inf, g_new
+    d_old = np.abs(pts[k] - others)
+    delta_pair = float(np.sum(np.log(d_new)) - np.sum(np.log(d_old)))
+    if params.s == math.inf:
+        if g_new > MEMBERSHIP_TOL:
+            return -math.inf, delta_pair, g_new
+        return params.beta * delta_pair, delta_pair, g_new
+    delta = params.beta * delta_pair - params.beta * params.s * (g_new - g_old)
+    return delta, delta_pair, g_new
+
+
+def _sequential_chain(params, K, cfg, seed, init=None):
+    """run_chain as one proposal, one green call and one masked O(N) pair
+    delta per step: (states, log densities, acceptance, step scale)."""
+    rng = np.random.default_rng(seed)
+    n = params.N
+    if init is not None:
+        pts = np.asarray(init.points, dtype=complex).copy()
+    else:
+        theta = rng.uniform(0, 2 * math.pi, n)
+        pts = np.asarray(K.boundary_point(theta), dtype=complex).reshape(n)
+    scale = cfg.step_scale if cfg.step_scale is not None else 0.5 * K.capacity()
+    g = np.atleast_1d(K.green(pts)).astype(float)
+    pair_sum = _pair_log_sum(pts)
+    states, log_dens = [], []
+    accepted_post = steps_post = accepted_window = 0
+    window, total, drawn = 200, cfg.burn_in + cfg.steps, 0
+    while drawn < total:
+        b = min(4096, total - drawn)
+        idxs = rng.integers(0, n, size=b)
+        unit_moves = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+        logu = np.log(rng.random(b))
+        for j in range(b):
+            step_index = drawn + j
+            k = int(idxs[j])
+            z_new = pts[k] + scale * unit_moves[j]
+            delta, delta_pair, g_new = _sequential_move_delta(params, K, pts, k, z_new, g[k])
+            if delta > logu[j]:
+                pts[k] = z_new
+                g[k] = g_new
+                pair_sum += delta_pair
+                if step_index < cfg.burn_in:
+                    accepted_window += 1
+                else:
+                    accepted_post += 1
+            if step_index >= cfg.burn_in:
+                steps_post += 1
+                if (step_index - cfg.burn_in + 1) % cfg.thin == 0:
+                    states.append(pts.copy())
+                    log_dens.append(_log_density(params, g, pair_sum))
+            elif cfg.step_scale is None and (step_index + 1) % window == 0:
+                scale *= math.exp(0.7 * (accepted_window / window - 0.35))
+                scale = min(max(scale, 1e-4 * K.capacity()), 10.0 * K.capacity())
+                accepted_window = 0
+            if (step_index + 1) % 10_000 == 0:
+                pair_sum = _pair_log_sum(pts)
+                g = np.atleast_1d(K.green(pts)).astype(float)
+        drawn += b
+    acc = accepted_post / steps_post if steps_post else 0.0
+    return np.asarray(states), np.asarray(log_dens, dtype=float), acc, scale
+
+
+RING8 = cl.Configuration(0.9 * np.exp(2j * math.pi * np.arange(8) / 8))
+
+# (params, set, config, seed, init); the N = 16 chain crosses two draw
+# blocks and the periodic full recomputation at step 10000
+EXACT_CHAINS = {
+    "disk_N1": (cl.EnsembleParams(1, 4.0, 2.0, 0.1), DISK,
+                cl.ChainConfig(steps=6_000, burn_in=1_000, thin=4), 71, None),
+    "disk_N2": (cl.EnsembleParams(2, 8.0, 2.0, 0.1), DISK,
+                cl.ChainConfig(steps=6_000, burn_in=1_000, thin=5), 72, None),
+    "disk_N16": (cl.EnsembleParams(16, 32.0, 2.0, 0.1), DISK,
+                 cl.ChainConfig(steps=9_000, burn_in=1_200, thin=10), 61, None),
+    "disk_N32": (cl.EnsembleParams(32, 64.0, 2.0, 0.1), DISK,
+                 cl.ChainConfig(steps=3_000, burn_in=1_000, thin=10), 62, None),
+    "hard_wall": (cl.EnsembleParams(6, math.inf, 2.0, 0.1), DISK,
+                  cl.ChainConfig(steps=3_000, burn_in=600, thin=5), 8, None),
+    "exterior_map": (cl.EnsembleParams(6, 12.0, 2.0, 0.1), cl.ExteriorMap(1.5, (0.0, 0.5)),
+                     cl.ChainConfig(steps=2_000, burn_in=600, thin=2), 3, None),
+    "init": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK,
+             cl.ChainConfig(steps=3_000, burn_in=0, thin=3), 10, RING8),
+    "fixed_scale": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK,
+                    cl.ChainConfig(steps=3_000, burn_in=600, thin=3, step_scale=0.3), 9, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CHAINS))
+def test_chain_equals_sequential_loop(name):
+    params, K, cfg, seed, init = EXACT_CHAINS[name]
+    states, log_dens, acc, scale = _sequential_chain(params, K, cfg, seed, init)
+    ch = cl.run_chain(params, K, cfg, seed=seed, init=init)
+    assert ch.state_array().tobytes() == states.tobytes()
+    assert ch.log_densities.tobytes() == log_dens.tobytes()
+    assert ch.acceptance_rate == acc and ch.step_scale == scale
+    assert 0 < ch.telemetry["stale_points"] < cfg.burn_in + cfg.steps
+
+
+@pytest.mark.parametrize("K", [cl.Ellipse(0.0, 2.0, 1.0), cl.Segment(-2.0, 2.0)])
+def test_chain_matches_sequential_loop_to_rounding(K):
+    # these green formulas round differently on a numpy scalar than on an
+    # array by a few ulp, which moves the stored densities, not the states
+    params, cfg = cl.EnsembleParams(8, 16.0, 2.0, 0.1), cl.ChainConfig(6_000, 1_000, 3)
+    states, log_dens, acc, scale = _sequential_chain(params, K, cfg, 5)
+    ch = cl.run_chain(params, K, cfg, seed=5)
+    assert ch.state_array().tobytes() == states.tobytes()
+    rel = np.abs(ch.log_densities - log_dens) / np.maximum(1.0, np.abs(log_dens))
+    assert rel.max() <= 1e-13
+    assert ch.acceptance_rate == acc and ch.step_scale == scale
+
+
+class _BatchRaisingDisk(cl.Disk):
+    """A disk whose green raises InversionError on an array holding two or
+    more points beyond radius 1.05: a batch of proposals can raise, a
+    single proposal never does."""
+
+    def green(self, z):
+        if np.count_nonzero(np.abs(np.asarray(z) - self.center) > 1.05 * self.radius) > 1:
+            _BatchRaisingDisk.raised += 1
+            raise cl.InversionError("two or more points beyond radius 1.05")
+        return super().green(z)
+
+
+def test_chain_falls_back_to_single_points():
+    _BatchRaisingDisk.raised = 0
+    params, cfg = cl.EnsembleParams(4, 8.0, 2.0, 0.1), cl.ChainConfig(4_000, 1_000, 4)
+    states, log_dens, acc, scale = _sequential_chain(params, DISK, cfg, 12)
+    ch = cl.run_chain(params, _BatchRaisingDisk(0.0, 1.0), cfg, seed=12)
+    assert _BatchRaisingDisk.raised > 0
+    assert ch.state_array().tobytes() == states.tobytes()
+    assert ch.log_densities.tobytes() == log_dens.tobytes()
+    assert ch.acceptance_rate == acc and ch.step_scale == scale
+    # every proposal of a sub-block whose batch raised was evaluated alone
+    unbatched = cfg.burn_in + cfg.steps - ch.telemetry["batched_points"]
+    assert 0 < unbatched <= ch.telemetry["stale_points"]
+
+
+def test_chain_telemetry(chain8, tmp_path):
+    tel = chain8.telemetry
+    windows = chain8.cfg.burn_in // _TUNE_WINDOW
+    assert len(tel["window_acceptance"]) == len(tel["scale_trace"]) == windows
+    assert tel["scale_trace"][-1] == chain8.step_scale
+    assert all(0.0 <= a <= 1.0 for a in tel["window_acceptance"])
+    assert tel["batched_points"] == chain8.cfg.burn_in + chain8.cfg.steps
+    fixed = cl.run_chain(chain8.params, DISK, cl.ChainConfig(1_000, 450, 5, step_scale=0.2),
+                         seed=2).telemetry
+    assert fixed["scale_trace"] == [0.2, 0.2] and len(fixed["window_acceptance"]) == 2
+    chain8.save(tmp_path / "chain")
+    assert cl.Chain.load(tmp_path / "chain").telemetry == tel

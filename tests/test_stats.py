@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import coulomblab as cl
-from coulomblab.stats import equilibrium_tensor_integral, tensor_integral
+from coulomblab import sampler
+from coulomblab.stats import _batch_report, equilibrium_tensor_integral, tensor_integral
 
 DISK = cl.Disk(0.0, 1.0)
 
@@ -113,6 +114,45 @@ def test_linear_statistic_requires_length():
     tiny = cl.run_chain(p, DISK, cl.ChainConfig(steps=500, burn_in=100, thin=10), seed=1)
     with pytest.raises(ValueError):
         cl.linear_statistic(tiny, lambda z: z, 1)
+
+
+def _symmetrize_one(f, pts, n):
+    """symmetrize on one state, by the per-state formula."""
+    N = pts.size
+    if n == 1:
+        return np.mean(f(pts))
+    if n == 2:
+        full = np.sum(f(pts[:, None], pts[None, :]))
+        return (full - np.sum(f(pts, pts))) / (N * (N - 1))
+    full = np.sum(f(pts[:, None, None], pts[None, :, None], pts[None, None, :]))
+    s12 = np.sum(f(pts[:, None], pts[:, None], pts[None, :]))
+    s13 = np.sum(f(pts[:, None], pts[None, :], pts[:, None]))
+    s23 = np.sum(f(pts[None, :], pts[:, None], pts[:, None]))
+    s123 = np.sum(f(pts, pts, pts))
+    return (full - s12 - s13 - s23 + 2.0 * s123) / (N * (N - 1) * (N - 2))
+
+
+def _assert_reports_match(rep, oracle):
+    for key in ("estimate", "stderr", "ess", "target", "zscore"):
+        assert getattr(rep, key) == pytest.approx(getattr(oracle, key), rel=1e-12, abs=1e-300)
+
+
+STATISTICS = [(lambda z: np.abs(z) ** 2, 1), (lambda z: z, 1),
+              (lambda a, b: (a * np.conj(b)).real, 2),
+              (lambda a, b, c_: np.abs(a - b) * (c_ * np.conj(a)).real, 3)]
+
+
+@pytest.mark.parametrize("chunk_elements", [sampler._CHUNK_ELEMENTS, 100])
+def test_linear_statistic_matches_per_state_loop(chain8, monkeypatch, chunk_elements):
+    monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", chunk_elements)
+    for f, n in STATISTICS:
+        rep = cl.linear_statistic(chain8, f, n)
+        series = np.asarray([_symmetrize_one(f, s, n) for s in chain8.states])
+        _assert_reports_match(rep, _batch_report(series, rep.target, n, ""))
+    f = STATISTICS[0][0]
+    rep = cl.moment_statistic(chain8, f, 2, 1)
+    u = np.asarray([np.mean(f(s)) for s in chain8.states])
+    _assert_reports_match(rep, _batch_report(u**2 * np.conj(u), rep.target, 3, ""))
 
 
 def test_moment_statistic_exact_cases(chain8):
