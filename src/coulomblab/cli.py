@@ -112,6 +112,21 @@ def _build(cfg: dict):
     return K, params
 
 
+def _chain_config(cfg: dict) -> sampler.ChainConfig:
+    sc = cfg["sample"]
+    try:
+        steps, burn_in, thin = (int(sc[k]) for k in ("steps", "burn_in", "thin"))
+        scale = None if sc["step_scale"] is None else float(sc["step_scale"])
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"sample block: {e}") from e
+    return sampler.ChainConfig(steps, burn_in, thin, scale)
+
+
+def _criteria(value: str):
+    """--criteria "1,3,5" as [1, 3, 5]; an empty list means every criterion."""
+    return [int(x) for x in value.split(",") if x.strip()] or None
+
+
 def _outdir(cfg: dict, args) -> Path:
     out = Path(args.out if args.out else cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -133,10 +148,7 @@ def _write_json(path: Path, payload: dict, cfg: dict) -> None:
 
 def _cmd_sample(cfg, args) -> int:
     K, params = _build(cfg)
-    sc = cfg["sample"]
-    chain_cfg = sampler.ChainConfig(int(sc["steps"]), int(sc["burn_in"]),
-                                    int(sc["thin"]), sc["step_scale"])
-    chain = sampler.run_chain(params, K, chain_cfg, seed=cfg["seed"])
+    chain = sampler.run_chain(params, K, _chain_config(cfg), seed=cfg["seed"])
     out = _outdir(cfg, args)
     base = out / _stem("chain", cfg)
     chain.save(base)
@@ -229,10 +241,7 @@ _STAT_LIBRARY = {
 
 def _cmd_linstat(cfg, args) -> int:
     K, params = _build(cfg)
-    sc = cfg["sample"]
-    chain_cfg = sampler.ChainConfig(int(sc["steps"]), int(sc["burn_in"]),
-                                    int(sc["thin"]), sc["step_scale"])
-    chain = sampler.run_chain(params, K, chain_cfg, seed=cfg["seed"])
+    chain = sampler.run_chain(params, K, _chain_config(cfg), seed=cfg["seed"])
     lc = cfg["linstat"]
     reports = []
     for name in lc["statistics"]:
@@ -295,60 +304,49 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each flag's dest is the config path it overrides
+    def ensemble_flags(p):
+        p.add_argument("--N", type=int, dest="ensemble.N")
+        p.add_argument("--s", dest="ensemble.s")
+        p.add_argument("--beta", type=float, dest="ensemble.beta")
+        p.add_argument("--c0", type=float, dest="ensemble.c0")
+
+    def chain_flags(p):
+        p.add_argument("--steps", type=int, dest="sample.steps")
+        p.add_argument("--burn-in", type=int, dest="sample.burn_in")
+        p.add_argument("--thin", type=int, dest="sample.thin")
+
     sp = sub.add_parser("sample", help="run a Metropolis chain and persist it")
-    sp.add_argument("--N", type=int); sp.add_argument("--s"); sp.add_argument("--beta", type=float)
-    sp.add_argument("--c0", type=float); sp.add_argument("--steps", type=int)
-    sp.add_argument("--burn-in", type=int, dest="burn_in"); sp.add_argument("--thin", type=int)
+    ensemble_flags(sp)
+    chain_flags(sp)
 
     fp = sub.add_parser("fekete", help="solve for Fekete points and estimate capacity")
-    fp.add_argument("--N", type=int)
+    fp.add_argument("--N", type=int, dest="fekete.N")
 
     pp = sub.add_parser("partition", help="partition reports and tables")
-    pp.add_argument("--N", type=int); pp.add_argument("--s"); pp.add_argument("--beta", type=float)
-    pp.add_argument("--c0", type=float)
-    pp.add_argument("--with-cubature", action="store_true", dest="with_cubature")
-    pp.add_argument("--with-bounds", action="store_true", dest="with_bounds")
+    ensemble_flags(pp)
+    pp.add_argument("--with-cubature", action="store_true", dest="partition.with_cubature")
+    pp.add_argument("--with-bounds", action="store_true", dest="partition.with_bounds")
 
     rp = sub.add_parser("rate", help="rate-function tables over the circle family")
-    rp.add_argument("--beta", type=float)
+    rp.add_argument("--beta", type=float, dest="ensemble.beta")
 
     lp = sub.add_parser("linstat", help="linear statistics and intensity histogram")
-    lp.add_argument("--N", type=int); lp.add_argument("--s"); lp.add_argument("--beta", type=float)
-    lp.add_argument("--c0", type=float); lp.add_argument("--steps", type=int)
-    lp.add_argument("--burn-in", type=int, dest="burn_in"); lp.add_argument("--thin", type=int)
+    ensemble_flags(lp)
+    chain_flags(lp)
 
     dp = sub.add_parser("discretize", help="strip discretization with diagnostics")
-    dp.add_argument("--N", type=int); dp.add_argument("--epsilon", type=float)
+    dp.add_argument("--N", type=int, dest="discretize.N")
+    dp.add_argument("--epsilon", type=float, dest="discretize.epsilon")
 
     vp = sub.add_parser("verify", help="run the acceptance suite")
-    vp.add_argument("--criteria", help="comma-separated criterion numbers", default=None)
+    vp.add_argument("--criteria", help="comma-separated criterion numbers", default=None,
+                    dest="verify.criteria", type=_criteria)
 
     args = parser.parse_args(argv)
-
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    mapping = {
-        "sample": {"N": "ensemble.N", "s": "ensemble.s", "beta": "ensemble.beta",
-                   "c0": "ensemble.c0", "steps": "sample.steps",
-                   "burn_in": "sample.burn_in", "thin": "sample.thin"},
-        "fekete": {"N": "fekete.N"},
-        "partition": {"N": "ensemble.N", "s": "ensemble.s", "beta": "ensemble.beta",
-                      "c0": "ensemble.c0", "with_cubature": "partition.with_cubature",
-                      "with_bounds": "partition.with_bounds"},
-        "rate": {"beta": "ensemble.beta"},
-        "linstat": {"N": "ensemble.N", "s": "ensemble.s", "beta": "ensemble.beta",
-                    "c0": "ensemble.c0", "steps": "sample.steps",
-                    "burn_in": "sample.burn_in", "thin": "sample.thin"},
-        "discretize": {"N": "discretize.N", "epsilon": "discretize.epsilon"},
-        "verify": {},
-    }
-    for attr, dotted in mapping[args.command].items():
-        value = getattr(args, attr, None)
-        if value is not None and value is not False:
-            overrides[dotted] = value
-    if args.command == "verify" and args.criteria:
-        overrides["verify.criteria"] = [int(x) for x in args.criteria.split(",")]
+    overrides = {dotted: value for dotted, value in vars(args).items()
+                 if dotted not in ("config", "out", "command")
+                 and value is not None and value is not False}
 
     handlers = {"sample": _cmd_sample, "fekete": _cmd_fekete,
                 "partition": _cmd_partition, "rate": _cmd_rate,

@@ -3,9 +3,10 @@
 The weighted objective has its maximizers inside K (extremal polynomials
 attain their sup-norm on K), and on K the Green penalty vanishes, so the
 solver works directly in the boundary parametrization where containment
-is exact by construction: angles through the exterior map for disk,
-ellipse and exterior-map sets, and x = mid + half cos(theta) for a segment.
-One damped Newton ascent with the full angle Hessian serves every set type.
+is exact by construction: the points are b(theta) = psi(e^{i theta}) for
+the exterior map psi of every set type, and one boundary_jet call gives b
+and its first two angle derivatives.  One damped Newton ascent with the
+full angle Hessian serves every set type.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ def _angle_derivatives(K: CompactSet, theta: np.ndarray):
     Re(b'_i sum_j 1/d_ij), the off-diagonal Hessian Re(b'_i b'_j / d_ij^2)
     and the diagonal Re(b''_i sum_j 1/d_ij - b'_i^2 sum_j 1/d_ij^2).
     """
-    pts = K.boundary_point(theta)
-    vel = K.boundary_velocity(theta)
-    acc = K.boundary_acceleration(theta)
+    pts, vel, acc = K.boundary_jet(theta)
     diff = pts[:, None] - pts[None, :]
     np.fill_diagonal(diff, 1.0)
     inv = 1.0 / diff

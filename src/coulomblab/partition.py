@@ -21,7 +21,7 @@ import numpy as np
 from .fekete import FeketeResult
 from .measures import (SmoothedMeasure, _gauss, _green_average, continuous_energy,
                        equilibrium_discretization, smooth)
-from .potential import CompactSet, Disk, Ellipse, ExteriorMap, Segment, robin_energy
+from .potential import CompactSet, Disk, ExteriorMap, robin_energy
 from .sampler import EnsembleParams
 
 
@@ -262,47 +262,27 @@ def _exterior_nodes(K: CompactSet, params: EnsembleParams, order: int, n_phi: in
         t = 0.5 * (b - a) * x + 0.5 * (a + b)
         wt = 0.5 * (b - a) * wq * t ** (beta_s - 3.0)
         w_grid = (1.0 / t)[:, None] * np.exp(1j * phi)[None, :]
-        if isinstance(K, Disk):
-            z = K.center + K.radius * w_grid
-            dpsi2 = K.radius**2 * np.ones_like(w_grid, dtype=float)
-        elif isinstance(K, Segment):
-            cap = K.capacity()
-            z = K._mid + cap * (w_grid + 1.0 / w_grid)
-            dpsi2 = np.abs(cap * (1.0 - w_grid**-2)) ** 2
-        elif isinstance(K, Ellipse):
-            cap, q = K.capacity(), K._q
-            z = K.center + cap * w_grid + q / w_grid
-            dpsi2 = np.abs(cap - q * w_grid**-2) ** 2
-        elif isinstance(K, ExteriorMap):
-            z = K.map(w_grid)
-            dpsi2 = np.abs(K.map_derivative(w_grid)) ** 2
-        else:
-            raise TypeError(f"unsupported set {type(K).__name__}")
-        zs.append(z.ravel())
-        ws.append((wt[:, None] * dpsi2 * dphi).ravel())
+        zs.append(K.map(w_grid).ravel())
+        ws.append((wt[:, None] * np.abs(K.map_derivative(w_grid)) ** 2 * dphi).ravel())
     return np.concatenate(zs), np.concatenate(ws)
 
 
 def _interior_nodes(K: CompactSet, order: int, n_phi: int):
-    """Area nodes of a filled set where the field weight is one."""
-    if isinstance(K, Segment):
+    """Area nodes of K, where the field weight is one, on the rays from c0
+    (the constant Laurent coefficient) to the boundary:
+    z = c0 + rho (b(phi) - c0) with dA = rho Im(conj(b - c0) b'(phi)) drho dphi,
+    exact for sets star-shaped about c0.  A set of zero area has none."""
+    if K.area() == 0:
         return np.array([], dtype=complex), np.array([])
     x, wq = _gauss(order)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * wq
+    rho, w_rho = 0.5 * (x + 1.0), 0.5 * wq
     phi = (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
     dphi = 2 * math.pi / n_phi
-    if isinstance(K, Disk):
-        z = K.center + K.radius * u[:, None] * np.exp(1j * phi)[None, :]
-        jac = K.radius**2 * u
-    elif isinstance(K, Ellipse):
-        a, b = K.semi_major, K.semi_minor
-        z = K.center + u[:, None] * (a * np.cos(phi) + 1j * b * np.sin(phi))[None, :]
-        jac = a * b * u
-    else:
-        raise NotImplementedError(
-            f"interior cubature nodes unavailable for {type(K).__name__}")
-    wts = (wu * jac)[:, None] * dphi * np.ones_like(phi)[None, :]
+    b, db, _ = K.boundary_jet(phi)
+    c0 = K.laurent()[1][0]
+    ray = b - c0
+    z = c0 + rho[:, None] * ray[None, :]
+    wts = (w_rho * rho)[:, None] * (np.conj(ray) * db).imag[None, :] * dphi
     return z.ravel(), wts.ravel()
 
 
@@ -333,8 +313,7 @@ def partition_cubature(K: CompactSet, params: EnsembleParams, order: int = 24,
         if N == 1:
             # the field weight is one on K, so the interior part is the area
             return K.area() + float(np.sum(we))
-        zi, wi = _interior_nodes(K, order_, n_theta_) if not isinstance(K, Segment) \
-            else (np.array([], dtype=complex), np.array([]))
+        zi, wi = _interior_nodes(K, order_, n_theta_)
         z = np.concatenate([zi, ze])
         w = np.concatenate([wi, we])
         beta = params.beta

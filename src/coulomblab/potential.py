@@ -5,6 +5,14 @@ psi : {|w| > 1} -> complement of K with psi(w) = cap*w + c0 + c1/w + ...,
 which yields the Green function g(z) = log|psi^{-1}(z)|, the capacity
 (the leading coefficient), and the equilibrium measure as the pushforward
 of the uniform circle measure under the boundary correspondence.
+
+Each set states only its Laurent data laurent() = (cap, (c0, ..., cm)):
+the disk (R; c), the segment [a, b] ((b - a)/4; mid, (b - a)/4), the
+ellipse ((a + b)/2; c, (a - b)/2) and an ExteriorMap its own coefficients.
+One shared base derives capacity, map, map_derivative, boundary_point,
+boundary_jet, area and field_integral from those numbers; each class keeps
+its own green (the disk's closed form, one quadratic inverse for the
+segment and the ellipse, companion-matrix roots for an ExteriorMap).
 """
 
 from __future__ import annotations
@@ -48,9 +56,87 @@ def _snap(g):
     return g if g.ndim else float(g)
 
 
+class _LaurentSet:
+    """Geometry of K read from its exterior map.
+
+    Each set states laurent() = (cap, (c0, ..., cm)) for
+    psi(w) = cap*w + c0 + c1/w + ... + cm/w^m, and every operation below
+    follows from those numbers.  On the unit circle u = conj(w) = 1/w, so
+    the boundary b(theta) = psi(e^{i theta}) and its angle derivatives are
+    b = cap*w + sum c_k u^k, b' = i(cap*w - sum k c_k u^k) and
+    b'' = -(cap*w + sum k^2 c_k u^k).
+    """
+
+    def laurent(self) -> tuple:
+        raise NotImplementedError
+
+    def capacity(self) -> float:
+        return self.laurent()[0]
+
+    def map(self, w):
+        cap, coeffs = self.laurent()
+        w = _as_complex(w)
+        return cap * w + _power_sum(coeffs, 1.0 / w, 0)
+
+    def map_derivative(self, w):
+        cap, coeffs = self.laurent()
+        u = 1.0 / _as_complex(w)
+        return cap - u * _power_sum(coeffs, u, 1)
+
+    def boundary_point(self, theta):
+        cap, coeffs = self.laurent()
+        w = np.exp(1j * np.asarray(theta, dtype=float))
+        return cap * w + _power_sum(coeffs, w.conj(), 0)
+
+    def boundary_jet(self, theta):
+        """b(theta), b'(theta) and b''(theta) together."""
+        cap, coeffs = self.laurent()
+        w = np.exp(1j * np.asarray(theta, dtype=float))
+        u = w.conj()
+        lead = cap * w
+        return (lead + _power_sum(coeffs, u, 0), 1j * (lead - _power_sum(coeffs, u, 1)),
+                -(lead + _power_sum(coeffs, u, 2)))
+
+    def area(self) -> float:
+        cap, coeffs = self.laurent()
+        a = math.pi * (cap**2 - sum(k * abs(c) ** 2 for k, c in enumerate(coeffs)))
+        if a < -1e-12:
+            raise ValueError("coefficients do not describe a univalent exterior map")
+        return max(a, 0.0)
+
+    def field_integral(self, p: float) -> float:
+        """Integral of exp(-p*green) over the plane; finite for p > 2."""
+        if p == math.inf:
+            return self.area()
+        if p <= 2:
+            raise ValueError("field integral diverges for exponent <= 2")
+        cap, coeffs = self.laurent()
+        tail = cap**2 / (p - 2)
+        for k, c in enumerate(coeffs[1:], 1):
+            tail += k**2 * abs(c) ** 2 / (p + 2 * k)
+        return self.area() + 2 * math.pi * tail
+
+
+def _power_sum(coeffs, u, order: int):
+    """sum_k k^order c_k u^k over the Laurent coefficients c_0, ..., c_m."""
+    total = coeffs[0] if order == 0 else 0.0
+    for k, c in enumerate(coeffs[1:], 1):
+        total = total + k**order * c * u**k
+    return total
+
+
+def _quadratic_green(z, c, cap, q):
+    """Green function of the set with psi(w) = c + cap*w + q/w: log of the
+    larger root modulus of cap*w^2 - (z - c)*w + q = 0, floored at 0."""
+    u = _as_complex(z) - c
+    sq = np.sqrt(u * u - 4.0 * cap * q)
+    w = np.maximum(np.abs((u + sq) / (2 * cap)), np.abs((u - sq) / (2 * cap)))
+    return _snap(np.log(np.maximum(w, 1.0)))
+
+
 @dataclass(frozen=True)
-class Disk:
-    """Closed disk; capacity equals the radius."""
+class Disk(_LaurentSet):
+    """Closed disk; psi(w) = center + radius*w."""
 
     center: complex = 0.0 + 0.0j
     radius: float = 1.0
@@ -59,33 +145,13 @@ class Disk:
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
 
-    def capacity(self) -> float:
-        return self.radius
+    def laurent(self) -> tuple:
+        return self.radius, (self.center,)
 
     def green(self, z):
         # log(max(r, R) / R) is exactly 0 for r <= R
         r = np.abs(_as_complex(z) - self.center)
         return _snap(np.log(np.maximum(r, self.radius) / self.radius))
-
-    def boundary_point(self, theta):
-        return self.center + self.radius * np.exp(1j * np.asarray(theta, dtype=float))
-
-    def boundary_velocity(self, theta):
-        return 1j * self.radius * np.exp(1j * np.asarray(theta, dtype=float))
-
-    def boundary_acceleration(self, theta):
-        return -self.radius * np.exp(1j * np.asarray(theta, dtype=float))
-
-    def area(self) -> float:
-        return math.pi * self.radius**2
-
-    def field_integral(self, p: float) -> float:
-        """Integral of exp(-p*green) over the plane; finite for p > 2."""
-        if p == math.inf:
-            return self.area()
-        if p <= 2:
-            raise ValueError("field integral diverges for exponent <= 2")
-        return math.pi * self.radius**2 * p / (p - 2)
 
     def inner_set(self, margin: float) -> "Disk":
         if margin >= self.radius:
@@ -98,8 +164,9 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Real segment [a, b]; capacity (b - a)/4, equilibrium law arcsine."""
+class Segment(_LaurentSet):
+    """Real segment [a, b]; psi(w) = mid + cap*(w + 1/w) with cap = (b - a)/4,
+    equilibrium law arcsine."""
 
     a: float = -1.0
     b: float = 1.0
@@ -108,44 +175,13 @@ class Segment:
         if not self.a < self.b:
             raise ValueError("segment requires a < b")
 
-    @property
-    def _half(self) -> float:
-        return 0.5 * (self.b - self.a)
-
-    @property
-    def _mid(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    def capacity(self) -> float:
-        return 0.25 * (self.b - self.a)
+    def laurent(self) -> tuple:
+        cap = 0.25 * (self.b - self.a)
+        return cap, (0.5 * (self.a + self.b), cap)
 
     def green(self, z):
-        # inverse Joukowski: w solves w^2 - 2*zeta*w + 1 = 0, |w| >= 1 branch
-        zeta = (_as_complex(z) - self._mid) / self._half
-        sq = np.sqrt(zeta * zeta - 1.0)
-        w1, w2 = zeta + sq, zeta - sq
-        w = np.where(np.abs(w1) >= np.abs(w2), w1, w2)
-        return _snap(np.log(np.maximum(np.abs(w), 1.0)))
-
-    def boundary_point(self, theta):
-        return self._mid + self._half * np.cos(np.asarray(theta, dtype=float)) + 0j
-
-    def boundary_velocity(self, theta):
-        return -self._half * np.sin(np.asarray(theta, dtype=float)) + 0j
-
-    def boundary_acceleration(self, theta):
-        return -self._half * np.cos(np.asarray(theta, dtype=float)) + 0j
-
-    def area(self) -> float:
-        return 0.0
-
-    def field_integral(self, p: float) -> float:
-        if p == math.inf:
-            return 0.0
-        if p <= 2:
-            raise ValueError("field integral diverges for exponent <= 2")
-        cap = self.capacity()
-        return 2 * math.pi * cap**2 * (1.0 / (p - 2) + 1.0 / (p + 2))
+        cap, (c, q) = self.laurent()
+        return _quadratic_green(z, c, cap, q)
 
     def inner_set(self, margin: float) -> "Segment":
         if 2 * margin >= self.b - self.a:
@@ -157,8 +193,9 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class Ellipse:
-    """Closed filled ellipse with axis-aligned semi-axes; capacity (a + b)/2."""
+class Ellipse(_LaurentSet):
+    """Closed filled ellipse with axis-aligned semi-axes;
+    psi(w) = center + cap*w + q/w with cap = (a + b)/2, q = (a - b)/2."""
 
     center: complex = 0.0 + 0.0j
     semi_major: float = 2.0
@@ -168,45 +205,13 @@ class Ellipse:
         if not (self.semi_major >= self.semi_minor > 0):
             raise ValueError("require semi_major >= semi_minor > 0")
 
-    def capacity(self) -> float:
-        return 0.5 * (self.semi_major + self.semi_minor)
-
-    @property
-    def _q(self) -> float:
-        # coefficient of 1/w in the exterior map
-        return 0.5 * (self.semi_major - self.semi_minor)
+    def laurent(self) -> tuple:
+        return (0.5 * (self.semi_major + self.semi_minor),
+                (self.center, 0.5 * (self.semi_major - self.semi_minor)))
 
     def green(self, z):
-        # psi(w) = center + cap*w + q/w; invert the quadratic, |w| >= 1 branch
-        cap, q = self.capacity(), self._q
-        u = _as_complex(z) - self.center
-        sq = np.sqrt(u * u - 4.0 * cap * q)
-        w1, w2 = (u + sq) / (2 * cap), (u - sq) / (2 * cap)
-        w = np.where(np.abs(w1) >= np.abs(w2), np.abs(w1), np.abs(w2))
-        return _snap(np.log(np.maximum(w, 1.0)))
-
-    def boundary_point(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return self.center + self.semi_major * np.cos(t) + 1j * self.semi_minor * np.sin(t)
-
-    def boundary_velocity(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return -self.semi_major * np.sin(t) + 1j * self.semi_minor * np.cos(t)
-
-    def boundary_acceleration(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return -self.semi_major * np.cos(t) - 1j * self.semi_minor * np.sin(t)
-
-    def area(self) -> float:
-        return math.pi * self.semi_major * self.semi_minor
-
-    def field_integral(self, p: float) -> float:
-        if p == math.inf:
-            return self.area()
-        if p <= 2:
-            raise ValueError("field integral diverges for exponent <= 2")
-        cap = self.capacity()
-        return self.area() + 2 * math.pi * (cap**2 / (p - 2) + self._q**2 / (p + 2))
+        cap, (c, q) = self.laurent()
+        return _quadratic_green(z, c, cap, q)
 
     def inner_set(self, margin: float) -> "Ellipse":
         if margin >= self.semi_minor:
@@ -219,7 +224,7 @@ class Ellipse:
 
 
 @dataclass(frozen=True)
-class ExteriorMap:
+class ExteriorMap(_LaurentSet):
     """Compact set given by a truncated univalent exterior Laurent map.
 
     psi(w) = cap*w + coeffs[0] + coeffs[1]/w + ... + coeffs[m]/w^m maps
@@ -241,28 +246,8 @@ class ExteriorMap:
             raise ValueError("capacity must be positive")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    def capacity(self) -> float:
-        return self.cap
-
-    def map(self, w):
-        w = _as_complex(w)
-        out = self.cap * w
-        if self.coeffs:
-            u = 1.0 / w
-            acc = np.zeros_like(w)
-            for c in reversed(self.coeffs):
-                acc = (acc + c) * u
-            out = out + acc * w  # undo one power of u: sum c_k u^k
-        return out
-
-    def map_derivative(self, w):
-        w = _as_complex(w)
-        out = np.full_like(w, self.cap)
-        u = 1.0 / w
-        for k, c in enumerate(self.coeffs):
-            if k >= 1:
-                out = out - k * c * u ** (k + 1)
-        return out
+    def laurent(self) -> tuple:
+        return self.cap, self.coeffs or (0j,)
 
     def _preimage(self, z):
         """Flat indices of the points of z outside K and their preimages w,
@@ -304,43 +289,6 @@ class ExteriorMap:
         g[idx] = np.log(np.abs(w))
         return _snap(g.reshape(z.shape))
 
-    def boundary_point(self, theta):
-        return self.map(np.exp(1j * np.asarray(theta, dtype=float)))
-
-    def boundary_velocity(self, theta):
-        w = np.exp(1j * np.asarray(theta, dtype=float))
-        return 1j * w * self.map_derivative(w)
-
-    def map_second_derivative(self, w):
-        w = _as_complex(w)
-        out = np.zeros_like(w)
-        u = 1.0 / w
-        for k, c in enumerate(self.coeffs):
-            if k >= 1:
-                out = out + k * (k + 1) * c * u ** (k + 2)
-        return out
-
-    def boundary_acceleration(self, theta):
-        w = np.exp(1j * np.asarray(theta, dtype=float))
-        return -w * self.map_derivative(w) - w**2 * self.map_second_derivative(w)
-
-    def area(self) -> float:
-        a = math.pi * (self.cap**2 - sum(k * abs(c) ** 2 for k, c in enumerate(self.coeffs)))
-        if a < -1e-12:
-            raise ValueError("coefficients do not describe a univalent exterior map")
-        return max(a, 0.0)
-
-    def field_integral(self, p: float) -> float:
-        if p == math.inf:
-            return self.area()
-        if p <= 2:
-            raise ValueError("field integral diverges for exponent <= 2")
-        tail = self.cap**2 / (p - 2)
-        for k, c in enumerate(self.coeffs):
-            if k >= 1:
-                tail += k**2 * abs(c) ** 2 / (p + 2 * k)
-        return self.area() + 2 * math.pi * tail
-
     def inner_set(self, margin: float):
         raise NotImplementedError("inner sets are only defined for disks, segments and ellipses")
 
@@ -352,21 +300,52 @@ class ExteriorMap:
 CompactSet = Union[Disk, Segment, Ellipse, ExteriorMap]
 
 
+_SET_KEYS = {"disk": ("center", "radius"), "segment": ("a", "b"),
+             "ellipse": ("center", "semi_major", "semi_minor"),
+             "exterior_map": ("cap", "coeffs")}
+
+
+def _real(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"set key {key!r} must be a real number, got {value!r}") from None
+
+
+def _point(value, key: str) -> complex:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"set key {key!r} must be an [re, im] pair, got {value!r}")
+    return complex(_real(value[0], key), _real(value[1], key))
+
+
 def compact_set_from_dict(d: dict) -> CompactSet:
-    """Inverse of the to_dict serialization used in config files."""
+    """Inverse of the to_dict serialization used in config files.
+
+    Raises ValueError naming the key on an unknown type, a missing or
+    unknown key, or a value of the wrong shape."""
+    if not isinstance(d, dict):
+        raise ValueError(f"set must be an object, got {d!r}")
     kind = d.get("type")
+    if kind not in _SET_KEYS:
+        raise ValueError(f"unknown compact set type {kind!r}")
+    keys = _SET_KEYS[kind]
+    for key in d:
+        if key != "type" and key not in keys:
+            raise ValueError(f"unknown key {key!r} for set type {kind!r}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"set type {kind!r} needs key {key!r}")
     if kind == "disk":
-        re, im = d["center"]
-        return Disk(complex(re, im), float(d["radius"]))
+        return Disk(_point(d["center"], "center"), _real(d["radius"], "radius"))
     if kind == "segment":
-        return Segment(float(d["a"]), float(d["b"]))
+        return Segment(_real(d["a"], "a"), _real(d["b"], "b"))
     if kind == "ellipse":
-        re, im = d["center"]
-        return Ellipse(complex(re, im), float(d["semi_major"]), float(d["semi_minor"]))
-    if kind == "exterior_map":
-        coeffs = [complex(re, im) for re, im in d["coeffs"]]
-        return ExteriorMap(float(d["cap"]), tuple(coeffs))
-    raise ValueError(f"unknown compact set type {kind!r}")
+        return Ellipse(_point(d["center"], "center"), _real(d["semi_major"], "semi_major"),
+                       _real(d["semi_minor"], "semi_minor"))
+    if not isinstance(d["coeffs"], list):
+        raise ValueError(f"set key 'coeffs' must be a list of [re, im] pairs, got {d['coeffs']!r}")
+    coeffs = [_point(c, f"coeffs[{i}]") for i, c in enumerate(d["coeffs"])]
+    return ExteriorMap(_real(d["cap"], "cap"), tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,59 @@ def test_unknown_nested_key(tmp_path):
     assert run(["--config", cfg, "--out", str(tmp_path), "sample"]) == 2
 
 
+@pytest.mark.parametrize("bad_set,message", [
+    ({"type": "disk"}, "'center'"),
+    ({"type": "disk", "center": 0.5, "radius": 1.0}, "'center'"),
+    ({"type": "disk", "center": [0, 0, 0], "radius": 1.0}, "'center'"),
+    ({"type": "disk", "center": [0, 0], "radius": "big"}, "'radius'"),
+    ({"type": "segment", "a": -1.0}, "'b'"),
+    ({"type": "segment", "a": -1.0, "b": 1.0, "radius": 2.0}, "'radius'"),
+    ({"type": "ellipse", "center": [0, 0], "semi_major": [2], "semi_minor": 1}, "'semi_major'"),
+    ({"type": "exterior_map", "cap": 1.0, "coeffs": [[0, 0], 0.5]}, "'coeffs[1]'"),
+    ({"type": "exterior_map", "cap": 1.0, "coeffs": 0.5}, "'coeffs'"),
+    ({"type": "exterior_map", "coeffs": []}, "'cap'"),
+    ("disk", "set must be an object"),
+])
+def test_malformed_set_config(tmp_path, capsys, bad_set, message):
+    cfg = _write_config(tmp_path, {"schema_version": 1, "set": bad_set})
+    assert run(["--config", cfg, "--out", str(tmp_path), "fekete", "--N", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not list(tmp_path.glob("fekete_*"))
+
+
+@pytest.mark.parametrize("scale,code", [("0.3", 0), ("abc", 2), ([0.3], 2)])
+def test_step_scale_from_json(tmp_path, capsys, scale, code):
+    cfg = _write_config(tmp_path, {"schema_version": 1,
+                                   "ensemble": {"N": 4, "s": 8.0, "beta": 2.0, "c0": 0.1},
+                                   "sample": {"steps": 400, "burn_in": 200, "thin": 10,
+                                              "step_scale": scale}})
+    assert run(["--config", cfg, "--out", str(tmp_path), "sample"]) == code
+    if code == 0:
+        summary = json.loads(next(tmp_path.glob("chain_*_summary.json")).read_text())
+        assert summary["telemetry"]["scale_trace"]  # tuned from the float 0.3
+    else:
+        assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,block,written", [
+    (["sample", "--N", "8", "--steps", "3000"],
+     {"ensemble": {"N": 8}, "sample": {"steps": 3000}}, "chain_*_summary.json"),
+    (["partition", "--with-cubature"], {"partition": {"with_cubature": True}},
+     "partition_*.json"),
+])
+def test_flags_hash_like_config(tmp_path, flags, block, written):
+    cfg = _write_config(tmp_path, {"schema_version": 1, **block})
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert run(["--out", str(by_flag)] + flags) == 0
+    assert run(["--config", cfg, "--out", str(by_config), flags[0]]) == 0
+
+    def sha(out):
+        return {json.loads(p.read_text())["config_sha256_12"] for p in out.glob(written)}
+
+    assert len(sha(by_flag)) == 1 and sha(by_flag) == sha(by_config)
+
+
 # ---------------------------------------------------------------------------
 # subcommand outputs
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 import coulomblab as cl
 from coulomblab.measures import _green_average, equilibrium_discretization, smooth
-from coulomblab.partition import PartitionReport, _log_density_self_average, build_report
+from coulomblab.partition import (PartitionReport, _interior_nodes,
+                                  _log_density_self_average, build_report)
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -148,6 +149,19 @@ def test_cubature_segment_n1():
     p = cl.EnsembleParams(1, 8.0, 2.0, 0.1)
     assert cl.partition_cubature(SEGMENT, p) == pytest.approx(
         SEGMENT.field_integral(16.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("K", [cl.Disk(1 + 2j, 0.5), cl.Ellipse(0.0, 2.0, 1.0)])
+def test_interior_nodes_sum_to_area(K):
+    z, w = _interior_nodes(K, 24, 64)
+    assert w.size == z.size == 24 * 64 and np.all(w > 0)
+    assert float(np.sum(w)) == pytest.approx(K.area(), rel=1e-13)
+    assert cl.contains(K, z)
+
+
+def test_segment_has_no_interior_nodes():
+    z, w = _interior_nodes(SEGMENT, 24, 64)
+    assert z.size == w.size == 0
 
 
 def test_cubature_rejections():

@@ -83,7 +83,7 @@ def _distance_to_set(K, z):
     if isinstance(K, cl.Disk):
         return np.abs(z - K.center) - K.radius
     if isinstance(K, cl.Segment):
-        return np.hypot(np.maximum(np.abs(z.real - K._mid) - K._half, 0.0), z.imag)
+        return np.hypot(np.maximum(np.maximum(K.a - z.real, z.real - K.b), 0.0), z.imag)
     theta = (np.arange(4096) + 0.5) * (2 * math.pi / 4096)
     boundary = K.boundary_point(theta)
     out = np.empty(z.size)
@@ -315,6 +315,79 @@ def test_balayage_boundary_atom_unchanged():
 def test_balayage_inside_atom_rejected():
     with pytest.raises(ValueError):
         cl.balayage_disk(cl.AtomicMeasure([0.5]), DISK)
+
+
+# ---------------------------------------------------------------------------
+# geometry from the Laurent coefficients
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 10.0, 64.0])
+def test_area_and_field_integral_closed_forms(p):
+    # the per-set closed forms that the shared Laurent formulas replace
+    R, a, b = 0.7, 2.0, 1.0
+    disk, ellipse = cl.Disk(0.3j, R), cl.Ellipse(1.0, a, b)
+    cap = SEGMENT.capacity()
+    rel = dict(rel=1e-14, abs=0.0)
+    assert disk.area() == pytest.approx(math.pi * R**2, **rel)
+    assert disk.field_integral(p) == pytest.approx(math.pi * R**2 * p / (p - 2), **rel)
+    assert ellipse.area() == pytest.approx(math.pi * a * b, **rel)
+    assert ellipse.field_integral(math.inf) == pytest.approx(math.pi * a * b, **rel)
+    assert SEGMENT.area() == 0.0 and SEGMENT.field_integral(math.inf) == 0.0
+    assert SEGMENT.field_integral(p) == pytest.approx(
+        2 * math.pi * cap**2 * (1.0 / (p - 2) + 1.0 / (p + 2)), **rel)
+
+
+@pytest.mark.parametrize("K", ALL_SETS + [cl.Disk(1 + 2j, 0.5), cl.Segment(0.3, 1.7),
+                                          cl.ExteriorMap(1.2, (0.1j, 0.05, 0.0, 0.04))])
+def test_boundary_jet_matches_central_differences(K):
+    theta = np.linspace(0.0, 2 * math.pi, 97)
+    h = 1e-4
+    b, db, d2b = K.boundary_jet(theta)
+    plus, minus = K.boundary_point(theta + h), K.boundary_point(theta - h)
+    assert np.array_equal(b, K.boundary_point(theta))
+    scale = K.capacity()
+    assert np.max(np.abs((plus - minus) / (2 * h) - db)) <= 1e-7 * scale
+    assert np.max(np.abs((plus - 2 * b + minus) / h**2 - d2b)) <= 1e-5 * scale
+
+
+def _closed_form_jet(K, t):
+    """The per-set boundary formulas the shared Laurent jet replaces."""
+    if isinstance(K, cl.Disk):
+        e = K.radius * np.exp(1j * t)
+        return K.center + e, 1j * e, -e
+    if isinstance(K, cl.Segment):
+        mid, half = 0.5 * (K.a + K.b), 0.5 * (K.b - K.a)
+        return mid + half * np.cos(t) + 0j, -half * np.sin(t) + 0j, -half * np.cos(t) + 0j
+    a, b = K.semi_major, K.semi_minor
+    return (K.center + a * np.cos(t) + 1j * b * np.sin(t),
+            -a * np.sin(t) + 1j * b * np.cos(t), -a * np.cos(t) - 1j * b * np.sin(t))
+
+
+@pytest.mark.parametrize("K", [DISK, cl.Disk(1 + 2j, 0.5), SEGMENT, cl.Segment(0.3, 1.7),
+                               ELLIPSE, cl.Ellipse(-1 + 0.5j, 3.0, 0.25)])
+def test_boundary_jet_matches_closed_forms(K):
+    theta = np.linspace(0.0, 2 * math.pi, 257)
+    scale = abs(K.laurent()[1][0]) + K.capacity()
+    for got, want in zip(K.boundary_jet(theta), _closed_form_jet(K, theta)):
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("R", [1.0, 0.37, 2.5])
+def test_centred_disk_jet_is_exact(R):
+    theta = np.linspace(0.0, 2 * math.pi, 101)
+    e = np.exp(1j * theta)
+    b, db, d2b = cl.Disk(0.0, R).boundary_jet(theta)
+    assert np.array_equal(b, R * e)
+    assert np.array_equal(db, 1j * R * e)
+    assert np.array_equal(d2b, -R * e)
+
+
+@pytest.mark.parametrize("K", [SEGMENT, cl.Segment(0.3, 1.7), cl.Segment(-5.0, -1.25)])
+def test_segment_boundary_is_real(K):
+    theta = np.linspace(0.0, 2 * math.pi, 1001)
+    b, db, d2b = K.boundary_jet(theta)
+    assert np.all(K.boundary_point(theta).imag == 0.0)
+    assert np.all(b.imag == 0.0) and np.all(db.imag == 0.0) and np.all(d2b.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
