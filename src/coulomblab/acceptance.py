@@ -59,7 +59,8 @@ class CriterionResult:
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.clauses)
+        """True when every clause holds or is a documented expected failure."""
+        return all(c.ok or c.expected_to_fail for c in self.clauses)
 
     def to_dict(self) -> dict:
         return {"number": self.number, "title": self.title, "passed": self.passed,
@@ -132,8 +133,11 @@ class AcceptanceLab:
         return {n: measures.discretize(self.nu_eps, n) for n in (64, 256, 1024)}
 
     @cached_property
-    def bl_distances(self):
-        return {n: res.bl_to(self.nu_eps, nodes_per_block=8)
+    def bl_solves(self):
+        """(distance, solve record) of each discretization to nu_eps at
+        8 nodes per block."""
+        target = self.nu_eps.to_atomic(8)
+        return {n: measures._bl_solve(res.configuration.empirical_measure(), target)
                 for n, res in self.discretize_results.items()}
 
 
@@ -374,7 +378,7 @@ def criterion_9(lab: AcceptanceLab) -> CriterionResult:
     nu = lab.nu_eps
     cont = measures.continuous_energy(nu)
     res = lab.discretize_results
-    bl = lab.bl_distances
+    bl = {n: value for n, (value, _) in lab.bl_solves.items()}
     seps = {n: r.separation_constant for n, r in res.items()}
     gaps = {n: abs(r.discrete_energy - cont) for n, r in res.items()}
     slope = (math.log(bl[1024]) - math.log(bl[64])) / (math.log(1024) - math.log(64))
@@ -396,7 +400,9 @@ def criterion_9(lab: AcceptanceLab) -> CriterionResult:
                           worst <= PERTURBATION_CONSTANT_MAX,
                           f"max dev * sqrt(N)/log N = {worst:.4f} <= "
                           f"{PERTURBATION_CONSTANT_MAX}"))
-    return CriterionResult(9, "strip discretization diagnostics", clauses)
+    diags = [f"bl N={n}: {r['path']} {r['rows']}x{r['cols']}, {r['status']}, "
+             f"{r['seconds']:.2f}s" for n, (_, r) in lab.bl_solves.items()]
+    return CriterionResult(9, "strip discretization diagnostics", clauses, diagnostics=diags)
 
 
 def criterion_10(lab: AcceptanceLab) -> CriterionResult:

@@ -5,9 +5,9 @@ versioned JSON config plus numeric flag overrides, and every output file
 embeds the config hash and seed (JSON fields, or the file-name stem for
 CSV formats).
 
-Exit codes: 0 ok, 1 verification failures, 2 config/schema problem,
-3 ensemble-constraint violation, 4 numerical non-convergence,
-5 missing file.
+Exit codes: 0 ok, 1 a verification clause failed that is not a documented
+expected failure, 2 config/schema problem, 3 ensemble-constraint
+violation, 4 numerical non-convergence, 5 missing file.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -269,17 +270,26 @@ def _cmd_discretize(cfg, args) -> int:
     dc = cfg["discretize"]
     base_measure = measures.equilibrium_discretization(K, int(dc["base_atoms"]))
     nu = measures.smooth(base_measure, float(dc["epsilon"]))
+    t0 = time.perf_counter()
     res = measures.discretize(nu, int(dc["N"]))
-    bl = res.bl_to(nu, nodes_per_block=int(dc["bl_nodes_per_block"]))
+    t1 = time.perf_counter()
+    bl, bl_record = measures._bl_solve(res.configuration.empirical_measure(),
+                                       nu.to_atomic(int(dc["bl_nodes_per_block"])))
+    t2 = time.perf_counter()
+    cont = measures.continuous_energy(nu)
+    t3 = time.perf_counter()
     out = _outdir(cfg, args)
     base = out / _stem("discretize", cfg)
     res.configuration.save_csv(base.with_suffix(".csv"))
     payload = {"N": int(dc["N"]), "min_separation": res.min_separation,
                "separation_constant": res.separation_constant,
                "discrete_energy": res.discrete_energy,
-               "continuous_energy": measures.continuous_energy(nu),
+               "continuous_energy": cont,
                "bl_distance": bl, "points_discarded": res.points_discarded}
-    _write_json(base.with_suffix(".json"), payload, cfg)
+    telemetry = {"bl": bl_record,
+                 "phase_seconds": {"discretize": t1 - t0, "bl": t2 - t1,
+                                   "continuous_energy": t3 - t2}}
+    _write_json(base.with_suffix(".json"), {**payload, "telemetry": telemetry}, cfg)
     for k, v in payload.items():
         print(f"{k}: {v}")
     return 0

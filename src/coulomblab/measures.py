@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -466,6 +467,19 @@ def _bl_transport(x, wx, y, wy) -> float:
     return float(res.fun)
 
 
+def _bl_assignment_cost(x, y) -> np.ndarray:
+    """The L x L cost min(|r_i - c_j|, 2) of the assignment form.
+
+    The rows r are the atoms of the side with more atoms (y on a tie) and
+    the columns c are the other side's atoms, each repeated L/n times in
+    adjacent columns.  The repeats are taken by np.repeat on the columns of
+    the n_rows x n_cols cost, so no repeated complex points are broadcast.
+    """
+    rows, cols = (x, y) if x.size > y.size else (y, x)
+    cost = np.minimum(np.abs(rows[:, None] - cols[None, :]), 2.0)
+    return np.repeat(cost, rows.size // cols.size, axis=1)
+
+
 def _bl_assignment(x, y) -> float:
     """The same transport problem for uniform weights when one atom count
     divides the other.
@@ -474,12 +488,41 @@ def _bl_assignment(x, y) -> float:
     uniform transport plans become the L x L doubly stochastic matrices
     scaled by 1/L.  Their extreme points are permutations
     (Birkhoff-von Neumann), so one assignment problem is exact.
+
+    The repeated atoms index the columns.  scipy's solver (shortest
+    augmenting paths, Crouse 2016) augments one row at a time; with the
+    repeats on the rows, runs of identical rows made it 4-7 times slower
+    on strip discretizations at L = 1024 and 2048, for the same optimal
+    value.
     """
-    L = max(x.size, y.size)
-    x, y = np.repeat(x, L // x.size), np.repeat(y, L // y.size)
-    cost = np.minimum(np.abs(x[:, None] - y[None, :]), 2.0)
+    cost = _bl_assignment_cost(x, y)
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / L)
+    return float(cost[rows, cols].sum() / cost.shape[0])
+
+
+def _bl_solve(mu: AtomicMeasure, nu: AtomicMeasure) -> tuple[float, dict]:
+    """bl_distance together with a record of its solve: the `path`
+    ("assignment" with its `rows` and `cols`, or "transport" with its
+    `lp_vars`), the solver `status` and the solve `seconds`.
+
+    The status is always "optimal": both solvers raise rather than return
+    a value that is not optimal.
+    """
+    for m in (mu, nu):
+        if not m.is_probability:
+            raise ValueError("bl_distance requires probability measures")
+    mu, nu = mu.merged(), nu.merged()
+    n1, n2 = len(mu), len(nu)
+    uniform = all(np.all(m.weights == m.weights[0]) for m in (mu, nu))
+    t0 = time.perf_counter()
+    if uniform and max(n1, n2) % min(n1, n2) == 0:
+        value = _bl_assignment(mu.points, nu.points)
+        record = {"path": "assignment", "rows": max(n1, n2), "cols": max(n1, n2)}
+    else:
+        value = max(0.0, _bl_transport(mu.points, mu.weights, nu.points, nu.weights))
+        record = {"path": "transport", "lp_vars": n1 * n2}
+    record.update(status="optimal", seconds=time.perf_counter() - t0)
+    return value, record
 
 
 def bl_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
@@ -491,14 +534,7 @@ def bl_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     solved as an assignment problem; any other weights by the
     transportation LP.
     """
-    for m in (mu, nu):
-        if not m.is_probability:
-            raise ValueError("bl_distance requires probability measures")
-    mu, nu = mu.merged(), nu.merged()
-    uniform = all(np.all(m.weights == m.weights[0]) for m in (mu, nu))
-    if uniform and max(len(mu), len(nu)) % min(len(mu), len(nu)) == 0:
-        return _bl_assignment(mu.points, nu.points)
-    return max(0.0, _bl_transport(mu.points, mu.weights, nu.points, nu.weights))
+    return _bl_solve(mu, nu)[0]
 
 
 def bl_to_smoothed(nu: Union[Configuration, AtomicMeasure], target: SmoothedMeasure,

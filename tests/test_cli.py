@@ -198,15 +198,25 @@ def test_sample_and_reproducibility(tmp_path):
         assert tel["batched_points"] == 2400 and tel["stale_points"] > 0
 
 
-def test_discretize_outputs(tmp_path):
+def test_discretize_outputs(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "schema_version": 1,
         "discretize": {"N": 32, "epsilon": 0.1, "base_atoms": 64,
                        "bl_nodes_per_block": 6},
     })
     assert run(["--config", cfg, "--out", str(tmp_path), "discretize"]) == 0
+    # stdout carries the result keys only; telemetry goes to the JSON
+    printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == ["N", "min_separation", "separation_constant", "discrete_energy",
+                       "continuous_energy", "bl_distance", "points_discarded"]
     report = json.loads(next(tmp_path.glob("discretize_*.json")).read_text())
     assert report["N"] == 32
+    # 32 points against 64 blocks x 6 nodes: 384 atoms, 12 repeats a point
+    tel = report["telemetry"]
+    assert {k: tel["bl"][k] for k in ("path", "rows", "cols", "status")} == {
+        "path": "assignment", "rows": 384, "cols": 384, "status": "optimal"}
+    assert set(tel["phase_seconds"]) == {"discretize", "bl", "continuous_energy"}
+    assert 0.0 <= tel["bl"]["seconds"] <= tel["phase_seconds"]["bl"]
     assert report["separation_constant"] > 0.2
     assert report["bl_distance"] < 0.5
     csv = next(tmp_path.glob("discretize_*.csv"))
@@ -221,6 +231,8 @@ def test_discretize_default_config_exact_bl(tmp_path):
     report = json.loads(next(tmp_path.glob("discretize_*.json")).read_text())
     assert report["N"] == 256
     assert report["bl_distance"] == pytest.approx(0.09783524254376236, abs=1e-9)
+    bl = report["telemetry"]["bl"]
+    assert (bl["path"], bl["rows"], bl["cols"]) == ("assignment", 2048, 2048)
 
 
 def test_rate_table(tmp_path):
@@ -240,6 +252,18 @@ def test_verify_subset(tmp_path):
     # clause flags are JSON booleans, also where a criterion computes numpy ones
     assert all(type(clause["ok"]) is bool
                for c in payload["criteria"] for clause in c["clauses"])
+
+
+def test_verify_documented_failure_exits_zero(tmp_path):
+    # criterion 3's N = 64 upper-bound clause fails by design (expected_to_fail)
+    code = run(["--out", str(tmp_path), "verify", "--criteria", "3"])
+    assert code == 0
+    payload = json.loads(next(tmp_path.glob("verify_*.json")).read_text())
+    assert payload["all_pass"] is True
+    (criterion,) = payload["criteria"]
+    assert criterion["passed"] is True
+    clause = next(c for c in criterion["clauses"] if c["name"] == "upper/N^2 within 0.05 at N=64")
+    assert clause["ok"] is False and clause["expected_to_fail"] is True
 
 
 def test_linstat_outputs(tmp_path):

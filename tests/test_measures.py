@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 import coulomblab as cl
 from coulomblab import measures
@@ -254,6 +254,66 @@ def test_bl_pairwise_equals_transport(monkeypatch):
                 oracle = _bl_pairwise(mu, nu)
                 assert bl_distance(mu, nu) == pytest.approx(oracle, abs=1e-9)
                 assert bl_distance(nu, mu) == pytest.approx(oracle, abs=1e-9)
+
+
+def _bl_rows_repeated(x, y):
+    """Reference: the assignment with every atom of each side repeated to
+    L = max count along the rows and the columns, in argument order."""
+    L = max(x.size, y.size)
+    x, y = np.repeat(x, L // x.size), np.repeat(y, L // y.size)
+    cost = np.minimum(np.abs(x[:, None] - y[None, :]), 2.0)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / L)
+
+
+def test_bl_assignment_matches_rows_repeated(nu_eps):
+    # criterion-9-shaped inputs at test size: strip points against 128
+    # blocks x 4 or 8 sunflower nodes (4 to 64 repeats a point), and the
+    # 128-point strip against the 128 base atoms (the tie)
+    cases = []
+    for n in (16, 64, 128):
+        emp = cl.discretize(nu_eps, n).configuration.empirical_measure()
+        cases += [(emp, nu_eps.to_atomic(q)) for q in (4, 8)]
+    cases.append((emp, nu_eps.base))
+    for mu, nu in cases:
+        d = bl_distance(mu, nu)
+        assert d == pytest.approx(_bl_rows_repeated(mu.points, nu.points), abs=1e-15)
+        if len(mu) != len(nu):
+            assert bl_distance(nu, mu) == d  # the same matrix either way
+
+
+def test_bl_assignment_cost_layout():
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=6) + 1j * rng.normal(size=6)
+    y = 1.5 * (rng.normal(size=18) + 1j * rng.normal(size=18))
+    for rows, cols, a, b in ((y, x, x, y), (y, x, y, x), (x[:4], y[:4], y[:4], x[:4])):
+        # the side with more atoms (the second argument on a tie) on the
+        # rows, the other side repeated along adjacent columns
+        k = rows.size // cols.size
+        expected = np.minimum(np.abs(rows[:, None] - np.repeat(cols, k)[None, :]), 2.0)
+        assert np.array_equal(measures._bl_assignment_cost(a, b), expected)
+
+
+def test_bl_assignment_equals_transport_lp():
+    rng = np.random.default_rng(35)
+    for n1, n2 in ((16, 64), (48, 48)):
+        x = rng.normal(size=n1) + 1j * rng.normal(size=n1)
+        y = 1.2 * (rng.normal(size=n2) + 1j * rng.normal(size=n2))
+        lp = measures._bl_transport(x, np.full(n1, 1.0 / n1), y, np.full(n2, 1.0 / n2))
+        assert measures._bl_assignment(x, y) == pytest.approx(lp, abs=1e-9)
+
+
+def test_bl_solve_record():
+    rng = np.random.default_rng(36)
+    pts = rng.normal(size=12) + 1j * rng.normal(size=12)
+    value, record = measures._bl_solve(cl.AtomicMeasure(pts[:3]), cl.AtomicMeasure(pts))
+    assert value == bl_distance(cl.AtomicMeasure(pts[:3]), cl.AtomicMeasure(pts))
+    assert {k: record[k] for k in ("path", "rows", "cols", "status")} == {
+        "path": "assignment", "rows": 12, "cols": 12, "status": "optimal"}
+    value, record = measures._bl_solve(cl.AtomicMeasure(pts[:5]), cl.AtomicMeasure(pts))
+    assert {k: record[k] for k in ("path", "lp_vars", "status")} == {
+        "path": "transport", "lp_vars": 60, "status": "optimal"}
+    assert record["seconds"] >= 0.0
 
 
 def test_bl_metric_properties():
