@@ -402,6 +402,11 @@ def criterion_9(lab: AcceptanceLab) -> CriterionResult:
                           f"{PERTURBATION_CONSTANT_MAX}"))
     diags = [f"bl N={n}: {r['path']} {r['rows']}x{r['cols']}, {r['status']}, "
              f"{r['seconds']:.2f}s" for n, (_, r) in lab.bl_solves.items()]
+    for n, r in res.items():
+        inv = r.inversion_record()
+        diags.append(f"strip inversion N={n}: {inv['strips']} strips, "
+                     f"{inv['max_iterations']} max / {inv['total_iterations']} total "
+                     f"Newton iterations, {inv['capped_strips']} capped")
     return CriterionResult(9, "strip discretization diagnostics", clauses, diagnostics=diags)
 
 

@@ -105,22 +105,47 @@ def _parse_s(value):
     return float(value)
 
 
+def _optional(kind):
+    """Converter that keeps None and converts anything else by kind."""
+    return lambda value: None if value is None else kind(value)
+
+
+def _list_of(kind):
+    """Converter of a JSON list, element by element."""
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return [kind(v) for v in value]
+    return convert
+
+
+def _int_pair(value):
+    k, m = value
+    return int(k), int(m)
+
+
+def _fields(cfg: dict, block: str, **kinds):
+    """The named numeric fields of one config block, each converted by its
+    kind; a value of the wrong type or form is a SchemaError naming it."""
+    out = []
+    for key, kind in kinds.items():
+        try:
+            out.append(kind(cfg[block][key]))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"{block}.{key}: {e}") from e
+    return out
+
+
 def _build(cfg: dict):
     K = potential.compact_set_from_dict(cfg["set"])
-    ens = cfg["ensemble"]
-    params = sampler.EnsembleParams(int(ens["N"]), _parse_s(ens["s"]),
-                                    float(ens["beta"]), float(ens["c0"]))
+    params = sampler.EnsembleParams(*_fields(cfg, "ensemble", N=int, s=_parse_s,
+                                             beta=float, c0=float))
     return K, params
 
 
 def _chain_config(cfg: dict) -> sampler.ChainConfig:
-    sc = cfg["sample"]
-    try:
-        steps, burn_in, thin = (int(sc[k]) for k in ("steps", "burn_in", "thin"))
-        scale = None if sc["step_scale"] is None else float(sc["step_scale"])
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"sample block: {e}") from e
-    return sampler.ChainConfig(steps, burn_in, thin, scale)
+    return sampler.ChainConfig(*_fields(cfg, "sample", steps=int, burn_in=int, thin=int,
+                                        step_scale=_optional(float)))
 
 
 def _criteria(value: str):
@@ -166,10 +191,10 @@ def _cmd_sample(cfg, args) -> int:
 
 def _cmd_fekete(cfg, args) -> int:
     K, _ = _build(cfg)
-    fc = cfg["fekete"]
-    n = int(fc["N"])
-    result = fekete.solve(K, n, starts=fc["starts"],
-                          max_iterations=int(fc["max_iterations"]), seed=cfg["seed"])
+    n, starts, max_iterations = _fields(cfg, "fekete", N=int, starts=_optional(int),
+                                        max_iterations=int)
+    result = fekete.solve(K, n, starts=starts, max_iterations=max_iterations,
+                          seed=cfg["seed"])
     out = _outdir(cfg, args)
     base = out / _stem("fekete", cfg)
     result.save(base)
@@ -195,14 +220,15 @@ def _cmd_fekete(cfg, args) -> int:
 def _cmd_partition(cfg, args) -> int:
     K, params = _build(cfg)
     pc = cfg["partition"]
-    n_values = pc["N_values"] or [params.N]
-    s_values = [_parse_s(s) for s in (pc["s_values"] or [params.s])]
+    n_values, s_values = _fields(cfg, "partition", N_values=_optional(_list_of(int)),
+                                 s_values=_optional(_list_of(_parse_s)))
+    n_values, s_values = n_values or [params.N], s_values or [params.s]
     out = _outdir(cfg, args)
     rows, reports = [], []
     for n in n_values:
         for s in s_values:
-            p = sampler.EnsembleParams(int(n), s, params.beta, params.c0)
-            fr = fekete.solve(K, int(n), seed=cfg["seed"]) if pc["with_bounds"] and n >= 2 else None
+            p = sampler.EnsembleParams(n, s, params.beta, params.c0)
+            fr = fekete.solve(K, n, seed=cfg["seed"]) if pc["with_bounds"] and n >= 2 else None
             rep = partition.build_report(K, p, fekete_result=fr,
                                          with_cubature=pc["with_cubature"] and n <= 3)
             rows.append(rep.csv_row())
@@ -217,11 +243,11 @@ def _cmd_partition(cfg, args) -> int:
 
 def _cmd_rate(cfg, args) -> int:
     K, params = _build(cfg)
-    rc = cfg["rate"]
-    family = [(f"circle_r={r}", measures.CircleMeasure(0.0, float(r)))
-              for r in rc["radii"]]
-    reports = stats.positivity_scan(K, family, [float(x) for x in rc["ells"]],
-                                    beta=params.beta)
+    radii, ells = _fields(cfg, "rate", radii=_list_of(float), ells=_list_of(float))
+    # the descriptor keeps each radius as written in the config
+    family = [(f"circle_r={r}", measures.CircleMeasure(0.0, radius))
+              for r, radius in zip(cfg["rate"]["radii"], radii)]
+    reports = stats.positivity_scan(K, family, ells, beta=params.beta)
     out = _outdir(cfg, args)
     base = out / _stem("rate", cfg)
     lines = ["measure,ell,weighted_energy,robin_energy,rate"]
@@ -242,6 +268,7 @@ _STAT_LIBRARY = {
 
 def _cmd_linstat(cfg, args) -> int:
     K, params = _build(cfg)
+    moments, bins = _fields(cfg, "linstat", moments=_list_of(_int_pair), bins=int)
     chain = sampler.run_chain(params, K, _chain_config(cfg), seed=cfg["seed"])
     lc = cfg["linstat"]
     reports = []
@@ -251,12 +278,12 @@ def _cmd_linstat(cfg, args) -> int:
                               f"available: {sorted(_STAT_LIBRARY)}")
         f, n = _STAT_LIBRARY[name]
         reports.append(stats.linear_statistic(chain, f, n, label=name))
-    for k, m in lc["moments"]:
+    for k, m in moments:
         reports.append(stats.moment_statistic(chain, _STAT_LIBRARY["abs2"][0],
-                                              int(k), int(m), label=f"moment_abs2_{k}_{m}"))
+                                              k, m, label=f"moment_abs2_{k}_{m}"))
     out = _outdir(cfg, args)
     base = out / _stem("linstat", cfg)
-    hist = stats.intensity_histogram(chain, bins=int(lc["bins"]))
+    hist = stats.intensity_histogram(chain, bins=bins)
     hist.to_csv(base.with_suffix(".hist.csv"))
     _write_json(base.with_suffix(".json"), {"reports": [r.to_dict() for r in reports]}, cfg)
     for r in reports:
@@ -267,26 +294,27 @@ def _cmd_linstat(cfg, args) -> int:
 
 def _cmd_discretize(cfg, args) -> int:
     K, _ = _build(cfg)
-    dc = cfg["discretize"]
-    base_measure = measures.equilibrium_discretization(K, int(dc["base_atoms"]))
-    nu = measures.smooth(base_measure, float(dc["epsilon"]))
+    n, epsilon, base_atoms, nodes = _fields(cfg, "discretize", N=int, epsilon=float,
+                                            base_atoms=int, bl_nodes_per_block=int)
+    base_measure = measures.equilibrium_discretization(K, base_atoms)
+    nu = measures.smooth(base_measure, epsilon)
     t0 = time.perf_counter()
-    res = measures.discretize(nu, int(dc["N"]))
+    res = measures.discretize(nu, n)
     t1 = time.perf_counter()
     bl, bl_record = measures._bl_solve(res.configuration.empirical_measure(),
-                                       nu.to_atomic(int(dc["bl_nodes_per_block"])))
+                                       nu.to_atomic(nodes))
     t2 = time.perf_counter()
     cont = measures.continuous_energy(nu)
     t3 = time.perf_counter()
     out = _outdir(cfg, args)
     base = out / _stem("discretize", cfg)
     res.configuration.save_csv(base.with_suffix(".csv"))
-    payload = {"N": int(dc["N"]), "min_separation": res.min_separation,
+    payload = {"N": n, "min_separation": res.min_separation,
                "separation_constant": res.separation_constant,
                "discrete_energy": res.discrete_energy,
                "continuous_energy": cont,
                "bl_distance": bl, "points_discarded": res.points_discarded}
-    telemetry = {"bl": bl_record,
+    telemetry = {"discretize": res.inversion_record(), "bl": bl_record,
                  "phase_seconds": {"discretize": t1 - t0, "bl": t2 - t1,
                                    "continuous_energy": t3 - t2}}
     _write_json(base.with_suffix(".json"), {**payload, "telemetry": telemetry}, cfg)

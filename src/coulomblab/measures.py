@@ -549,6 +549,13 @@ def bl_to_smoothed(nu: Union[Configuration, AtomicMeasure], target: SmoothedMeas
 # constructive discretization of a smoothed measure
 # ---------------------------------------------------------------------------
 
+# iteration cap of the strip inversion, that of the bisection it replaced
+# (60 halvings take any bracket to rounding); DiscretizeResult counts the
+# strips that reach it
+_INVERT_CAP = 60
+_MACHINE_EPS = np.finfo(float).eps
+
+
 class _StripCDF:
     """Vertical mass profile of a smoothed measure inside one strip.
 
@@ -558,7 +565,12 @@ class _StripCDF:
     Phi(b, t) - Phi(a, t), where Phi(c, t) integrates clip(c, -h(s), h(s))
     over -eps < s < t and h(s) = sqrt(eps^2 - s^2).  Phi is a sum of
     circular-segment areas, so the CDF is closed-form and vectorized over
-    blocks.
+    blocks.  The half chord is evaluated as sqrt((eps - s)(eps + s)) and the
+    segment angle as atan2(s, h(s)), so the CDF stays accurate to rounding
+    up to the top and bottom of every block, where its derivative vanishes.
+
+    `invert` solves cdf(y) = target by safeguarded Newton steps with the
+    exact derivative `width_density`.
     """
 
     def __init__(self, mu: SmoothedMeasure, x_left: float, x_right: float):
@@ -574,21 +586,25 @@ class _StripCDF:
         if keep.any():
             # greatest ordinate with zero strip mass below it: the lowest
             # point of any chord that enters the strip
-            self.support_bottom = float(np.min(self.y - np.sqrt(eps**2 - dx[keep] ** 2)))
+            self.support_bottom = float(np.min(self.y - self._half_chord(dx[keep])))
             self.top = float(np.max(self.y)) + eps
             self.mass = float(self.cdf(self.top))
         else:
             self.support_bottom = self.top = math.nan
             self.mass = 0.0
 
+    def _half_chord(self, s):
+        """h(s) = sqrt(eps^2 - s^2), and 0 for |s| >= eps."""
+        return np.sqrt(np.maximum((self.eps - s) * (self.eps + s), 0.0))
+
     def _phi(self, c, t):
         eps = self.eps
 
         def segment(s):  # integral of h from 0 to s: signed half-disk slice area
-            return 0.5 * (s * np.sqrt(np.maximum(eps**2 - s * s, 0.0))
-                          + eps**2 * np.arcsin(np.clip(s / eps, -1.0, 1.0)))
+            h = self._half_chord(s)
+            return 0.5 * (s * h + eps**2 * np.arctan2(s, h))
 
-        s0 = np.sqrt(np.maximum(eps**2 - c * c, 0.0))  # where h(s) = |c|
+        s0 = self._half_chord(c)  # where h(s) = |c|
         u = np.clip(t, -s0, s0)
         caps = segment(t) + 0.25 * math.pi * eps**2 - segment(u) - segment(s0)
         return np.sign(c) * caps + c * (u + s0)
@@ -601,8 +617,7 @@ class _StripCDF:
 
     def width_density(self, y):
         """Derivative of the CDF: the strip-clipped chord lengths."""
-        dy = np.asarray(y, dtype=float)[..., None] - self.y
-        h = np.sqrt(np.maximum(self.eps**2 - dy * dy, 0.0))
+        h = self._half_chord(np.asarray(y, dtype=float)[..., None] - self.y)
         seg = np.clip(self.xr - self.x, -h, h) - np.clip(self.xl - self.x, -h, h)
         return seg @ self.w / (math.pi * self.eps**2)
 
@@ -610,17 +625,47 @@ class _StripCDF:
         """Strip mass between the ordinates a and b."""
         return float(self.cdf(b) - self.cdf(a)) if b > a else 0.0
 
-    def invert(self, targets: np.ndarray) -> np.ndarray:
-        """Least ordinates whose mass below reaches each target, by one
-        bisection over all targets on the bracket [support_bottom, top]."""
-        lo = np.full(targets.shape, self.support_bottom)
-        hi = np.full(targets.shape, self.top)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+    def invert(self, targets: np.ndarray) -> tuple[np.ndarray, int]:
+        """Least ordinates whose mass below reaches each target, and the
+        number of iterations taken.
+
+        Safeguarded Newton, vectorized over the targets.  Each target keeps
+        an inclusive bracket, starting at [support_bottom, top], with
+        cdf < target at its lower end and cdf >= target at its upper end.
+        A step that leaves the bracket, or is taken where the density is 0,
+        falls back to the bracket's midpoint, so a target met on a
+        zero-density plateau is pushed down to the plateau's lower end.  A
+        target stops at rounding level: where the density is positive and
+        the CDF reaches it by at most 4 machine epsilons of the target, or
+        when its next step is within 2 ulp of the ordinate.  A test on the
+        step alone would not do: where the density is small, rounding in the
+        CDF moves the Newton point by many ulp.  Targets above the strip mass
+        get `top` without iterating, and the iteration stops at _INVERT_CAP.
+        """
+        targets = np.asarray(targets, dtype=float)
+        out = np.full(targets.shape, self.top)
+        live = np.flatnonzero(targets <= self.mass)
+        t = targets[live]
+        lo = np.full(t.shape, self.support_bottom)
+        hi = np.full(t.shape, self.top)
+        y = lo + (hi - lo) * (t / self.mass)
+        iterations = 0
+        while live.size and iterations < _INVERT_CAP:
+            iterations += 1
+            c, d = self.cdf(y), self.width_density(y)
+            below = c < t
+            lo, hi = np.where(below, y, lo), np.where(below, hi, y)
+            slope = d > 0
+            y_next = y - (c - t) / np.where(slope, d, 1.0)
+            newton = slope & (lo <= y_next) & (y_next <= hi)
+            y_next = np.where(newton, y_next, 0.5 * (lo + hi))
+            done = ((slope & (0 <= c - t) & (c - t <= 4 * _MACHINE_EPS * t))
+                    | (np.abs(y_next - y) <= 2 * np.spacing(np.abs(y))))
+            out[live[done]] = y[done]
+            left = ~done
+            live, t, lo, hi, y = live[left], t[left], lo[left], hi[left], y_next[left]
+        out[live] = y
+        return out, iterations
 
 
 @dataclass
@@ -634,6 +679,15 @@ class DiscretizeResult:
     points_generated: int
     points_discarded: int
     strips: int
+    strip_iterations: list[int]  # Newton iterations of each strip's inversion
+
+    def inversion_record(self) -> dict:
+        """Strip count, maximum and total inversion iterations, and the
+        number of strips that reached the iteration cap."""
+        its = self.strip_iterations
+        return {"strips": self.strips, "max_iterations": max(its),
+                "total_iterations": sum(its),
+                "capped_strips": sum(i >= _INVERT_CAP for i in its)}
 
     def bl_to(self, target: SmoothedMeasure, nodes_per_block: int = 32) -> float:
         return bl_to_smoothed(self.configuration, target, nodes_per_block)
@@ -655,15 +709,15 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
     x_lo, x_hi, _, _ = nu_eps.bounding_box()
     width = (x_hi - x_lo) / M
     pts = []
-    strips_used = 0
+    iterations = []
     for j in range(M):
         xl = x_lo + j * width
         strip = _StripCDF(nu_eps, xl, xl + width)
         if strip.mass <= 1e-14:
             continue
-        strips_used += 1
         mj = int(math.floor(strip.mass * N + 1e-9))
-        ys = strip.invert(np.arange(1, mj + 1) / N)
+        ys, its = strip.invert(np.arange(1, mj + 1) / N)
+        iterations.append(its)
         pts.append(xl + 1j * np.concatenate([[strip.support_bottom], ys]))
     pts = np.concatenate(pts)
     total = pts.size
@@ -678,7 +732,8 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
         discrete_energy=discrete_energy(config),
         points_generated=total,
         points_discarded=total - N,
-        strips=strips_used,
+        strips=len(iterations),
+        strip_iterations=iterations,
     )
 
 

@@ -103,6 +103,28 @@ def test_step_scale_from_json(tmp_path, capsys, scale, code):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,config", [
+    ("sample", {"ensemble": {"N": [3]}}),
+    ("fekete", {"fekete": {"N": [16]}}),
+    ("partition", {"partition": {"N_values": [None]}}),
+    ("rate", {"rate": {"ells": [None]}}),
+    ("linstat", {"linstat": {"bins": [64]}}),
+    ("discretize", {"discretize": {"epsilon": [0.1]}}),
+    ("discretize", {"discretize": {"N": None}}),
+], ids=["ensemble", "fekete", "partition", "rate", "linstat", "discretize",
+        "discretize_null"])
+def test_config_value_of_wrong_type(tmp_path, capsys, command, config):
+    # a value that does not convert is a config error (exit 2) naming its
+    # field, raised before anything runs or is written
+    cfg = _write_config(tmp_path, {"schema_version": 1, **config})
+    assert run(["--config", cfg, "--out", str(tmp_path), command]) == 2
+    (block, fields), = config.items()
+    (key, _), = fields.items()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{block}.{key}:" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("flags,block,written", [
     (["sample", "--N", "8", "--steps", "3000"],
      {"ensemble": {"N": 8}, "sample": {"steps": 3000}}, "chain_*_summary.json"),
@@ -216,6 +238,10 @@ def test_discretize_outputs(tmp_path, capsys):
     assert {k: tel["bl"][k] for k in ("path", "rows", "cols", "status")} == {
         "path": "assignment", "rows": 384, "cols": 384, "status": "optimal"}
     assert set(tel["phase_seconds"]) == {"discretize", "bl", "continuous_energy"}
+    inv = tel["discretize"]
+    assert set(inv) == {"strips", "max_iterations", "total_iterations", "capped_strips"}
+    assert 0 < inv["max_iterations"] <= inv["total_iterations"]
+    assert inv["strips"] > 0 and inv["capped_strips"] == 0
     assert 0.0 <= tel["bl"]["seconds"] <= tel["phase_seconds"]["bl"]
     assert report["separation_constant"] > 0.2
     assert report["bl_distance"] < 0.5
@@ -233,6 +259,8 @@ def test_discretize_default_config_exact_bl(tmp_path):
     assert report["bl_distance"] == pytest.approx(0.09783524254376236, abs=1e-9)
     bl = report["telemetry"]["bl"]
     assert (bl["path"], bl["rows"], bl["cols"]) == ("assignment", 2048, 2048)
+    inv = report["telemetry"]["discretize"]
+    assert inv["strips"] == 16 and inv["capped_strips"] == 0
 
 
 def test_rate_table(tmp_path):

@@ -506,3 +506,72 @@ def test_strip_cdf_closed_form_quad_oracle():
             assert float(strip.cdf(b)) == pytest.approx(acc, abs=1e-12)
         assert strip.mass == pytest.approx(acc, abs=1e-12)
     assert _StripCDF(nu, -0.35, 0.7).mass == pytest.approx(1.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# strip inversion: Newton against bisection
+# ---------------------------------------------------------------------------
+
+def _bisect_invert(strip, targets):
+    """Reference: 60 halvings of [support_bottom, top] for every target,
+    the least ordinate whose mass below reaches it (top above the mass)."""
+    lo = np.full(targets.shape, strip.support_bottom)
+    hi = np.full(targets.shape, strip.top)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = strip.cdf(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("K,sizes", [
+    (DISK, (64, 256, 1024)),  # criterion 9's target
+    (cl.Segment(-1.0, 1.0), (256,)),
+    (cl.Ellipse(0.0, 2.0, 1.0), (256,)),
+    (cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)), (256,)),
+], ids=["disk", "segment", "ellipse", "exterior_map"])
+def test_newton_inversion_matches_bisection(K, sizes, monkeypatch):
+    nu = cl.smooth(cl.equilibrium_discretization(K, 256), 0.1)
+    for n in sizes:
+        newton = cl.discretize(nu, n)
+        with monkeypatch.context() as m:
+            m.setattr(_StripCDF, "invert", lambda self, t: (_bisect_invert(self, t), 60))
+            bisection = cl.discretize(nu, n)
+        assert newton.points_generated == bisection.points_generated
+        assert np.max(np.abs(newton.configuration.points
+                             - bisection.configuration.points)) <= 1e-12
+        record = newton.inversion_record()
+        assert record["strips"] == len(newton.strip_iterations) == bisection.strips
+        assert record["total_iterations"] == sum(newton.strip_iterations)
+        assert record["capped_strips"] == 0 and record["max_iterations"] < 60
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_invert_at_zero_density_gap(eps):
+    # two blocks 5 eps apart: the strip density is 0 between eps and 4 eps,
+    # and the target is the mass below that gap, so the least ordinate
+    # reaching it is the gap's lower end eps.  Below eps the CDF falls
+    # short by about 0.3 ((eps - y) / eps)^{3/2}, which rounds to 0 within
+    # about 5e-11 eps of the gap: both inversions are fixed only to that band
+    nu = cl.smooth(cl.AtomicMeasure([0.0, 5j * eps], [0.5, 0.5]), eps)
+    strip = _StripCDF(nu, -0.5 * eps, 0.5 * eps)
+    target = strip.cdf(np.array([2.5 * eps]))
+    assert strip.width_density(2.5 * eps) == 0.0
+    y, iterations = strip.invert(target)
+    band = 1e-10 * eps  # 1e-12 at eps = 0.01
+    assert eps - band <= y[0] <= eps
+    assert strip.cdf(y)[0] >= target[0]
+    assert abs(y[0] - _bisect_invert(strip, target)[0]) <= band
+    assert iterations < 60
+
+
+def test_invert_target_above_mass_gives_top():
+    nu = cl.smooth(cl.equilibrium_discretization(DISK, 256), 0.1)
+    # the strip crosses the circle twice, so half its mass would sit at a gap
+    strip = _StripCDF(nu, 0.55, 0.55 + 2.2 / 32)
+    targets = np.array([0.3 * strip.mass, np.nextafter(strip.mass, 1.0)])
+    y, _ = strip.invert(targets)
+    assert y[1] == strip.top
+    np.testing.assert_allclose(y, _bisect_invert(strip, targets), rtol=0, atol=1e-12)
+    assert strip.cdf(y[0]) >= targets[0]
