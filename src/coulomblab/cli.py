@@ -124,16 +124,28 @@ def _int_pair(value):
     return int(k), int(m)
 
 
+def _criterion(value) -> int:
+    """A criterion number of the acceptance table."""
+    number = int(value)
+    if number not in acceptance._CRITERIA:
+        raise ValueError(f"no criterion {value!r}; the criteria are "
+                         f"{min(acceptance._CRITERIA)}..{max(acceptance._CRITERIA)}")
+    return number
+
+
+def _convert(name: str, kind, value):
+    """value converted by kind; a value of the wrong type or form is a
+    SchemaError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SchemaError(f"{name}: {e}") from e
+
+
 def _fields(cfg: dict, block: str, **kinds):
     """The named numeric fields of one config block, each converted by its
-    kind; a value of the wrong type or form is a SchemaError naming it."""
-    out = []
-    for key, kind in kinds.items():
-        try:
-            out.append(kind(cfg[block][key]))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"{block}.{key}: {e}") from e
-    return out
+    kind."""
+    return [_convert(f"{block}.{key}", kind, cfg[block][key]) for key, kind in kinds.items()]
 
 
 def _build(cfg: dict):
@@ -229,8 +241,11 @@ def _cmd_partition(cfg, args) -> int:
         for s in s_values:
             p = sampler.EnsembleParams(n, s, params.beta, params.c0)
             fr = fekete.solve(K, n, seed=cfg["seed"]) if pc["with_bounds"] and n >= 2 else None
-            rep = partition.build_report(K, p, fekete_result=fr,
-                                         with_cubature=pc["with_cubature"] and n <= 3)
+            try:
+                rep = partition.build_report(K, p, fekete_result=fr,
+                                             with_cubature=pc["with_cubature"] and n <= 3)
+            except NotImplementedError as e:  # no cubature for this set at this N
+                raise SchemaError(f"partition.with_cubature: {e}") from e
             rows.append(rep.csv_row())
             reports.append(rep.to_dict())
             print(rep.csv_row())
@@ -324,7 +339,7 @@ def _cmd_discretize(cfg, args) -> int:
 
 
 def _cmd_verify(cfg, args) -> int:
-    numbers = cfg["verify"]["criteria"]
+    numbers, = _fields(cfg, "verify", criteria=_optional(_list_of(_criterion)))
     results = acceptance.run_all(numbers=numbers, verbose=True)
     out = _outdir(cfg, args)
     payload = {"criteria": [r.to_dict() for r in results],
@@ -392,6 +407,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify}
     try:
         cfg = load_config(args.config, overrides)
+        cfg["seed"] = _convert("seed", _optional(int), cfg["seed"])
         return handlers[args.command](cfg, args)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

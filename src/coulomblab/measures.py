@@ -244,12 +244,16 @@ def _pair_distances(pts: np.ndarray) -> np.ndarray:
     return np.abs(pts[..., iu] - pts[..., ju])
 
 
-def _pair_log_sum(pts: np.ndarray) -> float:
-    """sum_{i<j} log|z_i - z_j|: -inf on coincident points, 0.0 for one point."""
-    d = _pair_distances(pts)
+def _log_sum(d: np.ndarray) -> float:
+    """sum log d over pair distances: -inf when one is zero, 0.0 for none."""
     if np.any(d == 0.0):
         return -math.inf
     return float(np.sum(np.log(d)))
+
+
+def _pair_log_sum(pts: np.ndarray) -> float:
+    """sum_{i<j} log|z_i - z_j|: -inf on coincident points, 0.0 for one point."""
+    return _log_sum(_pair_distances(pts))
 
 
 def discrete_energy(c: Configuration) -> float:
@@ -621,10 +625,6 @@ class _StripCDF:
         seg = np.clip(self.xr - self.x, -h, h) - np.clip(self.xl - self.x, -h, h)
         return seg @ self.w / (math.pi * self.eps**2)
 
-    def mass_between(self, a: float, b: float) -> float:
-        """Strip mass between the ordinates a and b."""
-        return float(self.cdf(b) - self.cdf(a)) if b > a else 0.0
-
     def invert(self, targets: np.ndarray) -> tuple[np.ndarray, int]:
         """Least ordinates whose mass below reaches each target, and the
         number of iterations taken.
@@ -689,9 +689,6 @@ class DiscretizeResult:
                 "total_iterations": sum(its),
                 "capped_strips": sum(i >= _INVERT_CAP for i in its)}
 
-    def bl_to(self, target: SmoothedMeasure, nodes_per_block: int = 32) -> float:
-        return bl_to_smoothed(self.configuration, target, nodes_per_block)
-
 
 def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
     """Place N points on rectangle corners of exact mass 1/N inside
@@ -724,12 +721,13 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
     if total < N:
         raise ValueError(f"strip construction produced {total} points, fewer than N = {N}")
     config = Configuration(pts[:N])
-    sep = float(np.min(_pair_distances(config.points)))
+    d = _pair_distances(config.points)
+    sep = float(np.min(d))
     return DiscretizeResult(
         configuration=config,
         min_separation=sep,
         separation_constant=sep * math.sqrt(N),
-        discrete_energy=discrete_energy(config),
+        discrete_energy=-2.0 * _log_sum(d) / N**2,  # discrete_energy(config), from d
         points_generated=total,
         points_discarded=total - N,
         strips=len(iterations),

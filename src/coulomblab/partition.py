@@ -190,6 +190,19 @@ def partition_bounds(K: CompactSet, params: EnsembleParams, fekete_result: Feket
 # small-N cubature
 # ---------------------------------------------------------------------------
 
+# values in one block of a cubature pair kernel (2^18 doubles are 2 MB, a
+# complex difference block 4 MB): the grid sets how many blocks there are,
+# never how much memory a block takes
+_BLOCK_VALUES = 1 << 18
+
+
+def _row_blocks(rows: int, row_values: int):
+    """Slices covering range(rows), each of as many rows of row_values
+    values as fit in _BLOCK_VALUES (at least one; none when rows is 0)."""
+    step = max(1, _BLOCK_VALUES // max(1, row_values))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def _graded_panels(lo: float, hi: float, grading=(0.0, 0.05, 0.25, 1.0)):
     return [(lo + (hi - lo) * a, lo + (hi - lo) * b) for a, b in zip(grading[:-1], grading[1:])]
 
@@ -215,11 +228,19 @@ def _disk_radial_nodes(K: Disk, params: EnsembleParams, order: int):
 
 def _pair_angular_factor(r, beta: float, n_theta: int):
     """int_0^{2pi} |r_i - r_j e^{i theta}|^beta d theta on a midpoint grid
-    (exact for even integer beta once n_theta exceeds the trig degree)."""
+    (exact for even integer beta once n_theta exceeds the trig degree).
+
+    Row blocks of the (r_i, r_j, theta) tensor: every element and every
+    mean over theta is computed as on the whole tensor."""
     th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
-    d2 = (r[:, None, None] ** 2 + r[None, :, None] ** 2
-          - 2.0 * np.outer(r, r)[:, :, None] * np.cos(th)[None, None, :])
-    return np.mean(d2 ** (beta / 2.0), axis=-1) * 2 * math.pi
+    cos = np.cos(th)[None, None, :]
+    rr = np.outer(r, r)
+    out = np.empty((r.size, r.size))
+    for rows in _row_blocks(r.size, r.size * n_theta):
+        d2 = (r[rows, None, None] ** 2 + r[None, :, None] ** 2
+              - 2.0 * rr[rows, :, None] * cos)
+        out[rows] = np.mean(d2 ** (beta / 2.0), axis=-1)
+    return out * 2 * math.pi
 
 
 def _cubature_disk(K: Disk, params: EnsembleParams, order: int, n_theta: int) -> float:
@@ -240,11 +261,10 @@ def _cubature_disk(K: Disk, params: EnsembleParams, order: int, n_theta: int) ->
     uv = np.repeat(u, n_theta) * dtheta             # node weights incl. angle
     A = (np.abs(r[:, None] - v[None, :]) ** beta) * uv[None, :]  # (nr, nv)
     total = 0.0
-    chunk = 512
-    for lo in range(0, v.size, chunk):
-        D = np.abs(v[lo:lo + chunk, None] - v[None, :]) ** beta  # (c, nv)
-        X = D @ A.T                                              # (c, nr)
-        total += float(np.einsum("ir,ri,i->", A[:, lo:lo + chunk], X, u))
+    for rows in _row_blocks(v.size, v.size):
+        D = np.abs(v[rows, None] - v[None, :]) ** beta  # (c, nv)
+        X = D @ A.T                                     # (c, nr)
+        total += float(np.einsum("ir,ri,i->", A[:, rows], X, u))
     return 2 * math.pi * total
 
 
@@ -286,6 +306,15 @@ def _interior_nodes(K: CompactSet, order: int, n_phi: int):
     return z.ravel(), wts.ravel()
 
 
+def _pair_sum(z, w, beta: float) -> float:
+    """sum_ij w_i w_j |z_i - z_j|^beta, over row blocks of the pair matrix."""
+    total = 0.0
+    for rows in _row_blocks(z.size, z.size):
+        d = np.abs(z[rows, None] - z[None, :]) ** beta
+        total += float(w[rows] @ d @ w)
+    return total
+
+
 def partition_cubature(K: CompactSet, params: EnsembleParams, order: int = 24,
                        n_theta: int = 64, return_error: bool = False):
     """Numerical value of the 2N-dimensional partition integral, N <= 3.
@@ -294,6 +323,15 @@ def partition_cubature(K: CompactSet, params: EnsembleParams, order: int = 24,
     particle, N-1 relative angles); other sets integrate over exterior-map
     coordinates plus interior area nodes.  The reported error is the
     change under refinement of all quadrature resolutions.
+
+    Supported: disks at N <= 3, segments and ellipses at N <= 2, and
+    `ExteriorMap` sets at N = 1.  Other pairs raise NotImplementedError,
+    and N > 3 raises ValueError.
+
+    Each pair kernel runs in row blocks of at most _BLOCK_VALUES = 2^18
+    values (a few MB of temporaries, whatever the grid).  The block size
+    changes only how sums are grouped, so it moves values at rounding
+    level only; the disk N <= 2 values do not depend on it at all.
     """
     N = params.N
     if N > 3:
@@ -314,15 +352,7 @@ def partition_cubature(K: CompactSet, params: EnsembleParams, order: int = 24,
             # the field weight is one on K, so the interior part is the area
             return K.area() + float(np.sum(we))
         zi, wi = _interior_nodes(K, order_, n_theta_)
-        z = np.concatenate([zi, ze])
-        w = np.concatenate([wi, we])
-        beta = params.beta
-        total = 0.0
-        chunk = 2048
-        for i in range(0, z.size, chunk):
-            d = np.abs(z[i:i + chunk, None] - z[None, :]) ** beta
-            total += float(w[i:i + chunk] @ d @ w)
-        return total
+        return _pair_sum(np.concatenate([zi, ze]), np.concatenate([wi, we]), params.beta)
 
     coarse = value(order, n_theta)
     fine = value(int(order * 1.5), int(n_theta * 1.5))

@@ -125,6 +125,30 @@ def test_config_value_of_wrong_type(tmp_path, capsys, command, config):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+ELLIPSE = {"type": "ellipse", "center": [0, 0], "semi_major": 2, "semi_minor": 1}
+EXTERIOR = {"type": "exterior_map", "cap": 1, "coeffs": [[0, 0], [0, 0], [0.15, 0]]}
+
+
+@pytest.mark.parametrize("config,argv,field", [
+    ({"seed": "abc"}, ["fekete", "--N", "4"], "seed:"),
+    ({"verify": {"criteria": ["x"]}}, ["verify"], "verify.criteria:"),
+    ({"verify": {"criteria": [99]}}, ["verify"], "verify.criteria:"),
+    ({}, ["verify", "--criteria", "0"], "verify.criteria:"),
+    ({"set": ELLIPSE}, ["partition", "--N", "3", "--s", "8", "--with-cubature"],
+     "partition.with_cubature:"),
+    ({"set": EXTERIOR}, ["partition", "--N", "2", "--s", "8", "--with-cubature"],
+     "partition.with_cubature:"),
+], ids=["seed", "criteria_string", "criteria_99", "criteria_flag_0", "cubature_ellipse_n3",
+        "cubature_exterior_map_n2"])
+def test_config_error_exits_2(tmp_path, capsys, config, argv, field):
+    # each of these used to escape main with a traceback and exit 1
+    cfg = _write_config(tmp_path, {"schema_version": 1, **config})
+    assert run(["--config", cfg, "--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("flags,block,written", [
     (["sample", "--N", "8", "--steps", "3000"],
      {"ensemble": {"N": 8}, "sample": {"steps": 3000}}, "chain_*_summary.json"),

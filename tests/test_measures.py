@@ -338,6 +338,11 @@ def test_bl_range_and_validation():
 # discretization
 # ---------------------------------------------------------------------------
 
+def _mass_between(strip, a, b):
+    # strip mass between the ordinates a and b
+    return float(strip.cdf(b) - strip.cdf(a)) if b > a else 0.0
+
+
 @pytest.fixture(scope="module")
 def nu_eps():
     return cl.smooth(cl.equilibrium_discretization(DISK, 128), 0.1)
@@ -349,6 +354,14 @@ def test_discretize_basic_counts(nu_eps):
     assert res.points_discarded <= math.ceil(math.sqrt(64))
     assert res.min_separation > 0
     assert res.separation_constant >= 0.3
+
+
+def test_discretize_diagnostics_equal_standalone_values(nu_eps):
+    # separation and energy share one distance array; both stay bit-identical
+    res = cl.discretize(nu_eps, 64)
+    pts = res.configuration.points
+    assert res.discrete_energy == cl.discrete_energy(res.configuration)
+    assert res.min_separation == min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
 
 
 def test_discretize_rectangle_masses(nu_eps):
@@ -365,7 +378,7 @@ def test_discretize_rectangle_masses(nu_eps):
         ys = np.sort(pts.imag[pts.real == x])
         strip = _StripCDF(nu_eps, x, x + width)
         for a, b in zip(ys[:-1], ys[1:]):
-            assert strip.mass_between(a, b) == pytest.approx(1.0 / N, abs=1e-9)
+            assert _mass_between(strip, a, b) == pytest.approx(1.0 / N, abs=1e-9)
             checked += 1
     assert checked > 0
 
@@ -477,8 +490,8 @@ def test_strip_support_bottom_is_greatest_zero_ordinate():
     strip = _StripCDF(nu, 0.3, 0.6)  # dx = 0.3 from the center
     expected = -math.sqrt(eps**2 - 0.3**2)
     assert strip.support_bottom == pytest.approx(expected, abs=1e-14)
-    assert strip.mass_between(-1.0, strip.support_bottom) == pytest.approx(0.0, abs=1e-15)
-    assert strip.mass_between(strip.support_bottom, strip.support_bottom + 0.01) > 0
+    assert _mass_between(strip, -1.0, strip.support_bottom) == pytest.approx(0.0, abs=1e-15)
+    assert _mass_between(strip, strip.support_bottom, strip.support_bottom + 0.01) > 0
 
 
 def test_strip_cdf_closed_form_quad_oracle():

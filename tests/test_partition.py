@@ -1,6 +1,7 @@
 """Partition values, asymptote, bounds and cubature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy.integrate import quad
 
 import coulomblab as cl
 from coulomblab.measures import _green_average, equilibrium_discretization, smooth
-from coulomblab.partition import (PartitionReport, _interior_nodes,
-                                  _log_density_self_average, build_report)
+from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _disk_radial_nodes,
+                                  _exterior_nodes, _interior_nodes,
+                                  _log_density_self_average, _pair_angular_factor, _pair_sum,
+                                  build_report)
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -162,6 +165,53 @@ def test_interior_nodes_sum_to_area(K):
 def test_segment_has_no_interior_nodes():
     z, w = _interior_nodes(SEGMENT, 24, 64)
     assert z.size == w.size == 0
+
+
+def _angular_factor_one_shot(r, beta, n_theta):
+    # oracle: the whole (r_i, r_j, theta) tensor in one temporary
+    th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
+    d2 = (r[:, None, None] ** 2 + r[None, :, None] ** 2
+          - 2.0 * np.outer(r, r)[:, :, None] * np.cos(th)[None, None, :])
+    return np.mean(d2 ** (beta / 2.0), axis=-1) * 2 * math.pi
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_blocked_angular_factor_is_bit_identical(beta):
+    # the refined grid of criterion 1's cubature: (144, 144, 96) values
+    r, _ = _disk_radial_nodes(DISK, cl.EnsembleParams(2, 8.0, beta, 0.1), 36)
+    assert r.size ** 2 * 96 > 4 * _BLOCK_VALUES
+    blocked = _pair_angular_factor(r, beta, 96)
+    assert blocked.tobytes() == _angular_factor_one_shot(r, beta, 96).tobytes()
+
+
+def test_blocked_pair_sum_matches_one_shot():
+    K = cl.Ellipse(0.0, 2.0, 1.0)
+    p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
+    zi, wi = _interior_nodes(K, 12, 32)
+    ze, we = _exterior_nodes(K, p, 12, 32)
+    z, w = np.concatenate([zi, ze]), np.concatenate([wi, we])
+    assert z.size ** 2 > 4 * _BLOCK_VALUES
+    one_shot = float(w @ (np.abs(z[:, None] - z[None, :]) ** 2.0) @ w)
+    assert _pair_sum(z, w, 2.0) == pytest.approx(one_shot, rel=1e-13)
+
+
+def test_pair_cubature_peak_memory_is_bounded():
+    # the refined segment grid has 10368 nodes: one unblocked row chunk of
+    # the pair matrix alone took about 340 MB
+    tracemalloc.start()
+    try:
+        cl.partition_cubature(SEGMENT, cl.EnsembleParams(2, 8.0, 2.0, 0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_cubature_segment_hard_wall_is_zero():
+    # at s = inf the segment has neither exterior nor interior nodes: an
+    # empty pair kernel, whose sum is 0
+    for N in (1, 2):
+        assert cl.partition_cubature(SEGMENT, cl.EnsembleParams(N, math.inf, 2.0, 0.1)) == 0.0
 
 
 def test_cubature_rejections():
