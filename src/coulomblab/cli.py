@@ -148,11 +148,15 @@ def _fields(cfg: dict, block: str, **kinds):
     return [_convert(f"{block}.{key}", kind, cfg[block][key]) for key, kind in kinds.items()]
 
 
+def _ensemble_fields(cfg: dict):
+    """The ensemble block's N, s, beta and c0, converted but not yet checked
+    against the ensemble constraint."""
+    return _fields(cfg, "ensemble", N=int, s=_parse_s, beta=float, c0=float)
+
+
 def _build(cfg: dict):
     K = potential.compact_set_from_dict(cfg["set"])
-    params = sampler.EnsembleParams(*_fields(cfg, "ensemble", N=int, s=_parse_s,
-                                             beta=float, c0=float))
-    return K, params
+    return K, sampler.EnsembleParams(*_ensemble_fields(cfg))
 
 
 def _chain_config(cfg: dict) -> sampler.ChainConfig:
@@ -230,17 +234,20 @@ def _cmd_fekete(cfg, args) -> int:
 
 
 def _cmd_partition(cfg, args) -> int:
-    K, params = _build(cfg)
+    K = potential.compact_set_from_dict(cfg["set"])
+    N, s, beta, c0 = _ensemble_fields(cfg)
     pc = cfg["partition"]
     n_values, s_values = _fields(cfg, "partition", N_values=_optional(_list_of(int)),
                                  s_values=_optional(_list_of(_parse_s)))
-    n_values, s_values = n_values or [params.N], s_values or [params.s]
+    # N_values and s_values replace the ensemble's N and s, so only the
+    # (N, s) pairs that run are checked, all before any of them runs
+    grid = [(n, [sampler.EnsembleParams(n, si, beta, c0) for si in s_values or [s]])
+            for n in n_values or [N]]
     out = _outdir(cfg, args)
     rows, reports = [], []
-    for n in n_values:
-        for s in s_values:
-            p = sampler.EnsembleParams(n, s, params.beta, params.c0)
-            fr = fekete.solve(K, n, seed=cfg["seed"]) if pc["with_bounds"] and n >= 2 else None
+    for n, row_params in grid:
+        fr = fekete.solve(K, n, seed=cfg["seed"]) if pc["with_bounds"] and n >= 2 else None
+        for p in row_params:
             try:
                 rep = partition.build_report(K, p, fekete_result=fr,
                                              with_cubature=pc["with_cubature"] and n <= 3)

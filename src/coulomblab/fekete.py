@@ -6,7 +6,9 @@ solver works directly in the boundary parametrization where containment
 is exact by construction: the points are b(theta) = psi(e^{i theta}) for
 the exterior map psi of every set type, and one boundary_jet call gives b
 and its first two angle derivatives.  One damped Newton ascent with the
-full angle Hessian serves every set type.
+full angle Hessian serves every set type.  Each ascent starts from a
+stratified sample of the equilibrium measure, which is uniform in the
+uniformizing angle: one angle drawn uniformly in each of N equal arcs.
 """
 
 from __future__ import annotations
@@ -142,18 +144,26 @@ def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
     return pts, trace, it, reason
 
 
+def _stratified_angles(rng: np.random.Generator, N: int) -> np.ndarray:
+    """theta_k = 2 pi (k + u_k) / N with u_k ~ U(0, 1): one angle in each
+    arc [2 pi k / N, 2 pi (k + 1) / N), a stratified sample of the
+    equilibrium measure pulled back to the unit circle."""
+    return 2.0 * math.pi * (np.arange(N) + rng.uniform(0.0, 1.0, N)) / N
+
+
 def solve(K: CompactSet, N: int, starts: Optional[int] = None,
           max_iterations: int = 5000, seed=None) -> FeketeResult:
     """Multistart Newton ascent for an N-point weighted Fekete configuration.
 
-    Starts are equilibrium draws jittered in the boundary angle, each
-    ascended by `_ascend`.  The start with the largest log_delta is returned
-    whether or not it converged; `converged` reports whether that start met
-    the angle-gradient tolerance 1e-8 N, `stop_reason` why its ascent
-    stopped, `start_index` which start it was, and `starts` the log_delta,
-    iterations and stop reason of every start.  All iterates lie on the
-    boundary of K, so the containment diagnostic max_green_violation is at
-    the rounding level.
+    Each start is a stratified sample of the equilibrium measure in the
+    boundary angle (`_stratified_angles`, from the start's own child
+    generator), ascended by `_ascend`.  The start with the largest
+    log_delta is returned whether or not it converged; `converged` reports
+    whether that start met the angle-gradient tolerance 1e-8 N,
+    `stop_reason` why its ascent stopped, `start_index` which start it was,
+    and `starts` the log_delta, iterations and stop reason of every start.
+    All iterates lie on the boundary of K, so the containment diagnostic
+    max_green_violation is at the rounding level.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -162,8 +172,7 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     best = None
     records = []
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_starts)):
-        rng = np.random.default_rng(child)
-        theta0 = rng.uniform(0.0, 2.0 * math.pi, N) + rng.normal(0.0, 0.1, N)
+        theta0 = _stratified_angles(np.random.default_rng(child), N)
         pts, trace, its, reason = _ascend(K, theta0, max_iterations, grad_tol)
         config = Configuration(pts)
         val = log_delta(K, config)

@@ -397,9 +397,11 @@ class PartitionReport:
             return "" if v is None else f"{v:.12g}"
         s = "inf" if self.s == math.inf else f"{self.s:g}"
         return ",".join([str(self.N), s, fmt(self.exact), fmt(self.lower),
-                         fmt(self.upper), fmt(self.asymptote), fmt(self.residual)])
+                         fmt(self.upper), fmt(self.asymptote), fmt(self.residual),
+                         fmt(self.cubature)])
 
-    CSV_HEADER = "N,s,exact,lower,upper,asymptote,residual"
+    # cubature comes last so the earlier columns keep their positions
+    CSV_HEADER = "N,s,exact,lower,upper,asymptote,residual,cubature"
 
 
 def build_report(K: CompactSet, params: EnsembleParams,

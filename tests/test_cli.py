@@ -189,6 +189,48 @@ def test_partition_s_inf_sentinel(tmp_path):
     assert out["reports"][0]["exact"] == pytest.approx(4 * math.log(math.pi))
 
 
+def test_partition_n_values_checked_against_s(tmp_path, capsys):
+    # N_values replaces the ensemble's N = 16, so only N = 1 and 3 meet s = 8
+    cfg = _write_config(tmp_path, {"schema_version": 1,
+                                   "partition": {"N_values": [1, 3], "with_cubature": True}})
+    assert run(["--config", cfg, "--out", str(tmp_path / "ok"), "partition", "--s", "8"]) == 0
+    lines = next((tmp_path / "ok").glob("partition_*.csv")).read_text().splitlines()
+    reports = json.loads(next((tmp_path / "ok").glob("partition_*.json")).read_text())["reports"]
+    assert lines[0].split(",")[-1] == "cubature"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+    # the last CSV column is the cubature value of the JSON report
+    for line, rep in zip(lines[1:], reports):
+        assert float(line.split(",")[-1]) == pytest.approx(rep["cubature"], rel=1e-11)
+    # an N >= s among N_values still violates the constraint, before anything runs
+    cfg = _write_config(tmp_path, {"schema_version": 1, "partition": {"N_values": [1, 8]}})
+    assert run(["--config", cfg, "--out", str(tmp_path / "bad"), "partition", "--s", "8"]) == 3
+    assert "got s = 8, N = 8" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_partition_one_fekete_solve_per_n(tmp_path, monkeypatch):
+    solve, solved = cli.fekete.solve, []
+
+    def counting_solve(K, n, **kwargs):
+        solved.append(n)
+        return solve(K, n, **kwargs)
+
+    monkeypatch.setattr(cli.fekete, "solve", counting_solve)
+    cfg = _write_config(tmp_path, {"schema_version": 1, "seed": 3,
+                                   "partition": {"N_values": [2, 4], "s_values": [8, 16, 32]}})
+    assert run(["--config", cfg, "--out", str(tmp_path), "partition", "--with-bounds"]) == 0
+    assert solved == [2, 4]
+    # each row equals a report built from its own solve
+    reports = json.loads(next(tmp_path.glob("partition_*.json")).read_text())["reports"]
+    K = cli.potential.Disk(0.0, 1.0)
+    expected = [cli.partition.build_report(K, cli.sampler.EnsembleParams(n, s, 2.0, 0.1),
+                                           fekete_result=solve(K, n, seed=3))
+                for n in (2, 4) for s in (8.0, 16.0, 32.0)]
+    assert reports == [rep.to_dict() for rep in expected]
+    lines = next(tmp_path.glob("partition_*.csv")).read_text().splitlines()
+    assert lines[1:] == [rep.csv_row() for rep in expected]
+
+
 def test_fekete_pair_log_delta(tmp_path):
     code = run(["--out", str(tmp_path), "fekete", "--N", "2"])
     assert code == 0

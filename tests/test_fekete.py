@@ -8,7 +8,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 import coulomblab as cl
-from coulomblab.fekete import _angle_derivatives, _ascend
+from coulomblab.fekete import _angle_derivatives, _ascend, _stratified_angles
 from coulomblab.measures import _pair_log_sum
 
 DISK = cl.Disk(0.0, 1.0)
@@ -34,6 +34,37 @@ def test_log_delta_roots_of_unity(n):
     assert math.log(prod) == pytest.approx((n / 2) * math.log(n), abs=1e-9)
     assert cl.log_delta(DISK, cl.Configuration(roots)) == pytest.approx(
         (n / 2) * math.log(n), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# starts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 7, 60])
+def test_stratified_angles_one_per_arc(n):
+    # exactly one start angle in each arc [2 pi k / N, 2 pi (k + 1) / N)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        theta = _stratified_angles(rng, n)
+        arcs = np.floor(theta / (2.0 * math.pi / n)).astype(int)
+        assert theta.shape == (n,)
+        assert np.array_equal(np.sort(arcs), np.arange(n))
+
+
+def test_verify_solves_converge_from_stratified_starts():
+    # the seven solves of criteria 3 and 4: every start reaches the gradient
+    # tolerance at the same optimum, in at most 470 Newton iterations in all
+    # (420 measured)
+    jobs = [(DISK, n, 40 + n) for n in (8, 16, 32, 64)]
+    jobs += [(DISK, 60, 81), (SEGMENT, 60, 82), (cl.Ellipse(0.0, 2.0, 1.0), 60, 83)]
+    total = 0
+    for K, n, seed in jobs:
+        res = cl.solve(K, n, seed=seed)
+        assert {rec["stop_reason"] for rec in res.starts} == {"gradient_tol"}
+        values = np.array([rec["log_delta"] for rec in res.starts])
+        assert np.ptp(values) <= 1e-12 * abs(res.log_delta)
+        total += sum(rec["iterations"] for rec in res.starts)
+    assert total <= 470
 
 
 # ---------------------------------------------------------------------------

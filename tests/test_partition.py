@@ -361,6 +361,6 @@ def test_report_lower_bound_terms():
         assert d[k] == getattr(b, k)
     assert d["lower"] == b.lower
     # the terms stay out of the CSV
-    assert PartitionReport.CSV_HEADER == "N,s,exact,lower,upper,asymptote,residual"
-    assert rep.csv_row().count(",") == 6
+    assert PartitionReport.CSV_HEADER == "N,s,exact,lower,upper,asymptote,residual,cubature"
+    assert rep.csv_row().count(",") == 7
     assert "nu_energy" not in build_report(DISK, p).to_dict()
