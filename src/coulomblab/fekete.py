@@ -6,7 +6,9 @@ solver works directly in the boundary parametrization where containment
 is exact by construction: the points are b(theta) = psi(e^{i theta}) for
 the exterior map psi of every set type, and one boundary_jet call gives b
 and its first two angle derivatives.  One damped Newton ascent with the
-full angle Hessian serves every set type.  Each ascent starts from a
+full angle Hessian serves every set type; each step solves with a
+Cholesky factor of the negated Hessian plus a multiple of the identity,
+raised tenfold until the factorization succeeds.  Each ascent starts from a
 stratified sample of the equilibrium measure, which is uniform in the
 uniformizing angle: one angle drawn uniformly in each of N equal arcs.
 """
@@ -20,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .measures import Configuration, _pair_distances, _pair_log_sum
 from .potential import CompactSet
@@ -34,7 +37,8 @@ class FeketeResult:
     iterations: int = 0
     start_index: int = -1
     stop_reason: str = ""  # "gradient_tol", "line_search" or "max_iterations"
-    starts: list = field(default_factory=list)  # per start: log_delta, iterations, stop_reason
+    # per start: log_delta, iterations, stop_reason, shifted_steps
+    starts: list = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -65,7 +69,9 @@ def log_delta(K: CompactSet, c: Configuration) -> float:
     return float(_pair_log_sum(pts) - (n - 1) * np.sum(g))
 
 
-_EIG_FLOOR = 1e-8  # curvature floor relative to the largest |Hessian eigenvalue|
+_SHIFT_START = 1e-8  # first shift of the negated Hessian, relative to its largest row sum
+_SHIFT_GROWTH = 10.0  # factor by which each failed factorization raises the shift
+_FACTORIZATIONS = 10  # the last shift, 10 times the largest row sum, dominates every eigenvalue
 
 
 def _angle_derivatives(K: CompactSet, theta: np.ndarray):
@@ -89,13 +95,44 @@ def _angle_derivatives(K: CompactSet, theta: np.ndarray):
     return pts, grad, hess
 
 
+def _newton_step(hess: np.ndarray, grad: np.ndarray):
+    """Ascent step p solving (A + tau I) p = grad with A = -hess, and the
+    number of times tau was raised (Cholesky with added multiple of the
+    identity, Nocedal & Wright, Numerical Optimization, Algorithm 3.3).
+
+    tau starts at 1e-8 R, with R = ||A||_inf the largest absolute row sum,
+    which bounds every |eigenvalue| of A, and grows tenfold while the
+    Cholesky factorization of A + tau I fails.  Where A is positive definite
+    the step is the Newton step up to a relative O(tau / lambda); where it is
+    indefinite the shift makes it an ascent direction.  By Gershgorin
+    A + tau I is positive definite once tau > R, so the tenth attempt
+    (tau = 10 R) succeeds for every finite Hessian; LinAlgError is raised
+    otherwise.  A factor with a non-finite diagonal counts as failed, since
+    LAPACK passes NaN pivots.
+    """
+    shifted = -hess
+    diag = np.diagonal(shifted).copy()
+    tau = _SHIFT_START * float(np.max(np.sum(np.abs(hess), axis=1)))
+    for shifts in range(_FACTORIZATIONS):
+        np.fill_diagonal(shifted, diag + tau)
+        factor, info = dpotrf(shifted, lower=False, clean=False)
+        if info == 0 and np.all(np.isfinite(np.diagonal(factor))):
+            return dpotrs(factor, grad)[0], shifts
+        tau *= _SHIFT_GROWTH
+    raise np.linalg.LinAlgError(f"no Cholesky factorization of the shifted negated Hessian "
+                                f"in {_FACTORIZATIONS} attempts: the Hessian is not finite")
+
+
 def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
     """Damped Newton ascent over boundary angles with the full Hessian.
 
-    Each eigenvalue of the negated Hessian is replaced by its modulus,
-    floored at 1e-8 of the largest, so the step is an ascent direction where
-    the Hessian is indefinite, and a direction without curvature (the
-    disk's rotation) takes no step.  The step is halved until the gain,
+    Each step comes from `_newton_step`: a Cholesky solve with the negated
+    Hessian plus tau I, where tau starts at 1e-8 of its largest row sum and
+    grows tenfold until the sum is positive definite.  The step is thus an
+    ascent direction where the Hessian is indefinite, and a direction
+    without curvature (the disk's rotation) takes only its rounding-level
+    gradient component divided by tau.  The returned `shifted` counts the
+    steps that needed tau raised.  The step is halved until the gain,
     summed per pair, is positive.  Near the optimum that gain can fall below
     the rounding of the sum (eps times sum |log d_ij|); such a step is taken
     only if it lowers the largest angle-gradient component, so the trace can
@@ -111,16 +148,14 @@ def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
     obj = float(np.sum(logs))
     trace = [obj]
     reason = "max_iterations"
-    it = 0
+    it = shifted = 0
     for it in range(1, max_iter + 1):
         grad_max = float(np.max(np.abs(grad)))
         if grad_max <= grad_tol:
             reason = "gradient_tol"
             break
-        lam, vecs = np.linalg.eigh(-hess)
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIG_FLOOR * lam.max())
-        step = vecs @ ((vecs.T @ grad) / lam)
+        step, shifts = _newton_step(hess, grad)
+        shifted += shifts > 0
         rounding = np.finfo(float).eps * float(np.sum(np.abs(logs)))
         accepted = False
         for _ in range(60):
@@ -141,7 +176,7 @@ def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
         theta, pts, grad, hess, logs = cand, cand_pts, cand_grad, cand_hess, cand_logs
         obj += gain
         trace.append(obj)
-    return pts, trace, it, reason
+    return pts, trace, it, reason, shifted
 
 
 def _stratified_angles(rng: np.random.Generator, N: int) -> np.ndarray:
@@ -161,7 +196,8 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     log_delta is returned whether or not it converged; `converged` reports
     whether that start met the angle-gradient tolerance 1e-8 N,
     `stop_reason` why its ascent stopped, `start_index` which start it was,
-    and `starts` the log_delta, iterations and stop reason of every start.
+    and `starts` the log_delta, iterations, stop reason and shifted steps
+    (steps whose first Cholesky factorization failed) of every start.
     All iterates lie on the boundary of K, so the containment diagnostic
     max_green_violation is at the rounding level.
     """
@@ -173,10 +209,11 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     records = []
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_starts)):
         theta0 = _stratified_angles(np.random.default_rng(child), N)
-        pts, trace, its, reason = _ascend(K, theta0, max_iterations, grad_tol)
+        pts, trace, its, reason, shifted = _ascend(K, theta0, max_iterations, grad_tol)
         config = Configuration(pts)
         val = log_delta(K, config)
-        records.append({"log_delta": val, "iterations": its, "stop_reason": reason})
+        records.append({"log_delta": val, "iterations": its, "stop_reason": reason,
+                        "shifted_steps": shifted})
         if best is None or val > best[0]:
             best = (val, config, trace, its, reason, idx)
     val, config, trace, its, reason, idx = best

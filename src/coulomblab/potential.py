@@ -52,8 +52,13 @@ def _as_complex(z):
 
 
 def _snap(g):
-    g = np.where(g > _GREEN_SNAP, g, 0.0)
-    return g if g.ndim else float(g)
+    """Zero every value of a freshly computed green array that is not above
+    _GREEN_SNAP (NaN included), in place; a 0-d input, which ufuncs return
+    as a numpy scalar, comes back as a float."""
+    if g.ndim:
+        g[~(g > _GREEN_SNAP)] = 0.0
+        return g
+    return float(g) if g > _GREEN_SNAP else 0.0
 
 
 class _LaurentSet:

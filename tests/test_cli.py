@@ -252,9 +252,11 @@ def test_fekete_per_start_telemetry(tmp_path):
     for record in (summary, meta):
         starts = record["starts"]
         assert len(starts) == 3
-        assert all(set(st) == {"log_delta", "iterations", "stop_reason"} for st in starts)
+        assert all(set(st) == {"log_delta", "iterations", "stop_reason", "shifted_steps"}
+                   for st in starts)
         assert all(st["stop_reason"] == "gradient_tol" and st["iterations"] >= 1
                    for st in starts)
+        assert all(0 <= st["shifted_steps"] <= st["iterations"] for st in starts)
         best = starts[record["start_index"]]
         assert best["log_delta"] == record["log_delta"] == max(st["log_delta"] for st in starts)
         assert best["iterations"] == record["iterations"]

@@ -8,7 +8,8 @@ import pytest
 from scipy.special import roots_jacobi
 
 import coulomblab as cl
-from coulomblab.fekete import _angle_derivatives, _ascend, _stratified_angles
+import coulomblab.fekete as fekete
+from coulomblab.fekete import _angle_derivatives, _ascend, _newton_step, _stratified_angles
 from coulomblab.measures import _pair_log_sum
 
 DISK = cl.Disk(0.0, 1.0)
@@ -54,17 +55,124 @@ def test_stratified_angles_one_per_arc(n):
 def test_verify_solves_converge_from_stratified_starts():
     # the seven solves of criteria 3 and 4: every start reaches the gradient
     # tolerance at the same optimum, in at most 470 Newton iterations in all
-    # (420 measured)
+    # (420 measured, the same per solve with the eigen-step of
+    # _eigen_floor_step as with the shifted Cholesky step)
     jobs = [(DISK, n, 40 + n) for n in (8, 16, 32, 64)]
     jobs += [(DISK, 60, 81), (SEGMENT, 60, 82), (cl.Ellipse(0.0, 2.0, 1.0), 60, 83)]
-    total = 0
+    sums = []
     for K, n, seed in jobs:
         res = cl.solve(K, n, seed=seed)
         assert {rec["stop_reason"] for rec in res.starts} == {"gradient_tol"}
         values = np.array([rec["log_delta"] for rec in res.starts])
         assert np.ptp(values) <= 1e-12 * abs(res.log_delta)
-        total += sum(rec["iterations"] for rec in res.starts)
-    assert total <= 470
+        sums.append(sum(rec["iterations"] for rec in res.starts))
+    assert sums == [44, 51, 57, 61, 60, 89, 58]
+    assert sum(sums) <= 470
+
+
+# ---------------------------------------------------------------------------
+# Newton step
+# ---------------------------------------------------------------------------
+
+def _eigen_floor_step(hess, grad):
+    """The former step: each eigenvalue of the negated Hessian replaced by
+    its modulus, floored at 1e-8 of the largest."""
+    lam, vecs = np.linalg.eigh(-hess)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, 1e-8 * lam.max())
+    return vecs @ ((vecs.T @ grad) / lam)
+
+
+def _first_start(K, n, seed):
+    child = np.random.SeedSequence(seed).spawn(8)[0]
+    return _stratified_angles(np.random.default_rng(child), n)
+
+
+def _shift(hess, shifts):
+    return 1e-8 * np.max(np.sum(np.abs(hess), axis=1)) * 10.0**shifts
+
+
+def _segment_iterates(starts=2, steps=11):
+    """(hess, grad) along full Newton steps from the first starts of the
+    segment's N = 60 solve at seed 82."""
+    children = np.random.SeedSequence(82).spawn(8)[:starts]
+    for child in children:
+        theta = _stratified_angles(np.random.default_rng(child), 60)
+        for _ in range(steps):
+            _, grad, hess = _angle_derivatives(SEGMENT, theta)
+            yield hess, grad
+            theta = theta + _newton_step(hess, grad)[0]
+
+
+def _step_cases():
+    yield from _segment_iterates()
+    for K, seed in ((cl.Ellipse(0.0, 2.0, 1.0), 83), (cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)), 0),
+                    (DISK, 81)):
+        _, grad, hess = _angle_derivatives(K, _first_start(K, 60, seed))
+        yield hess, grad
+
+
+def test_newton_step_solves_shifted_system():
+    # (A + tau I) p = g with A = -H and tau = 1e-8 ||A||_inf 10^shifts
+    for hess, grad in _step_cases():
+        step, shifts = _newton_step(hess, grad)
+        shifted = -hess + _shift(hess, shifts) * np.eye(grad.size)
+        assert np.linalg.norm(shifted @ step - grad) <= 1e-10 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("K, seed", [(cl.Ellipse(0.0, 2.0, 1.0), 83),
+                                     (cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)), 0)])
+def test_newton_step_ascends_on_indefinite_hessian(K, seed):
+    # the Hessian at the first stratified start is indefinite; three tenfold
+    # shift increases make A + tau I positive definite
+    _, grad, hess = _angle_derivatives(K, _first_start(K, 60, seed))
+    assert np.linalg.eigvalsh(-hess)[0] < 0.0
+    step, shifts = _newton_step(hess, grad)
+    assert shifts == 3
+    assert grad @ step > 0.0
+    assert np.all(np.linalg.eigvalsh(-hess + _shift(hess, shifts) * np.eye(60)) > 0.0)
+
+
+def test_newton_step_matches_eigen_step_when_well_conditioned():
+    # oracle: _eigen_floor_step, which is the exact Newton step where every
+    # eigenvalue of A is above its floor.  The shift perturbs each eigen-
+    # component by tau / (lambda + tau), so |p - q| <= (tau / lambda_min) |q|;
+    # where lambda_min >= 1e-2 lambda_max that is about 1e-6 (2e-7 measured)
+    tight = 0
+    for hess, grad in _segment_iterates():
+        lam = np.linalg.eigvalsh(-hess)
+        if lam[0] < 1e-4 * lam[-1]:
+            continue
+        step, shifts = _newton_step(hess, grad)
+        oracle = _eigen_floor_step(hess, grad)
+        rel = np.linalg.norm(step - oracle) / np.linalg.norm(oracle)
+        assert shifts == 0
+        assert rel <= _shift(hess, 0) / lam[0] + 1e-12
+        if lam[0] >= 1e-2 * lam[-1]:
+            assert rel <= 1e-6
+            tight += 1
+    assert tight >= 10
+
+
+def test_newton_step_rejects_nan_hessian(monkeypatch):
+    # LAPACK passes a NaN pivot without error; the step still stops after
+    # ten factorizations and raises what eigh raised
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    real = fekete.dpotrf
+    monkeypatch.setattr(fekete, "dpotrf", counting)
+    _, grad, hess = _angle_derivatives(SEGMENT, _first_start(SEGMENT, 12, 82))
+    for i, j in ((3, 3), (2, 5)):
+        bad = hess.copy()
+        bad[i, j] = bad[j, i] = np.nan
+        calls.clear()
+        with pytest.raises(np.linalg.LinAlgError):
+            _newton_step(bad, grad)
+        assert 1 <= len(calls) <= 10
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +261,7 @@ def test_stop_reason_line_search():
     # gradient, well short of the iteration cap
     rng = np.random.default_rng(15)
     theta0 = rng.uniform(0.0, 2.0 * math.pi, 20)
-    _, trace, its, reason = _ascend(cl.Ellipse(0.0, 2.0, 1.0), theta0, 200, 0.0)
+    _, trace, its, reason, _ = _ascend(cl.Ellipse(0.0, 2.0, 1.0), theta0, 200, 0.0)
     assert reason == "line_search"
     assert its < 50
     assert trace[-1] - trace[-4] == pytest.approx(0.0, abs=1e-12)
@@ -229,8 +337,9 @@ def test_fekete_result_save(tmp_path):
     assert meta["start_index"] == res.start_index
     assert len(meta["starts"]) == 8
     for rec in meta["starts"]:
-        assert set(rec) == {"log_delta", "iterations", "stop_reason"}
+        assert set(rec) == {"log_delta", "iterations", "stop_reason", "shifted_steps"}
         assert rec["iterations"] >= 1 and rec["stop_reason"] == "gradient_tol"
+        assert 0 <= rec["shifted_steps"] <= rec["iterations"]
     assert meta["starts"][res.start_index]["log_delta"] == pytest.approx(res.log_delta)
     assert max(rec["log_delta"] for rec in meta["starts"]) == pytest.approx(res.log_delta)
     loaded = cl.Configuration.load_csv(tmp_path / "fekete_run.csv")

@@ -54,6 +54,31 @@ def test_green_disk_equals_masked_formula():
         assert repr(K.green(point)) == repr(_disk_green_masked(K, point))
 
 
+def _snap_where(g):
+    """The former snap: a new array from np.where, a float for 0-d input."""
+    g = np.where(g > 1e-15, g, 0.0)
+    return g if g.ndim else float(g)
+
+
+def test_snap_equals_where_formula():
+    # bit for bit against np.where on +-0.0, float dust, the threshold, inf
+    # and NaN, for arrays (snapped in place), 0-d arrays and numpy scalars
+    values = [0.0, -0.0, 1e-16, 1e-15, np.nextafter(1e-15, 1.0), 2e-15, 0.5,
+              math.inf, -math.inf, math.nan]
+    arr = np.array(values)
+    expected = _snap_where(arr)
+    snapped = _snap(arr.copy())
+    assert snapped.tobytes() == expected.tobytes()
+    assert snapped.tobytes() == np.array([0.0] * 4 + values[4:7] + [math.inf, 0.0, 0.0]).tobytes()
+    for shape in ((1,), (2, 5)):
+        assert _snap(arr[:np.prod(shape)].reshape(shape).copy()).shape == shape
+    for v in values:
+        for g in (np.float64(v), np.array(v)):
+            new, old = _snap(g), _snap_where(g)
+            assert type(new) is float and repr(new) == repr(old)
+            assert math.copysign(1.0, new) == 1.0
+
+
 def test_green_segment_inverse_joukowski():
     # oracle: w = (z + sqrt(z^2 - 4)) / 2 on the |w| >= 1 branch
     z = 3.0
