@@ -1,9 +1,12 @@
 """Planar measures, logarithmic energies, mollification and the
 bounded-Lipschitz metric.
 
-The smoothed measure of an atomic base is an exact mixture of uniform
-disk blocks, so pair energies reduce to the closed uniform-disk potential
-with numeric quadrature only for overlapping blocks.
+Each measure class carries its own energy, Green average and support
+test, and the atomic and smoothed ones their logarithmic potential; the
+module functions continuous_energy and weighted_energy only combine them.
+The smoothed measure of an atomic base is an exact mixture of uniform disk
+blocks, so pair energies reduce to the closed uniform-disk potential plus,
+for overlapping blocks, one radial lens integral.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, vstack
+from scipy.special import xlogy
+
+from .potential import Disk, contains, equilibrium_integral
 
 _PROB_TOL = 1e-12
 
@@ -82,6 +88,23 @@ class AtomicMeasure:
     def __len__(self) -> int:
         return self.points.size
 
+    def energy(self) -> float:
+        """Off-diagonal discrete energy of the atoms (discrete_energy)."""
+        return discrete_energy(self.points)
+
+    def log_potential(self, z):
+        """sum_i w_i log 1/|z - x_i|, +inf at an atom."""
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore"):
+            out = -np.log(np.abs(z[..., None] - self.points)) @ self.weights
+        return out if z.ndim else float(out)
+
+    def green_average(self, K) -> float:
+        return float(np.dot(np.atleast_1d(K.green(self.points)), self.weights))
+
+    def support_meets_complement(self, K) -> bool:
+        return not contains(K, self.points)
+
     def merged(self) -> "AtomicMeasure":
         """Combine exactly coincident atoms."""
         pts, inv = np.unique(self.points, return_inverse=True)
@@ -125,6 +148,30 @@ class SmoothedMeasure:
     def is_probability(self) -> bool:
         return self.base.is_probability
 
+    def energy(self) -> float:
+        """Self energy 1/4 - log eps of each block plus the block pair
+        energies of _disk_pair_energy."""
+        pts, w, eps = self.base.points, self.base.weights, self.epsilon
+        iu, ju = _pair_index(pts.size)
+        cross = np.sum(w[iu] * w[ju] * _disk_pair_energy(_pair_distances(pts), eps))
+        return float(np.sum(w * w) * (0.25 - math.log(eps)) + 2.0 * cross)
+
+    def log_potential(self, z):
+        """The exact uniform-disk potential of each block, summed."""
+        z = np.asarray(z, dtype=complex)
+        d = np.abs(z[..., None] - self.base.points)
+        out = uniform_disk_potential(d, self.epsilon) @ self.base.weights
+        return out if z.ndim else float(out)
+
+    def green_average(self, K) -> float:
+        return float(sum(w * _disk_green_average(K, x, self.epsilon)
+                         for x, w in zip(self.base.points, self.base.weights)))
+
+    def support_meets_complement(self, K) -> bool:
+        # green is subharmonic, so a block meets the complement where its
+        # rim does
+        return not contains(K, _ring(self.base.points[:, None], self.epsilon, 256))
+
     def density(self, z):
         z = np.asarray(z, dtype=complex)
         d = np.abs(z[..., None] - self.base.points)
@@ -167,7 +214,8 @@ class SmoothedMeasure:
 
 @dataclass(frozen=True)
 class CircleMeasure:
-    """Uniform probability measure on a circle."""
+    """Uniform probability measure on a circle: the equilibrium measure of
+    Disk(center, radius), whose midpoint nodes it shares."""
 
     center: complex = 0.0 + 0.0j
     radius: float = 1.0
@@ -177,11 +225,20 @@ class CircleMeasure:
             raise ValueError("radius must be positive")
 
     def boundary_points(self, n: int):
-        theta = (np.arange(n) + 0.5) * (2 * math.pi / n)
-        return self.center + self.radius * np.exp(1j * theta)
+        return _ring(self.center, self.radius, n)
 
     def mass(self) -> float:
         return 1.0
+
+    def energy(self) -> float:
+        # the potential is constant -log r on the circle
+        return -math.log(self.radius)
+
+    def green_average(self, K) -> float:
+        return equilibrium_integral(Disk(self.center, self.radius), K.green, tol=1e-12)
+
+    def support_meets_complement(self, K) -> bool:
+        return not contains(K, self.boundary_points(4096))
 
 
 @dataclass(frozen=True)
@@ -198,6 +255,17 @@ class DiskUniformMeasure:
     def mass(self) -> float:
         return 1.0
 
+    def energy(self) -> float:
+        return 0.25 - math.log(self.radius)
+
+    def green_average(self, K) -> float:
+        return _disk_green_average(K, self.center, self.radius)
+
+    def support_meets_complement(self, K) -> bool:
+        # green is subharmonic, so the disk meets the complement where its
+        # rim does
+        return not contains(K, _ring(self.center, self.radius, 1024))
+
 
 Measure = Union[AtomicMeasure, SmoothedMeasure, CircleMeasure, DiskUniformMeasure]
 
@@ -211,6 +279,13 @@ def equilibrium_discretization(K, n: int) -> AtomicMeasure:
 def smooth(nu: AtomicMeasure, epsilon: float) -> SmoothedMeasure:
     """Mollify an atomic measure by the normalized epsilon-disk indicator."""
     return SmoothedMeasure(nu, epsilon)
+
+
+def _ring(center, radius: float, n: int):
+    """n points at the midpoint angles of the circle |z - center| = radius
+    (one row per center when center is a column)."""
+    theta = (np.arange(n) + 0.5) * (2 * math.pi / n)
+    return center + radius * np.exp(1j * theta)
 
 
 def uniform_disk_potential(d, eps: float):
@@ -277,151 +352,72 @@ def _gauss(n: int):
     return _GAUSS_CACHE[n]
 
 
-def _gauss_on(f, a: float, b: float, order: int = 32) -> float:
-    x, w = _gauss(order)
-    t = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.dot(f(t), w))
+def _disk_pair_energy(d, eps: float):
+    """Mutual energy of two uniform eps-disks at center distance d, for a
+    scalar or an array of distances.
 
-
-def _disk_pair_energy(d: float, eps: float) -> float:
-    """Mutual energy of two uniform eps-disks at center distance d.
-
-    Exact -log d for disjoint blocks; for overlapping blocks the angular
-    average of the potential is -log max(r, d) plus a C^1 correction that
-    is integrated radially with panels at the kink radii.
+    Exact -log d for disjoint blocks (d >= 2 eps).  Inside the second block
+    its potential is -log rho + H(rho) at rho = |z - d|, with
+    H(rho) = -log eps + (1 - rho^2/eps^2)/2 + log rho, so
+      I(d) = U_eps(d) + (pi eps^2)^{-1} int_0^eps H(rho) rho Theta_d(rho) drho,
+    where U_eps is uniform_disk_potential and
+    Theta_d(rho) = 2 arccos((rho^2 + d^2 - eps^2) / (2 rho d)), clipped to
+    [-1, 1], is the angle of the circle |z - d| = rho inside the first block.
+    Below a = |eps - d| Theta is 2 pi (d < eps) or 0, which integrates to
+    pi a^2 log(a/eps) - pi a^4/(4 eps^2) or 0.  On [a, eps] the substitution
+    rho = a + (eps - a)(1 - cos u)/2 takes the square-root endpoints of
+    Theta to smooth ones for 48 Gauss nodes in u on [0, pi].
+    Temporaries scale with the overlapping pairs only.
     """
-    if d >= 2 * eps:
-        return -math.log(d)
-    if d == 0.0:
-        return 0.25 - math.log(eps)
-
-    def correction(r):
-        # angular correction where |z - d| < eps, z = r e^{i phi}
-        r = np.atleast_1d(r)
-        t = (r**2 + d**2 - eps**2) / (2 * r * d)
-        phi_star = np.arccos(np.clip(t, -1.0, 1.0))
-        out = np.zeros_like(r)
-        for i, (ri, ps) in enumerate(zip(r, phi_star)):
-            if ps <= 0:
-                continue
-
-            def h(phi):
-                rho2 = ri**2 + d**2 - 2 * ri * d * np.cos(phi)
-                rho = np.sqrt(rho2)
-                return -math.log(eps) + 0.5 * (1.0 - rho2 / eps**2) + np.log(rho)
-
-            out[i] = 2.0 * _gauss_on(h, 0.0, ps, order=32) / (2 * math.pi)
-        return out
-
-    def radial(r):
-        base = -np.log(np.maximum(r, d))
-        return (base + correction(r)) * r * (2.0 / eps**2)
-
-    # panel boundaries at the radii where the overlap geometry changes
-    cuts = sorted({0.0, eps} | {x for x in (abs(d - eps), eps - d, d) if 0.0 < x < eps})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += _gauss_on(radial, a, b, order=48)
-    return total
+    d = np.asarray(d, dtype=float)
+    flat = np.atleast_1d(d)
+    with np.errstate(divide="ignore"):
+        out = -np.log(flat)
+    near = flat < 2 * eps
+    if near.any():
+        dn = flat[near]
+        a = np.abs(eps - dn)
+        inside = np.where(dn < eps, a, 0.0)
+        closed = math.pi * (xlogy(inside**2, inside / eps) - inside**4 / (4 * eps**2))
+        x, wq = _gauss(48)
+        u = 0.5 * math.pi * (x + 1.0)
+        rho = a[:, None] + (eps - a)[:, None] * (0.5 * (1.0 - np.cos(u)))
+        h = -math.log(eps) + 0.5 * (1.0 - (rho / eps) ** 2) + np.log(rho)
+        num = rho**2 + dn[:, None] ** 2 - eps**2
+        den = 2.0 * rho * dn[:, None]
+        # coincident blocks (d = 0) have an empty lens interval; Theta = 0
+        t = np.divide(num, den, out=np.ones_like(num), where=den > 0)
+        theta = 2.0 * np.arccos(np.clip(t, -1.0, 1.0))
+        lens = (eps - a) * ((h * rho * theta) @ (0.25 * math.pi * wq * np.sin(u)))
+        out[near] = uniform_disk_potential(dn, eps) + (closed + lens) / (math.pi * eps**2)
+    return out.reshape(d.shape) if d.ndim else float(out[0])
 
 
 def continuous_energy(mu: Measure) -> float:
     """Logarithmic energy of a measure with bounded density or boundary
-    parametrization.
-
-    Smoothed measures use the exact uniform-disk self energy 1/4 - log eps
-    per block and closed/numeric cross terms; circle and disk uniform
-    measures use their closed-form potentials.
+    parametrization, as the measure's own energy(): closed forms for circle
+    and disk uniform measures, block self and pair energies for smoothed
+    ones.  Atomic measures have infinite energy and raise TypeError.
     """
-    if isinstance(mu, CircleMeasure):
-        # potential of the circle measure is constant -log r on the circle
-        return -math.log(mu.radius)
-    if isinstance(mu, DiskUniformMeasure):
-        return 0.25 - math.log(mu.radius)
-    if isinstance(mu, SmoothedMeasure):
-        pts, w, eps = mu.base.points, mu.base.weights, mu.epsilon
-        energy = float(np.sum(w * w) * (0.25 - math.log(eps)))  # diagonal blocks
-        iu, ju = _pair_index(pts.size)
-        d = _pair_distances(pts)
-        far = d >= 2 * eps
-        with np.errstate(divide="ignore"):
-            energy += float(-2.0 * np.sum(w[iu[far]] * w[ju[far]] * np.log(d[far])))
-        near = ~far
-        if near.any():
-            cache: dict = {}
-            dn = d[near]
-            for dist, wi, wj in zip(dn, w[iu[near]], w[ju[near]]):
-                key = round(dist / eps, 10)
-                if key not in cache:
-                    cache[key] = _disk_pair_energy(float(dist), eps)
-                energy += 2.0 * wi * wj * cache[key]
-        return energy
     if isinstance(mu, AtomicMeasure):
         raise TypeError("atomic measures have infinite continuous energy; "
                         "use discrete_energy or smooth first")
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
-
-
-def _green_average(mu: Measure, K) -> float:
-    """Integral of the Green function of K against mu."""
-    if isinstance(mu, AtomicMeasure):
-        return float(np.dot(np.atleast_1d(K.green(mu.points)), mu.weights))
-    if isinstance(mu, CircleMeasure):
-        n, prev = 256, None
-        while True:
-            vals = np.atleast_1d(K.green(mu.boundary_points(n)))
-            est = float(vals.mean())
-            if prev is not None and abs(est - prev) < 1e-12 * max(1.0, abs(est)):
-                return est
-            if n >= 2**18:
-                return est
-            prev, n = est, 2 * n
-    if isinstance(mu, DiskUniformMeasure):
-        return _disk_green_average(K, mu.center, mu.radius)
-    if isinstance(mu, SmoothedMeasure):
-        total = 0.0
-        for x, w in zip(mu.base.points, mu.base.weights):
-            total += w * _disk_green_average(K, x, mu.epsilon)
-        return total
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
+    return mu.energy()
 
 
 def _disk_green_average(K, center: complex, radius: float,
                         n_ring: int = 128, order: int = 24) -> float:
     """Average of green over a disk; zero if the boundary ring lies in K
     (green is subharmonic, so its max over the disk sits on the ring)."""
-    theta = (np.arange(n_ring) + 0.5) * (2 * math.pi / n_ring)
-    ring = center + radius * np.exp(1j * theta)
-    gmax = float(np.max(np.atleast_1d(K.green(ring))))
+    gmax = float(np.max(np.atleast_1d(K.green(_ring(center, radius, n_ring)))))
     if gmax <= 1e-15:
         return 0.0
     x, w = _gauss(order)
     r = 0.5 * radius * (x + 1.0)
-    pts = center + r[:, None] * np.exp(1j * theta[None, :])
+    pts = _ring(center, r[:, None], n_ring)
     g = np.atleast_1d(K.green(pts.ravel())).reshape(pts.shape)
     ang = g.mean(axis=1)
     return float(np.dot(ang * r, w) * 0.5 * radius * 2.0 / radius**2)
-
-
-def _support_meets_complement(mu: Measure, K) -> bool:
-    """True when the support of mu carries mass off K (green > tol)."""
-    from .potential import MEMBERSHIP_TOL
-
-    if isinstance(mu, AtomicMeasure):
-        g = np.atleast_1d(K.green(mu.points))
-    elif isinstance(mu, CircleMeasure):
-        g = np.atleast_1d(K.green(mu.boundary_points(4096)))
-    elif isinstance(mu, DiskUniformMeasure):
-        theta = (np.arange(1024) + 0.5) * (2 * math.pi / 1024)
-        g = np.atleast_1d(K.green(mu.center + mu.radius * np.exp(1j * theta)))
-    elif isinstance(mu, SmoothedMeasure):
-        theta = (np.arange(256) + 0.5) * (2 * math.pi / 256)
-        ring = np.exp(1j * theta) * mu.epsilon
-        pts = (mu.base.points[:, None] + ring[None, :]).ravel()
-        g = np.atleast_1d(K.green(pts))
-    else:
-        raise TypeError(f"unsupported measure type {type(mu).__name__}")
-    return bool(np.any(g > MEMBERSHIP_TOL))
 
 
 def weighted_energy(mu: Measure, K, ell: float) -> float:
@@ -433,15 +429,12 @@ def weighted_energy(mu: Measure, K, ell: float) -> float:
     """
     if not 0.0 <= ell <= 1.0:
         raise ValueError("ell must lie in [0, 1]")
-    if isinstance(mu, AtomicMeasure):
-        energy = discrete_energy(mu.points)
-    else:
-        energy = continuous_energy(mu)
+    energy = mu.energy()
     if not math.isfinite(energy):
         return math.inf
     if ell == 0.0:
-        return math.inf if _support_meets_complement(mu, K) else energy
-    return energy + (2.0 / ell) * _green_average(mu, K)
+        return math.inf if mu.support_meets_complement(K) else energy
+    return energy + (2.0 / ell) * mu.green_average(K)
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ _POLISH_STEPS = 2
 _NEWTON_TOL = 1e-12
 
 
-class QuadratureError(RuntimeError):
-    """Raised when dyadic refinement fails to reach the requested tolerance."""
-
-
 class InversionError(ArithmeticError):
     """Raised when ExteriorMap.green finds no accurate preimage of a point
     outside K."""
@@ -427,26 +423,13 @@ def equilibrium_integral(K: CompactSet, f: Callable, tol: float = 1e-10,
 
 
 def log_potential(mu, z):
-    """Logarithmic potential of an atomic or smoothed measure at z.
+    """Logarithmic potential of an atomic or smoothed measure at z, from
+    the measure's own log_potential.
 
     Atomic measures give sum_i w_i log 1/|z - x_i| (+inf at an atom);
     smoothed measures use the exact uniform-disk potential per block.
     """
-    from .measures import AtomicMeasure, SmoothedMeasure, uniform_disk_potential
-
-    z = _as_complex(z)
-    if isinstance(mu, SmoothedMeasure):
-        d = np.abs(z[..., None] - mu.base.points[None, :]) if z.ndim else np.abs(z - mu.base.points)
-        v = uniform_disk_potential(d, mu.epsilon)
-        out = v @ mu.base.weights if z.ndim else float(np.dot(v, mu.base.weights))
-        return out
-    if isinstance(mu, AtomicMeasure):
-        d = np.abs(z[..., None] - mu.points[None, :]) if z.ndim else np.abs(z - mu.points)
-        with np.errstate(divide="ignore"):
-            terms = -np.log(d)
-        out = terms @ mu.weights if z.ndim else float(np.dot(terms, mu.weights))
-        return out
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
+    return mu.log_potential(z)
 
 
 @dataclass(frozen=True)

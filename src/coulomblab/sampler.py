@@ -191,7 +191,8 @@ class Chain:
         return [Configuration(s) for s in self.states]
 
     def state_array(self) -> np.ndarray:
-        return np.asarray(self.states)
+        """The stored states as an (n_states, N) array, (0, N) when none."""
+        return np.asarray(self.states, dtype=complex).reshape(len(self.states), self.params.N)
 
     def last_configuration(self) -> Configuration:
         return Configuration(self.states[-1])
@@ -220,8 +221,10 @@ class Chain:
         params = EnsembleParams.from_dict(meta["params"])
         K = compact_set_from_dict(meta["set"])
         cfg = ChainConfig(**meta["cfg"])
-        raw = np.loadtxt(base.with_suffix(".csv"), delimiter=",", skiprows=1, ndmin=2)
         n = params.N
+        rows = base.with_suffix(".csv").read_text().splitlines()[1:]
+        # a chain without stored states saves a header-only file
+        raw = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 2 * n + 2))
         states = [raw[i, 1:1 + 2 * n:2] + 1j * raw[i, 2:2 + 2 * n:2] for i in range(raw.shape[0])]
         return cls(params, K, cfg, meta["seed"], states, raw[:, -1].tolist(),
                    meta["acceptance"], meta["step_scale"],

@@ -55,6 +55,15 @@ def test_constraint_violation_exit_code(tmp_path):
     assert run(["--out", str(tmp_path), "sample", "--N", "8", "--s", "4"]) == 3
 
 
+def test_chain_without_stored_states(tmp_path):
+    # no post-burn-in steps, or fewer steps than thin, store no state
+    for extra in (["--steps", "0", "--burn-in", "100"], ["--steps", "5", "--thin", "10"]):
+        out = tmp_path / extra[1]
+        assert run(["--out", str(out), "sample", "--N", "4", "--s", "8", *extra]) == 0
+        summary = json.loads(next(out.glob("chain_*_summary.json")).read_text())
+        assert summary["states"] == 0
+
+
 def test_invalid_chain_config_exit_code(tmp_path, capsys):
     assert run(["--out", str(tmp_path), "sample", "--thin", "0"]) == 2
     assert "thin" in capsys.readouterr().err

@@ -82,6 +82,9 @@ def test_disk_uniform_energy_quadrature_oracle():
 def test_smoothed_point_energy():
     val = cl.continuous_energy(cl.smooth(cl.AtomicMeasure([0.0]), 0.1))
     assert val == pytest.approx(0.25 + math.log(10.0), abs=1e-12)
+    # two coincident blocks are one block
+    val = cl.continuous_energy(cl.smooth(cl.AtomicMeasure([0.3, 0.3]), 0.1))
+    assert val == pytest.approx(0.25 + math.log(10.0), abs=1e-12)
 
 
 def test_disk_pair_energy_dblquad_oracle():
@@ -93,6 +96,33 @@ def test_disk_pair_energy_dblquad_oracle():
             0, eps, 0, 2 * math.pi, epsabs=1e-11)[0]
         assert _disk_pair_energy(d, eps) == pytest.approx(oracle, abs=1e-8)
     assert _disk_pair_energy(0.5, 0.2) == pytest.approx(-math.log(0.5), abs=1e-14)
+
+
+def _lens_oracle(d, eps):
+    """U_eps(d) plus the lens integral (pi eps^2)^-1 int_0^eps H rho Theta_d
+    by adaptive quadrature, with a breakpoint at the kink radius |eps - d|."""
+    def integrand(rho):
+        t = (rho**2 + d**2 - eps**2) / (2 * rho * d)
+        h = -math.log(eps) + 0.5 * (1 - rho**2 / eps**2) + math.log(rho)
+        return h * rho * 2 * math.acos(min(1.0, max(-1.0, t)))
+    a = abs(eps - d)
+    lens = quad(integrand, 0, eps, points=[a] if 0 < a < eps else None,
+                limit=500, epsabs=1e-15, epsrel=1e-14)[0]
+    return uniform_disk_potential(d, eps) + lens / (math.pi * eps**2)
+
+
+def test_disk_pair_energy_lens_oracle():
+    eps = 0.2
+    ds = (1e-6, 0.01, 0.15, 0.199, 0.2, 0.201, 0.3)
+    for d in ds:
+        assert _disk_pair_energy(d, eps) == pytest.approx(_lens_oracle(d, eps), abs=1e-11)
+    # arrays of any shape give the scalar values, coincident blocks the self energy
+    grid = np.array([0.0, *ds, 0.5]).reshape(3, 3)
+    vals = _disk_pair_energy(grid, eps)
+    assert vals.shape == grid.shape
+    assert vals[0, 0] == pytest.approx(0.25 - math.log(eps), abs=1e-14)
+    assert vals.ravel()[1:] == pytest.approx([_disk_pair_energy(d, eps) for d in grid.ravel()[1:]],
+                                             abs=1e-15)
 
 
 def test_smoothed_ring_energy_radial_oracle():
@@ -129,8 +159,29 @@ def test_weighted_energy_closed_forms():
 def test_weighted_energy_ell_zero():
     assert cl.weighted_energy(cl.CircleMeasure(0.0, 2.0), DISK, 0.0) == math.inf
     assert cl.weighted_energy(cl.CircleMeasure(0.0, 0.5), DISK, 0.0) == pytest.approx(math.log(2))
+    # every class's support test: a measure inside K keeps its energy, one
+    # with mass off K is +inf
+    pairs = [(cl.DiskUniformMeasure(0.0, 0.5), cl.DiskUniformMeasure(0.8, 0.5)),
+             (cl.smooth(cl.AtomicMeasure([0.2, -0.3j]), 0.1),
+              cl.smooth(cl.AtomicMeasure([0.2, 0.95]), 0.1)),
+             (cl.AtomicMeasure([0.2, -0.3j]), cl.AtomicMeasure([0.2, 1.5]))]
+    for inside, outside in pairs:
+        energy = inside.energy()
+        assert math.isfinite(energy)
+        assert cl.weighted_energy(inside, DISK, 0.0) == energy
+        assert cl.weighted_energy(outside, DISK, 0.0) == math.inf
     with pytest.raises(ValueError):
         cl.weighted_energy(cl.CircleMeasure(0.0, 0.5), DISK, 1.5)
+
+
+def test_circle_green_average_midpoint_oracle():
+    # the circle measure is the equilibrium measure of Disk(0, r): a fine
+    # midpoint mean of green over the circle is its green average
+    theta = (np.arange(2**16) + 0.5) * (2 * math.pi / 2**16)
+    for K in (cl.Ellipse(0.0, 2.0, 1.0), cl.ExteriorMap(1.0, (0.0, 0.0, 0.15))):
+        for r in (2.0, 4.0):
+            oracle = float(np.mean(K.green(r * np.exp(1j * theta))))
+            assert cl.CircleMeasure(0.0, r).green_average(K) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_weighted_energy_monotone_in_ell():

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import coulomblab as cl
-from coulomblab.measures import _green_average, equilibrium_discretization, smooth
+from coulomblab.measures import equilibrium_discretization, smooth
 from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _disk_radial_nodes,
                                   _exterior_nodes, _interior_nodes,
                                   _log_density_self_average, _pair_angular_factor, _pair_sum,
@@ -310,7 +310,7 @@ def test_bounds_smoothed_terms_shared_across_ensembles():
     # only; every ensemble on a set gets that set's values computed afresh
     for K in (DISK, cl.Disk(0.0, 0.5)):
         nu = _inner_nu(K)
-        fresh = (cl.continuous_energy(nu), _log_density_self_average(nu), _green_average(nu, K))
+        fresh = (cl.continuous_energy(nu), _log_density_self_average(nu), nu.green_average(K))
         for n in (8, 16):
             b = cl.partition_bounds(K, cl.EnsembleParams(n, 2.0 * n, 2.0, 0.1),
                                     cl.solve(K, n, seed=4))

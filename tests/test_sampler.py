@@ -1,6 +1,7 @@
 """Metropolis sampler correctness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,11 +255,18 @@ def test_tail_mass_estimate_exterior_map_and_one_particle():
 def test_chain_save_load_single_particle(tmp_path):
     p = cl.EnsembleParams(1, 4.0, 2.0, 0.1)
     ch = cl.run_chain(p, DISK, cl.ChainConfig(steps=300, burn_in=50, thin=10), seed=3)
-    base = tmp_path / "one"
-    ch.save(base)
-    loaded = cl.Chain.load(base)
-    assert np.allclose(loaded.state_array(), ch.state_array())
-    assert np.allclose(loaded.log_densities, ch.log_densities)
+    # fewer steps than thin stores no state
+    empty = cl.run_chain(cl.EnsembleParams(4, 8.0, 2.0, 0.1), DISK,
+                         cl.ChainConfig(steps=5, burn_in=10, thin=10), seed=3)
+    assert empty.state_array().shape == (0, 4)
+    for name, chain in (("one", ch), ("empty", empty)):
+        chain.save(tmp_path / name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = cl.Chain.load(tmp_path / name)
+        assert loaded.state_array().shape == chain.state_array().shape
+        assert np.allclose(loaded.state_array(), chain.state_array())
+        assert np.allclose(loaded.log_densities, chain.log_densities)
 
 
 # ---------------------------------------------------------------------------
