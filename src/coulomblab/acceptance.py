@@ -30,7 +30,7 @@ from .potential import Disk, Ellipse, Segment
 from .sampler import ChainConfig, EnsembleParams
 
 # frozen constants measured at build time (see docs/VERIFICATION.md)
-RESIDUAL_BOUND_S_INF = 1e-9        # measured 4.0e-13 over N in 10..200
+RESIDUAL_BOUND_S_INF = 1e-9        # measured exactly 0 over N in 10..200
 RESIDUAL_RATIO_BOUND_S_2N = 0.25   # measured 0.153 over N in 10..200
 SEPARATION_CONSTANT_MIN = 0.40     # measured 0.447..0.458 over N in {64,256,1024}
 PERTURBATION_CONSTANT_MAX = 0.02   # measured <= 0.006 over N in {64,256,1024}

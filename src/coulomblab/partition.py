@@ -43,14 +43,23 @@ def kappa_disk(n: int, s: float) -> float:
 
 
 def log_partition_disk_exact(N: int, s: float) -> float:
-    """Exact beta = 2 partition value on the unit disk:
-    log N! - 2 sum_{n<N} log kappa(n, s).  Requires s > N (or s = inf)."""
+    """Exact beta = 2 partition value on the unit disk.
+
+    log N! - 2 sum_{n<N} log kappa(n, s), in which log N! cancels against
+    the (n+1) factors of kappa^2:
+      log Z = N log(pi s) - sum_{k=1..N} log(s - k)
+            = N log pi + sum_{k=1..N} log(s / (s - k)),
+    the second form as one vectorized log and a compensated sum (every term
+    carries an absolute error of about one ulp, whatever s).  N log pi at
+    s = inf.  Requires s > N (or s = inf)."""
     if N < 1:
         raise ValueError("N must be positive")
-    if s != math.inf and not s > N:
+    if s == math.inf:
+        return N * math.log(math.pi)
+    if not s > N:
         raise ValueError(f"need s > N, got s={s}, N={N}")
-    log_fact = sum(math.log(k) for k in range(1, N + 1))
-    return log_fact - 2.0 * sum(math.log(kappa_disk(n, s)) for n in range(N))
+    terms = np.log(s / (s - np.arange(1, N + 1)))
+    return math.fsum([N * math.log(math.pi), *terms.tolist()])
 
 
 def theta(x: float) -> float:
@@ -223,9 +232,30 @@ def _disk_radial_nodes(K: Disk, params: EnsembleParams, order: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+# midpoint angles of every cubature route; the disk at N = 3 keeps 42
+_ANGLES = 96
+
+
+def _disk_angles(N: int, beta: float) -> int:
+    """Midpoint angles per relative angle of the disk cubature.
+
+    For an even integer beta the integrand is a trigonometric polynomial of
+    degree (N-1) beta/2 in each relative angle, and (N-1) beta/2 + 1
+    midpoints integrate it exactly: 2 at N = 2, beta = 2.  Every other beta
+    keeps 96 angles (42 at N = 3), as does an even beta whose exact count
+    would exceed that."""
+    default = 42 if N == 3 else _ANGLES
+    if beta % 2 == 0:
+        return min((N - 1) * int(beta) // 2 + 1, default)
+    return default
+
+
 def _pair_angular_factor(r, beta: float, n_theta: int):
-    """int_0^{2pi} |r_i - r_j e^{i theta}|^beta d theta on a midpoint grid
-    (exact for even integer beta once n_theta exceeds the trig degree).
+    """int_0^{2pi} |r_i - r_j e^{i theta}|^beta d theta on a midpoint grid.
+
+    The integrand is a trigonometric polynomial of degree beta/2 for an
+    even integer beta, so beta/2 + 1 midpoints are exact (_disk_angles);
+    other beta take the midpoint rule's spectral accuracy.
 
     Row blocks of the (r_i, r_j, theta) tensor: every element and every
     mean over theta is computed as on the whole tensor."""
@@ -318,7 +348,11 @@ def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
     The disk uses the exact rotational reduction (one radial variable per
     particle, N-1 relative angles); other sets integrate over exterior-map
     coordinates plus interior area nodes.  Every route uses 36 Gauss nodes
-    per panel and 96 angles, or 21 and 42 for the disk at N = 3.
+    per panel (21 for the disk at N = 3) and 96 angles.  The disk's angle
+    count follows from (N, beta) by _disk_angles: for an even integer beta
+    the angular integrand is a trigonometric polynomial of degree
+    (N-1) beta/2 in each angle, so (N-1) beta/2 + 1 midpoints are exact
+    (2 at N = 2, beta = 2); every other beta keeps 96 angles (42 at N = 3).
 
     Supported: disks at N <= 3, segments and ellipses at N <= 2, and
     `ExteriorMap` sets at N = 1.  Other pairs raise NotImplementedError,
@@ -332,19 +366,19 @@ def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
     N = params.N
     if N > 3:
         raise ValueError("cubature supports N <= 3 only")
-    order, n_theta = (21, 42) if N == 3 else (36, 96)
+    order = 21 if N == 3 else 36
     if isinstance(K, Disk):
-        return _cubature_disk(K, params, order, n_theta)
+        return _cubature_disk(K, params, order, _disk_angles(N, params.beta))
     if N == 3:
         raise NotImplementedError("N = 3 cubature is available for disks only")
     if isinstance(K, ExteriorMap) and N >= 2:
         raise NotImplementedError(
             "pair cubature for exterior-map sets has no interior parametrization")
-    ze, we = _exterior_nodes(K, params, order, n_theta)
+    ze, we = _exterior_nodes(K, params, order, _ANGLES)
     if N == 1:
         # the field weight is one on K, so the interior part is the area
         return K.area() + float(np.sum(we))
-    zi, wi = _interior_nodes(K, order, n_theta)
+    zi, wi = _interior_nodes(K, order, _ANGLES)
     return _pair_sum(np.concatenate([zi, ze]), np.concatenate([wi, we]), params.beta)
 
 

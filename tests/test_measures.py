@@ -56,6 +56,25 @@ def test_pair_kernel():
             idx[0] = 1
 
 
+def test_atomic_energy_is_weighted():
+    nu = cl.AtomicMeasure([0, 1, 3], [0.5, 0.25, 0.25])
+    # oracle: the double loop over ordered pairs i != j
+    oracle = -sum(nu.weights[i] * nu.weights[j] * math.log(abs(nu.points[i] - nu.points[j]))
+                  for i in range(3) for j in range(3) if i != j)
+    assert nu.energy() == pytest.approx(oracle, rel=1e-15)
+    assert nu.energy() != cl.AtomicMeasure([0, 1, 3]).energy()
+    assert cl.weighted_energy(nu, cl.Disk(0.0, 5.0), 0.0) == nu.energy()
+    assert cl.AtomicMeasure([0.0, 1.0, 0.0], [0.2, 0.3, 0.5]).energy() == math.inf
+
+
+def test_atomic_energy_equal_weights_is_discrete_energy():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 17, 100):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        expected = cl.discrete_energy(z)
+        assert cl.AtomicMeasure(z).energy() == pytest.approx(expected, rel=1e-15, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # continuous energy
 # ---------------------------------------------------------------------------
@@ -182,6 +201,40 @@ def test_circle_green_average_midpoint_oracle():
         for r in (2.0, 4.0):
             oracle = float(np.mean(K.green(r * np.exp(1j * theta))))
             assert cl.CircleMeasure(0.0, r).green_average(K) == pytest.approx(oracle, abs=1e-12)
+
+
+def _green_average_per_atom(nu, K, n_ring=128, order=24):
+    # reference: each atom's eps-disk on its own, two green calls per atom
+    total = 0.0
+    x, w = measures._gauss(order)
+    eps = nu.epsilon
+    for c, weight in zip(nu.base.points, nu.base.weights):
+        if np.max(K.green(measures._ring(c, eps, n_ring))) <= 1e-15:
+            continue
+        r = 0.5 * eps * (x + 1.0)
+        pts = measures._ring(c, r[:, None], n_ring)
+        ang = K.green(pts.ravel()).reshape(pts.shape).mean(axis=1)
+        total += weight * float(np.dot(ang * r, w) * 0.5 * eps * 2.0 / eps**2)
+    return total
+
+
+@pytest.mark.parametrize("K", [cl.Segment(-2.0, 2.0), cl.Ellipse(0.0, 2.0, 1.0), DISK],
+                         ids=["segment", "ellipse", "disk"])
+def test_smoothed_green_average_matches_per_atom_loop(K):
+    rng = np.random.default_rng(5)
+    cases = [cl.smooth(cl.equilibrium_discretization(K, 128), 0.05),
+             cl.smooth(_random_atomic(rng, 40, scale=1.2), 0.1)]
+    for nu in cases:
+        expected = _green_average_per_atom(nu, K)
+        assert expected > 0
+        assert nu.green_average(K) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_smoothed_green_average_vanishes_inside():
+    for K in (cl.Ellipse(0.0, 2.0, 1.0), DISK):
+        nu = cl.smooth(cl.equilibrium_discretization(K.inner_set(0.25), 64), 0.05)
+        assert nu.green_average(K) == 0.0
+        assert cl.DiskUniformMeasure(K.center, 0.5).green_average(K) == 0.0
 
 
 def test_weighted_energy_monotone_in_ell():

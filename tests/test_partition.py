@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from scipy.integrate import quad
 
 import coulomblab as cl
 from coulomblab.measures import equilibrium_discretization, smooth
-from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _disk_radial_nodes,
-                                  _exterior_nodes, _interior_nodes,
-                                  _log_density_self_average, _pair_angular_factor, _pair_sum,
-                                  build_report)
+from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _cubature_disk,
+                                  _disk_angles, _disk_radial_nodes, _exterior_nodes,
+                                  _interior_nodes, _log_density_self_average,
+                                  _pair_angular_factor, _pair_sum, build_report)
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -71,6 +72,39 @@ def test_log_partition_closed_forms():
     assert cl.log_partition_disk_exact(5, math.inf) == pytest.approx(5 * math.log(math.pi))
     with pytest.raises(ValueError):
         cl.log_partition_disk_exact(8, 8.0)
+
+
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _log_partition_decimal(N, s):
+    # 40-digit oracle of the kappa form log N! - 2 sum_{n<N} log kappa(n, s),
+    # kappa^2 = (n+1)(s-n-1)/(pi s), or (n+1)/pi at s = inf
+    with localcontext() as ctx:
+        ctx.prec = 40
+        total = Decimal(0)
+        for n in range(N):
+            k = Decimal(n + 1)
+            kappa2 = k / _PI_50 if s == math.inf else k * (Decimal(s) - k) / (_PI_50 * Decimal(s))
+            total += k.ln() - kappa2.ln()
+        return total
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 200])
+@pytest.mark.parametrize("ratio", [None, 2.0, 16.0, math.inf])
+def test_log_partition_decimal_oracle(N, ratio):
+    # s = N + 1/2 (ratio None), 2N, 16N and inf
+    s = N + 0.5 if ratio is None else ratio * N
+    oracle = _log_partition_decimal(N, s)
+    value = cl.log_partition_disk_exact(N, s)
+    assert abs(Decimal(value) - oracle) <= Decimal("1e-12") * abs(oracle)
+
+
+def test_log_partition_hard_wall_is_n_log_pi():
+    # log N! cancels exactly, so the s = inf residual of the asymptote is 0
+    for N in (1, 7, 200):
+        assert cl.log_partition_disk_exact(N, math.inf) == N * math.log(math.pi)
+        assert cl.asymptotic_residual(N, math.inf) == 0.0
 
 
 def test_theta_function():
@@ -146,6 +180,35 @@ def test_cubature_n3_matches_exact():
     p = cl.EnsembleParams(3, 8.0, 2.0, 0.1)
     z = cl.partition_cubature(DISK, p)
     assert math.log(z) == pytest.approx(cl.log_partition_disk_exact(3, 8.0), abs=1e-8)
+
+
+def test_disk_angle_rule():
+    # (N-1) beta/2 + 1 midpoints for an even integer beta, else 96 (42 at N = 3)
+    assert [_disk_angles(2, b) for b in (2.0, 4.0, 6.0)] == [2, 3, 4]
+    assert [_disk_angles(3, b) for b in (2.0, 4.0, 6.0)] == [3, 5, 7]
+    assert [_disk_angles(N, 3.0) for N in (1, 2, 3)] == [96, 96, 42]
+    assert _disk_angles(2, 2.5) == 96
+    # an exact count above the former grid keeps the former grid
+    assert _disk_angles(2, 400.0) == 96 and _disk_angles(3, 100.0) == 42
+
+
+@pytest.mark.parametrize("beta", [2.0, 4.0, 6.0])
+def test_disk_angle_grid_matches_former_grid(beta):
+    # reference: the former 96-angle grid at N = 2 with the full radial rule;
+    # at N = 3 the former 42 angles on a 12-node radial rule, since the
+    # angle rule is exact at any radial nodes
+    p2 = cl.EnsembleParams(2, 8.0, beta, 0.1)
+    assert cl.partition_cubature(DISK, p2) == pytest.approx(
+        _cubature_disk(DISK, p2, 36, 96), rel=1e-13, abs=0)
+    p3 = cl.EnsembleParams(3, 8.0, beta, 0.1)
+    assert _cubature_disk(DISK, p3, 12, _disk_angles(3, beta)) == pytest.approx(
+        _cubature_disk(DISK, p3, 12, 42), rel=1e-13, abs=0)
+
+
+def test_disk_cubature_odd_beta_keeps_former_grid():
+    p = cl.EnsembleParams(2, 8.0, 3.0, 0.1)
+    former = _cubature_disk(DISK, p, 36, 96)
+    assert cl.partition_cubature(DISK, p).hex() == former.hex()
 
 
 def test_cubature_segment_n1():
