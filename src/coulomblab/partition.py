@@ -373,7 +373,7 @@ def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
         raise NotImplementedError("N = 3 cubature is available for disks only")
     if isinstance(K, ExteriorMap) and N >= 2:
         raise NotImplementedError(
-            "pair cubature for exterior-map sets has no interior parametrization")
+            "pair cubature for exterior-map sets is not offered: no exact value checks it yet")
     ze, we = _exterior_nodes(K, params, order, _ANGLES)
     if N == 1:
         # the field weight is one on K, so the interior part is the area

@@ -37,6 +37,10 @@ _GREEN_SNAP = 1e-15
 _POLISH_STEPS = 2
 _NEWTON_TOL = 1e-12
 
+# points per pass of the segment and ellipse green (a few 16-byte temporaries
+# of this length fit in L2)
+_QUADRATIC_CHUNK = 4096
+
 
 class InversionError(ArithmeticError):
     """Raised when ExteriorMap.green finds no accurate preimage of a point
@@ -128,11 +132,26 @@ def _power_sum(coeffs, u, order: int):
 
 def _quadratic_green(z, c, cap, q):
     """Green function of the set with psi(w) = c + cap*w + q/w: log of the
-    larger root modulus of cap*w^2 - (z - c)*w + q = 0, floored at 0."""
-    u = _as_complex(z) - c
+    larger root modulus of cap*w^2 - (z - c)*w + q = 0, floored at 0.
+
+    An array runs _QUADRATIC_CHUNK points at a time so that the complex
+    temporaries stay in cache; every value is elementwise, so each one is
+    bit for bit what a single pass over all points gives."""
+    z = _as_complex(z)
+    if not z.ndim:  # numpy scalar arithmetic, which rounds apart from the array loops
+        return _snap(_quadratic_log_root(z - c, cap, q))
+    flat = z.ravel()
+    g = np.empty(flat.shape)
+    for lo in range(0, flat.size, _QUADRATIC_CHUNK):
+        g[lo:lo + _QUADRATIC_CHUNK] = _quadratic_log_root(flat[lo:lo + _QUADRATIC_CHUNK] - c,
+                                                          cap, q)
+    return _snap(g.reshape(z.shape))
+
+
+def _quadratic_log_root(u, cap, q):
     sq = np.sqrt(u * u - 4.0 * cap * q)
     w = np.maximum(np.abs((u + sq) / (2 * cap)), np.abs((u - sq) / (2 * cap)))
-    return _snap(np.log(np.maximum(w, 1.0)))
+    return np.log(np.maximum(w, 1.0))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ call raises InversionError, every proposal of that sub-block is evaluated
 alone in the same way, so only a point the chain really proposes can
 raise.  The chain is therefore the one-proposal-at-a-time chain step for
 step: same states, acceptance and step scale.
+
+Each stored state keeps sum_n green(z_n) from the green values the chain
+already holds, so tail_mass_estimate evaluates no green of its own.
 """
 
 from __future__ import annotations
@@ -109,14 +112,17 @@ class ChainConfig:
         return asdict(self)
 
 
-def _log_density(params: EnsembleParams, g: np.ndarray, pair_sum: float) -> float:
-    """-beta s sum(g) + beta pair_sum; in the hard-wall limit s = inf, -inf
-    when a point lies off K and beta pair_sum otherwise."""
+def _log_density(params: EnsembleParams, g: np.ndarray,
+                 pair_sum: float) -> tuple[float, float]:
+    """(-beta s sum(g) + beta pair_sum, sum(g)); in the hard-wall limit
+    s = inf the density is -inf when a point lies off K and beta pair_sum
+    otherwise."""
+    green_sum = float(np.add.reduce(g))
     if params.s == math.inf:
         if np.any(g > MEMBERSHIP_TOL):
-            return -math.inf
-        return params.beta * pair_sum
-    return float(-params.beta * params.s * np.sum(g) + params.beta * pair_sum)
+            return -math.inf, green_sum
+        return params.beta * pair_sum, green_sum
+    return -params.beta * params.s * green_sum + params.beta * pair_sum, green_sum
 
 
 def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configuration) -> float:
@@ -125,7 +131,7 @@ def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configura
     pts = c.points if isinstance(c, Configuration) else np.asarray(c, dtype=complex)
     if pts.size != params.N:
         raise ValueError(f"configuration has {pts.size} points, params expect {params.N}")
-    return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))
+    return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))[0]
 
 
 def _move_delta(params: EnsembleParams, others: np.ndarray, moved: np.ndarray,
@@ -162,17 +168,24 @@ def _others_index(n: int) -> np.ndarray:
 class Chain:
     """Thinned Metropolis chain with its acceptance and density trace.
 
+    `green_sums` holds sum_n green(z_n) of each stored state.  run_chain
+    records it from the green values it already holds, which are bitwise
+    the values green gives on the stored states; a chain built without
+    them (by hand, or by `load`, whose CSV does not carry them) computes
+    them once on first use.
+
     `telemetry` records what run_chain did: `window_acceptance` and
     `scale_trace`, the acceptance of each 200-step burn-in window and the
     step scale after it; `batched_points`, the proposals evaluated by a
-    sub-block's batched green call; and `stale_points`, the proposals
+    sub-block's batched green call; `stale_points`, the proposals
     evaluated alone (stale ones, and every one of a sub-block whose batched
-    call raised InversionError)."""
+    call raised InversionError); and `inversion_errors`, the sub-blocks
+    whose batched call raised InversionError."""
 
     def __init__(self, params: EnsembleParams, K: CompactSet, cfg: ChainConfig,
                  seed, states: list, log_densities: list, acceptance_rate: float,
                  step_scale: float, zero_acceptance_burnin: bool = False,
-                 telemetry: Optional[dict] = None):
+                 telemetry: Optional[dict] = None, green_sums: Optional[list] = None):
         self.params = params
         self.K = K
         self.cfg = cfg
@@ -183,6 +196,16 @@ class Chain:
         self.step_scale = step_scale
         self.zero_acceptance_burnin = zero_acceptance_burnin
         self.telemetry = telemetry or {}
+        self._green_sums = None if green_sums is None else np.asarray(green_sums, dtype=float)
+
+    @property
+    def green_sums(self) -> np.ndarray:
+        """sum_n green(z_n) of each stored state, shape (n_states,)."""
+        if self._green_sums is None or len(self._green_sums) != len(self.states):
+            sums = [np.add.reduce(self.K.green(block), axis=1)
+                    for block in _state_blocks(self, self.params.N)]
+            self._green_sums = np.concatenate(sums) if sums else np.empty(0)
+        return self._green_sums
 
     def __len__(self) -> int:
         return len(self.states)
@@ -261,9 +284,10 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
 
     states: list[np.ndarray] = []
     log_dens: list[float] = []
+    green_sums: list[float] = []
     window_acceptance: list[float] = []
     scale_trace: list[float] = []
-    batched_points = stale_points = 0
+    batched_points = stale_points = inversion_errors = 0
     accepted_post = 0
     accepted_window = 0
     burn_accepts = 0
@@ -286,6 +310,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                 batched_points += hi - lo
             except InversionError:
                 g_batch = None  # evaluate every proposal on its own below
+                inversion_errors += 1
             z_batch, ks, us = z_batch.tolist(), ks.tolist(), logu[lo:hi].tolist()
             for i in range(hi - lo):
                 step_index = sub + i
@@ -310,8 +335,10 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                         accepted_post += 1
                 if step_index >= cfg.burn_in:
                     if (step_index - cfg.burn_in + 1) % cfg.thin == 0:
+                        log_density, green_sum = _log_density(params, g, pair_sum)
                         states.append(pts.copy())
-                        log_dens.append(_log_density(params, g, pair_sum))
+                        log_dens.append(log_density)
+                        green_sums.append(green_sum)
                 elif (step_index + 1) % _TUNE_WINDOW == 0:
                     rate = accepted_window / _TUNE_WINDOW
                     if cfg.step_scale is None:
@@ -331,8 +358,10 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                       "the chain is almost surely mis-tuned")
     acc_rate = accepted_post / cfg.steps if cfg.steps else 0.0
     telemetry = {"scale_trace": scale_trace, "window_acceptance": window_acceptance,
-                 "batched_points": batched_points, "stale_points": stale_points}
-    return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc, telemetry)
+                 "batched_points": batched_points, "stale_points": stale_points,
+                 "inversion_errors": inversion_errors}
+    return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc, telemetry,
+                 green_sums)
 
 
 def _low_energy_bound(K: CompactSet, n: int, eps: float) -> float:
@@ -360,19 +389,18 @@ def _state_blocks(chain: Chain, per_state: int):
 def tail_mass_estimate(chain: Chain, eps: float) -> float:
     """Fraction of stored post-burn-in states outside the low-energy set.
 
-    Works on blocks of stored states; each state's weighted
-    Fekete objective is the one fekete.log_delta computes."""
+    Works on blocks of stored states; each state's weighted Fekete
+    objective is the one fekete.log_delta computes.  Its green term reads
+    chain.green_sums, which run_chain recorded bitwise equal to green on
+    the stored states, so a chain from run_chain costs no green call."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
     n = chain.params.N
-    bound = _low_energy_bound(chain.K, n, eps)
-    outside = 0
-    for block in _state_blocks(chain, n * n):
-        with np.errstate(divide="ignore"):  # a coincidence gives -inf, as in _pair_log_sum
-            pair = np.add.reduce(np.log(_pair_distances(block)), axis=1)
-        values = pair - (n - 1) * np.add.reduce(chain.K.green(block), axis=1)
-        outside += int(np.count_nonzero(~(values >= bound)))
-    return outside / len(chain)
+    with np.errstate(divide="ignore"):  # a coincidence gives -inf, as in _pair_log_sum
+        pair = np.concatenate([np.add.reduce(np.log(_pair_distances(block)), axis=1)
+                               for block in _state_blocks(chain, n * n)])
+    values = pair - (n - 1) * chain.green_sums
+    return int(np.count_nonzero(~(values >= _low_energy_bound(chain.K, n, eps)))) / len(chain)
 
 
 def potential_scale_reduction(chain: Chain) -> float:

@@ -282,6 +282,10 @@ def test_cubature_rejections():
         cl.partition_cubature(DISK, cl.EnsembleParams(4, 16.0, 2.0, 0.1))
     with pytest.raises(NotImplementedError):
         cl.partition_cubature(SEGMENT, cl.EnsembleParams(3, 8.0, 2.0, 0.1))
+    # the ray rule covers this star-shaped set; what is missing is an exact value
+    with pytest.raises(NotImplementedError, match="no exact value checks it yet"):
+        cl.partition_cubature(cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)),
+                              cl.EnsembleParams(2, 8.0, 2.0, 0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,37 @@ def test_green_segment_inverse_joukowski():
     assert cl.green(SEGMENT, -2.0) == 0.0
 
 
+def _quadratic_green_one_pass(z, c, cap, q):
+    """The segment and ellipse green as one pass over all points, the form
+    before it ran in chunks."""
+    u = np.asarray(z, dtype=complex) - c
+    sq = np.sqrt(u * u - 4.0 * cap * q)
+    w = np.maximum(np.abs((u + sq) / (2 * cap)), np.abs((u - sq) / (2 * cap)))
+    return _snap(np.log(np.maximum(w, 1.0)))
+
+
+@pytest.mark.parametrize("K", [SEGMENT, cl.Ellipse(0.3 - 0.2j, 2.0, 1.0)])
+def test_quadratic_green_chunks_bit_for_bit(K):
+    # 2^17 points: scattered, on and near the boundary, and far away
+    rng = np.random.default_rng(11)
+    n = 1 << 17
+    scattered = rng.uniform(-4, 4, n // 2) + 1j * rng.uniform(-3, 3, n // 2)
+    boundary = K.boundary_point(rng.uniform(0, 2 * math.pi, n // 2))
+    radial = np.repeat([1.0, 1 - 1e-12, 1 + 1e-12, 1e6], n // 8)
+    z = np.concatenate([scattered, boundary * radial])
+    cap, (c, q) = K.laurent()
+    want = _quadratic_green_one_pass(z, c, cap, q)
+    assert z.size == n and (want > 0).any() and (want == 0).any()
+    assert K.green(z).tobytes() == want.tobytes()
+    ragged = z[: n - 7]  # a last chunk shorter than the others
+    assert K.green(ragged).tobytes() == want[: n - 7].tobytes()
+    strided = z.reshape(256, 512)[:, ::3]  # shape kept, non-contiguous input
+    assert K.green(strided).tobytes() == want.reshape(256, 512)[:, ::3].tobytes()
+    assert K.green(z[:0]).shape == (0,)
+    for point in z[:: n // 64]:
+        assert repr(K.green(point)) == repr(_quadratic_green_one_pass(point, c, cap, q))
+
+
 def test_green_ellipse_matches_exterior_map():
     # the Laurent map 1.5 w + 0.5/w is the ellipse (2, 1): closed-form oracle
     rng = np.random.default_rng(3)

@@ -252,6 +252,60 @@ def test_tail_mass_estimate_exterior_map_and_one_particle():
     assert cl.tail_mass_estimate(one, 0.2) == 0.0
 
 
+def _counting(cls):
+    """A subclass of the set class cls whose green counts its calls."""
+
+    class Counting(cls):
+        calls = 0
+
+        def green(self, z):
+            Counting.calls += 1
+            return super().green(z)
+
+    return Counting
+
+
+@pytest.mark.parametrize("K,s", [
+    (_counting(cl.Disk)(0.0, 1.0), 16.0),
+    (_counting(cl.Disk)(0.0, 1.0), math.inf),
+    (_counting(cl.Segment)(-2.0, 2.0), 16.0),
+    (_counting(cl.Ellipse)(0.3 - 0.2j, 2.0, 1.0), 16.0),
+    (_counting(cl.ExteriorMap)(1.5, (0.0, 0.5)), 16.0),
+    (_counting(cl.ExteriorMap)(1.0, (0.0, 0.0, 0.15)), 16.0),
+], ids=["disk", "disk_hard_wall", "segment", "ellipse", "exterior_map_m1", "exterior_map_m2"])
+def test_chain_records_green_sums(K, s):
+    # the recorded sums are bitwise green on the stored states, and the
+    # tail mass of a run_chain chain calls green not once
+    ch = cl.run_chain(cl.EnsembleParams(8, s, 2.0, 0.1), K, cl.ChainConfig(2_000, 500, 2),
+                      seed=6)
+    type(K).calls = 0
+    recorded = ch.green_sums
+    cl.tail_mass_estimate(ch, 0.01)
+    assert type(K).calls == 0
+    assert len(recorded) == len(ch) == 1000
+    assert np.array_equal(recorded, np.add.reduce(K.green(ch.state_array()), axis=1))
+
+
+def test_tail_mass_same_from_recorded_rebuilt_and_loaded_sums(tmp_path):
+    K = cl.ExteriorMap(1.5, (0.0, 0.5))
+    ch = cl.run_chain(cl.EnsembleParams(6, 12.0, 2.0, 0.1), K,
+                      cl.ChainConfig(steps=1_000, burn_in=200, thin=1), seed=4)
+    rebuilt = cl.Chain(ch.params, K, ch.cfg, ch.seed, list(ch.states), list(ch.log_densities),
+                       ch.acceptance_rate, ch.step_scale)
+    ch.save(tmp_path / "chain")
+    loaded = cl.Chain.load(tmp_path / "chain")
+    # sums whose length differs from the states' are recomputed
+    stale = cl.Chain(ch.params, K, ch.cfg, ch.seed, ch.states[:-1], ch.log_densities[:-1],
+                     ch.acceptance_rate, ch.step_scale, green_sums=ch.green_sums)
+    for other in (rebuilt, loaded):
+        assert np.array_equal(other.green_sums, ch.green_sums)
+    assert np.array_equal(stale.green_sums, ch.green_sums[:-1])
+    for eps in (0.2, 0.01, 0.001):
+        assert len({cl.tail_mass_estimate(c, eps) for c in (ch, rebuilt, loaded)}) == 1
+    empty = cl.Chain(ch.params, K, ch.cfg, ch.seed, [], [], 0.0, 1.0)
+    assert empty.green_sums.shape == (0,)
+
+
 def test_chain_save_load_single_particle(tmp_path):
     p = cl.EnsembleParams(1, 4.0, 2.0, 0.1)
     ch = cl.run_chain(p, DISK, cl.ChainConfig(steps=300, burn_in=50, thin=10), seed=3)
@@ -331,7 +385,7 @@ def _sequential_chain(params, K, cfg, seed, init=None):
                 steps_post += 1
                 if (step_index - cfg.burn_in + 1) % cfg.thin == 0:
                     states.append(pts.copy())
-                    log_dens.append(_log_density(params, g, pair_sum))
+                    log_dens.append(_log_density(params, g, pair_sum)[0])
             elif cfg.step_scale is None and (step_index + 1) % window == 0:
                 scale *= math.exp(0.7 * (accepted_window / window - 0.35))
                 scale = min(max(scale, 1e-4 * K.capacity()), 10.0 * K.capacity())
@@ -416,6 +470,10 @@ def test_chain_falls_back_to_single_points():
     # every proposal of a sub-block whose batch raised was evaluated alone
     unbatched = cfg.burn_in + cfg.steps - ch.telemetry["batched_points"]
     assert 0 < unbatched <= ch.telemetry["stale_points"]
+    assert ch.telemetry["inversion_errors"] == _BatchRaisingDisk.raised
+    # the tail mass reads the recorded sums, so no batch of stored states raises
+    on_disk = cl.Chain(params, DISK, cfg, 12, ch.states, ch.log_densities, acc, scale)
+    assert cl.tail_mass_estimate(ch, 0.2) == cl.tail_mass_estimate(on_disk, 0.2)
 
 
 def test_chain_telemetry(chain8, tmp_path):
@@ -425,6 +483,7 @@ def test_chain_telemetry(chain8, tmp_path):
     assert tel["scale_trace"][-1] == chain8.step_scale
     assert all(0.0 <= a <= 1.0 for a in tel["window_acceptance"])
     assert tel["batched_points"] == chain8.cfg.burn_in + chain8.cfg.steps
+    assert tel["inversion_errors"] == 0
     fixed = cl.run_chain(chain8.params, DISK, cl.ChainConfig(1_000, 450, 5, step_scale=0.2),
                          seed=2).telemetry
     assert fixed["scale_trace"] == [0.2, 0.2] and len(fixed["window_acceptance"]) == 2
