@@ -17,6 +17,15 @@ alone in the same way, so only a point the chain really proposes can
 raise.  The chain is therefore the one-proposal-at-a-time chain step for
 step: same states, acceptance and step scale.
 
+Each step computes its O(N) pair delta inline, as the two log-distance
+sums of the proposal and of the point it moves against the other
+particles.  The whole step loop runs under np.errstate(divide="ignore"):
+a proposal that lands exactly on another particle gives log 0 = -inf,
+so its delta is -inf and the move is rejected, with no per-step test for
+a zero distance.  The error state changes only whether a divide-by-zero
+is reported, never a value; green reports its failures as InversionError
+or snapped values, and its invalid-value warnings still surface.
+
 Each stored state keeps sum_n green(z_n) from the green values the chain
 already holds, so tail_mass_estimate evaluates no green of its own.
 """
@@ -134,28 +143,6 @@ def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configura
     return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))[0]
 
 
-def _move_delta(params: EnsembleParams, others: np.ndarray, moved: np.ndarray,
-                g_old: float, g_new: float) -> tuple[float, float]:
-    """O(N) change of the log density when one particle moves from
-    moved[1, 0] to moved[0, 0] among the particles `others`, with green
-    values g_old before and g_new after the move.
-
-    Returns (delta, delta_pair); delta is -inf when the particle meets
-    another one or, for s = inf, leaves K."""
-    delta_pair = 0.0  # a lone particle has no pairs
-    if others.size:
-        d = np.abs(moved - others)
-        if 0.0 in d[0].tolist():
-            return -math.inf, -math.inf
-        log_sums = np.add.reduce(np.log(d), axis=1)
-        delta_pair = float(log_sums[0] - log_sums[1])
-    if params.s == math.inf:
-        if g_new > MEMBERSHIP_TOL:
-            return -math.inf, delta_pair
-        return params.beta * delta_pair, delta_pair
-    return params.beta * delta_pair - params.beta * params.s * (g_new - g_old), delta_pair
-
-
 @functools.lru_cache(maxsize=8)
 def _others_index(n: int) -> np.ndarray:
     """Read-only (n, n - 1) table whose row k lists 0..n-1 without k."""
@@ -259,8 +246,12 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     """Run a Metropolis chain targeting the ensemble density on K.
 
     The initial state is an equilibrium sample unless `init` is given
-    (which also makes stored chains resumable).  Proposals are isotropic
-    Gaussian single-particle moves.
+    (which also makes stored chains resumable); an `init` with coincident
+    or non-finite points raises ValueError, since its density is -inf or
+    nan.  Proposals are isotropic Gaussian single-particle moves.  The
+    step loop does not report numpy divide-by-zero: a proposal that lands
+    exactly on another particle has log-distance -inf, and the move is
+    rejected.
     """
     cfg = cfg or ChainConfig()
     rng = np.random.default_rng(seed)
@@ -269,18 +260,26 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
         pts = np.asarray(init.points, dtype=complex).copy()
         if pts.size != n:
             raise ValueError("init size does not match params.N")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("init has non-finite points")
     else:
         theta = rng.uniform(0, 2 * math.pi, n)
         pts = np.asarray(K.boundary_point(theta), dtype=complex).reshape(n)
+    pair_sum = _pair_log_sum(pts)
+    if pair_sum == -math.inf:
+        raise ValueError("init has coincident points")
 
     scale = cfg.step_scale if cfg.step_scale is not None else 0.5 * K.capacity()
     scale_lo, scale_hi = 1e-4 * K.capacity(), 10.0 * K.capacity()
     g = np.atleast_1d(K.green(pts)).astype(float)
-    pair_sum = _pair_log_sum(pts)
     others = list(_others_index(n))
     moved_in = [-1] * n  # first step of the sub-block in which k last moved
     moved = np.empty((2, 1), dtype=complex)  # a proposal above the point it moves
     single = np.empty(1, dtype=complex)  # a stale proposal
+    beta, beta_s = params.beta, params.beta * params.s
+    hard_wall, paired = params.s == math.inf, n > 1
+    burn_in, thin = cfg.burn_in, cfg.thin
+    log, absolute, add_reduce = np.log, np.absolute, np.add.reduce
 
     states: list[np.ndarray] = []
     log_dens: list[float] = []
@@ -292,67 +291,81 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     accepted_window = 0
     burn_accepts = 0
 
-    total = cfg.burn_in + cfg.steps
-    for first in range(0, total, _DRAW_BLOCK):
-        b = min(_DRAW_BLOCK, total - first)
-        idxs = rng.integers(0, n, size=b)
-        unit_moves = rng.standard_normal(b) + 1j * rng.standard_normal(b)
-        logu = np.log(rng.random(b))
-        lo = 0
-        while lo < b:
-            # one sub-block: fixed scale, one batched green on its proposals
-            sub = first + lo
-            hi = min(b, lo + _SUB_BLOCK - sub % _SUB_BLOCK)
-            ks = idxs[lo:hi]
-            z_batch = pts[ks] + scale * unit_moves[lo:hi]
-            try:
-                g_batch = K.green(z_batch).tolist()
-                batched_points += hi - lo
-            except InversionError:
-                g_batch = None  # evaluate every proposal on its own below
-                inversion_errors += 1
-            z_batch, ks, us = z_batch.tolist(), ks.tolist(), logu[lo:hi].tolist()
-            for i in range(hi - lo):
-                step_index = sub + i
-                k = ks[i]
-                if g_batch is None or moved_in[k] == sub:
-                    z_new = single[0] = pts[k] + scale * unit_moves[lo + i]
-                    g_new = K.green(single).item()
-                    stale_points += 1
-                else:
-                    z_new, g_new = z_batch[i], g_batch[i]
-                moved[0, 0], moved[1, 0] = z_new, pts[k]
-                delta, delta_pair = _move_delta(params, pts[others[k]], moved, g[k], g_new)
-                if delta > us[i]:
-                    pts[k] = z_new
-                    g[k] = g_new
-                    pair_sum += delta_pair
-                    moved_in[k] = sub
-                    if step_index < cfg.burn_in:
-                        burn_accepts += 1
-                        accepted_window += 1
+    total = burn_in + cfg.steps
+    with np.errstate(divide="ignore"):  # log 0 = -inf rejects a coincidence
+        for first in range(0, total, _DRAW_BLOCK):
+            b = min(_DRAW_BLOCK, total - first)
+            idxs = rng.integers(0, n, size=b)
+            unit_moves = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+            logu = np.log(rng.random(b))
+            lo = 0
+            while lo < b:
+                # one sub-block: fixed scale, one batched green on its proposals
+                sub = first + lo
+                hi = min(b, lo + _SUB_BLOCK - sub % _SUB_BLOCK)
+                ks = idxs[lo:hi]
+                z_batch = pts[ks] + scale * unit_moves[lo:hi]
+                try:
+                    g_batch = K.green(z_batch).tolist()
+                    batched_points += hi - lo
+                except InversionError:
+                    g_batch = None  # evaluate every proposal on its own below
+                    inversion_errors += 1
+                z_batch, ks, us = z_batch.tolist(), ks.tolist(), logu[lo:hi].tolist()
+                for i in range(hi - lo):
+                    step_index = sub + i
+                    k = ks[i]
+                    if g_batch is None or moved_in[k] == sub:
+                        z_new = single[0] = pts[k] + scale * unit_moves[lo + i]
+                        g_new = K.green(single).item()
+                        stale_points += 1
                     else:
-                        accepted_post += 1
-                if step_index >= cfg.burn_in:
-                    if (step_index - cfg.burn_in + 1) % cfg.thin == 0:
-                        log_density, green_sum = _log_density(params, g, pair_sum)
-                        states.append(pts.copy())
-                        log_dens.append(log_density)
-                        green_sums.append(green_sum)
-                elif (step_index + 1) % _TUNE_WINDOW == 0:
-                    rate = accepted_window / _TUNE_WINDOW
-                    if cfg.step_scale is None:
-                        scale *= math.exp(0.7 * (rate - 0.35))
-                        scale = min(max(scale, scale_lo), scale_hi)
-                    window_acceptance.append(rate)
-                    scale_trace.append(scale)
-                    accepted_window = 0
-                if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
-                    pair_sum = _pair_log_sum(pts)
-                    g = np.atleast_1d(K.green(pts)).astype(float)
-            lo = hi
+                        z_new, g_new = z_batch[i], g_batch[i]
+                    # O(N) change of the log density; -inf when the proposal
+                    # meets another particle or, for s = inf, leaves K
+                    if paired:
+                        moved[0, 0], moved[1, 0] = z_new, pts[k]
+                        log_new, log_old = add_reduce(
+                            log(absolute(moved - pts[others[k]])), axis=1).tolist()
+                        delta_pair = log_new - log_old
+                    else:
+                        delta_pair = 0.0  # a lone particle has no pairs
+                    if not hard_wall:
+                        delta = beta * delta_pair - beta_s * (g_new - g[k])
+                    elif g_new > MEMBERSHIP_TOL:
+                        delta = -math.inf
+                    else:
+                        delta = beta * delta_pair
+                    if delta > us[i]:
+                        pts[k] = z_new
+                        g[k] = g_new
+                        pair_sum += delta_pair
+                        moved_in[k] = sub
+                        if step_index < burn_in:
+                            burn_accepts += 1
+                            accepted_window += 1
+                        else:
+                            accepted_post += 1
+                    if step_index >= burn_in:
+                        if (step_index - burn_in + 1) % thin == 0:
+                            log_density, green_sum = _log_density(params, g, pair_sum)
+                            states.append(pts.copy())
+                            log_dens.append(log_density)
+                            green_sums.append(green_sum)
+                    elif (step_index + 1) % _TUNE_WINDOW == 0:
+                        rate = accepted_window / _TUNE_WINDOW
+                        if cfg.step_scale is None:
+                            scale *= math.exp(0.7 * (rate - 0.35))
+                            scale = min(max(scale, scale_lo), scale_hi)
+                        window_acceptance.append(rate)
+                        scale_trace.append(scale)
+                        accepted_window = 0
+                    if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
+                        pair_sum = _pair_log_sum(pts)
+                        g = np.atleast_1d(K.green(pts)).astype(float)
+                lo = hi
 
-    zero_acc = cfg.burn_in > 0 and burn_accepts == 0
+    zero_acc = burn_in > 0 and burn_accepts == 0
     if zero_acc:
         warnings.warn("no proposal was accepted during burn-in; "
                       "the chain is almost surely mis-tuned")

@@ -9,7 +9,7 @@ import pytest
 import coulomblab as cl
 from coulomblab.measures import _pair_log_sum
 from coulomblab.potential import MEMBERSHIP_TOL
-from coulomblab.sampler import _TUNE_WINDOW, _log_density, _move_delta, _others_index
+from coulomblab.sampler import _TUNE_WINDOW, _log_density, _others_index
 
 DISK = cl.Disk(0.0, 1.0)
 
@@ -73,38 +73,19 @@ def test_log_density_rotational_equivariance():
     assert rotated == pytest.approx(base, abs=1e-12 * max(1.0, abs(base)))
 
 
-def test_incremental_delta_matches_full():
-    # detailed-balance invariant: incremental O(N) update equals the global
-    # recomputation for random (state, proposal) pairs
-    p = cl.EnsembleParams(16, 32.0, 2.0, 0.1)
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(10_000):
-        pts = rng.normal(size=16) * 0.9 + 1j * rng.normal(size=16) * 0.9
-        k = int(rng.integers(16))
-        znew = complex(pts[k] + 0.4 * (rng.normal() + 1j * rng.normal()))
-        g = np.atleast_1d(DISK.green(pts)).astype(float)
-        moved = np.array([[znew], [pts[k]]])
-        delta, _ = _move_delta(p, pts[_others_index(16)[k]], moved, g[k],
-                               DISK.green(np.array([znew]))[0])
-        before = cl.log_density_unnormalized(p, DISK, cl.Configuration(pts))
-        pts2 = pts.copy()
-        pts2[k] = znew
-        after = cl.log_density_unnormalized(p, DISK, cl.Configuration(pts2))
-        worst = max(worst, abs((after - before) - delta) / max(1.0, abs(delta)))
-    assert worst <= 1e-9
-
-
-def test_move_delta_coincidence_and_hard_wall():
-    pts = np.array([0.1, -0.3j, 0.5 + 0.2j])
-    others = pts[_others_index(3)[0]]
-    p = cl.EnsembleParams(3, 8.0, 2.0, 0.1)
-    assert _move_delta(p, others, np.array([[-0.3j], [0.1]]), 0.0, 0.0) == (-math.inf,
-                                                                            -math.inf)
-    wall = cl.EnsembleParams(3, math.inf, 2.0, 0.1)
-    delta, delta_pair = _move_delta(wall, others, np.array([[1.5], [0.1]]), 0.0,
-                                    math.log(1.5))
-    assert delta == -math.inf and math.isfinite(delta_pair)
+@pytest.mark.parametrize("params,K", [
+    (cl.EnsembleParams(16, 32.0, 2.0, 0.1), DISK),
+    (cl.EnsembleParams(6, math.inf, 2.0, 0.1), DISK),
+    (cl.EnsembleParams(6, 12.0, 2.0, 0.1), cl.ExteriorMap(1.5, (0.0, 0.5))),
+], ids=["disk_N16", "hard_wall", "exterior_map"])
+def test_chain_densities_match_full_recomputation(params, K):
+    # the incremental O(N) updates of every step add up to the global
+    # density of each stored state
+    ch = cl.run_chain(params, K, cl.ChainConfig(steps=6_000, burn_in=1_000, thin=10), seed=21)
+    assert len(ch) == 600
+    for state, stored in zip(ch.states, ch.log_densities):
+        fresh = cl.log_density_unnormalized(params, K, cl.Configuration(state))
+        assert abs(fresh - stored) <= 1e-9 * max(1.0, abs(fresh))
 
 
 def test_others_index():
@@ -187,6 +168,39 @@ def test_zero_acceptance_flagged():
     with pytest.warns(UserWarning, match="no proposal"):
         ch = cl.run_chain(p, DISK, cfg, seed=5)
     assert ch.zero_acceptance_burnin
+
+
+@pytest.mark.parametrize("points", [[0.1, 0.1, -0.3], [0.1, math.nan, -0.3],
+                                    [0.1, 0.2, complex(0.0, math.inf)]],
+                         ids=["coincident", "nan", "inf"])
+def test_chain_rejects_degenerate_init(points):
+    # the initial density would be -inf or nan, and so would every stored one
+    with pytest.raises(ValueError, match="init has"):
+        cl.run_chain(cl.EnsembleParams(3, 6.0, 2.0, 0.1), DISK,
+                     cl.ChainConfig(steps=200, burn_in=0, thin=1), seed=1,
+                     init=cl.Configuration(points))
+
+
+class _InvalidGreenDisk(cl.Disk):
+    """A disk whose green emits numpy's invalid-value RuntimeWarning on every
+    call after the first, so only the chain's steps warn."""
+
+    calls = 0
+
+    def green(self, z):
+        _InvalidGreenDisk.calls += 1
+        if _InvalidGreenDisk.calls > 1:
+            np.log(np.array(-1.0))
+        return super().green(z)
+
+
+def test_chain_surfaces_invalid_warnings_from_green():
+    # the step loop ignores divide-by-zero only
+    _InvalidGreenDisk.calls = 0
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        cl.run_chain(cl.EnsembleParams(4, 8.0, 2.0, 0.1), _InvalidGreenDisk(0.0, 1.0),
+                     cl.ChainConfig(steps=50, burn_in=0, thin=1), seed=1)
+    assert _InvalidGreenDisk.calls > 1
 
 
 def test_hard_wall_chain_stays_in_disk():
@@ -431,6 +445,28 @@ def test_chain_equals_sequential_loop(name):
     assert ch.log_densities.tobytes() == log_dens.tobytes()
     assert ch.acceptance_rate == acc and ch.step_scale == scale
     assert 0 < ch.telemetry["stale_points"] < cfg.burn_in + cfg.steps
+
+
+def test_chain_rejects_a_proposal_onto_another_particle():
+    # the first proposal lands exactly on particle j: log 0 = -inf rejects
+    # it without a warning, as the sequential loop's explicit test does
+    params, seed, n = cl.EnsembleParams(4, 8.0, 2.0, 0.1), 3, 4
+    cfg = cl.ChainConfig(steps=400, burn_in=0, thin=1, step_scale=0.3)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, n, size=400)[0])
+    unit_moves = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    pts = np.array([0.5, 0.5j, -0.5, -0.5j])
+    j = (k + 1) % n
+    pts[j] = (pts[[k]] + cfg.step_scale * unit_moves[:1])[0]
+    init = cl.Configuration(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ch = cl.run_chain(params, DISK, cfg, seed=seed, init=init)
+        states, log_dens, acc, scale = _sequential_chain(params, DISK, cfg, seed, init)
+    assert ch.states[0].tobytes() == pts.tobytes()
+    assert ch.state_array().tobytes() == states.tobytes()
+    assert ch.log_densities.tobytes() == log_dens.tobytes()
+    assert ch.acceptance_rate == acc and ch.step_scale == scale
 
 
 @pytest.mark.parametrize("K", [cl.Ellipse(0.0, 2.0, 1.0), cl.Segment(-2.0, 2.0)])
