@@ -213,16 +213,16 @@ def criterion_3(lab: AcceptanceLab) -> CriterionResult:
 
 def criterion_4(lab: AcceptanceLab) -> CriterionResult:
     """Capacity estimates at N = 60 and the containment diagnostic."""
-    targets = {"disk": 1.0, "segment": 1.0, "ellipse": 1.5}
-    tols = {"disk": 0.02, "segment": 0.05, "ellipse": 0.05}
+    targets = {"disk": (lab.DISK, 1.0, 0.02), "segment": (lab.SEGMENT, 1.0, 0.05),
+               "ellipse": (lab.ELLIPSE, 1.5, 0.05)}  # set, capacity, tolerance
     clauses, diags = [], []
     for name, res in lab.fekete_60.items():
-        cap = targets[name]
-        est = math.exp(2.0 * res.log_delta / (60 * 59))
+        K, cap, tol = targets[name]
+        est = fekete.capacity_estimate(K, 60, result=res)
         rel = abs(est - cap) / cap
-        clauses.append(Clause(f"capacity estimate {name}", rel <= tols[name],
+        clauses.append(Clause(f"capacity estimate {name}", rel <= tol,
                               f"estimate {est:.5f} vs {cap}, relative error "
-                              f"{rel:.4f}, needs <= {tols[name]}; the estimate at the "
+                              f"{rel:.4f}, needs <= {tol}; the estimate at the "
                               "exact optimizer is capacity * N^(1/(N-1)) "
                               "~ 7-8% high at N=60",
                               expected_to_fail=True))
@@ -341,7 +341,7 @@ def _pair_distance_cdf(params: EnsembleParams, levels: np.ndarray) -> np.ndarray
 def criterion_7(lab: AcceptanceLab) -> CriterionResult:
     """Sampler correctness against quadrature oracles at N = 1 and N = 2."""
     ch1 = lab.chain_1
-    samples = np.abs(np.concatenate(ch1.states))[:100_000]
+    samples = np.abs(ch1.states.ravel())[:100_000]
     grid, cdf = _radial_cdf_grid(4.0, 2.0)
     sorted_r = np.sort(samples)
     emp = np.arange(1, sorted_r.size + 1) / sorted_r.size
@@ -349,7 +349,7 @@ def criterion_7(lab: AcceptanceLab) -> CriterionResult:
     clauses = [Clause("N=1 radial Kolmogorov-Smirnov", ks <= 0.02,
                       f"KS = {ks:.4f} <= 0.02 at {sorted_r.size} samples")]
     ch2 = lab.chain_2
-    d = np.asarray([abs(s[0] - s[1]) for s in ch2.states])
+    d = np.abs(ch2.states[:, 0] - ch2.states[:, 1])
     edges = np.linspace(0.0, 3.0, 41)
     counts, _ = np.histogram(d, bins=edges)
     phat = np.concatenate([counts / d.size, [np.mean(d >= 3.0)]])

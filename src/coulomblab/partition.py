@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,27 +149,31 @@ class PartitionBounds:
     field_log_integral: float = math.nan
 
 
+# lower-bound measure: atoms of the inner set at margin 1/m, mollified at eps < 1/(2m)
+_BOUND_M, _BOUND_EPS, _BOUND_ATOMS = 8, 0.05, 128
+
+
 @functools.lru_cache(maxsize=16)
-def _smoothed_terms(K: CompactSet, m: int, eps: float, atoms: int) -> tuple:
+def _smoothed_terms(K: CompactSet) -> tuple:
     """Energy, log-density self-average and green average of the smoothed
-    equilibrium measure of K's inner set at margin 1/m: the terms of the
-    lower bound that do not depend on the ensemble (N, s, beta)."""
+    equilibrium measure of K's inner set: the terms of the lower bound
+    that do not depend on the ensemble (N, s, beta)."""
     try:
-        inner = K.inner_set(1.0 / m)
+        inner = K.inner_set(1.0 / _BOUND_M)
     except (NotImplementedError, ValueError):
         inner = K
-    nu = smooth(equilibrium_discretization(inner, atoms), eps)
+    nu = smooth(equilibrium_discretization(inner, _BOUND_ATOMS), _BOUND_EPS)
     return continuous_energy(nu), _log_density_self_average(nu), nu.green_average(K)
 
 
-def partition_bounds(K: CompactSet, params: EnsembleParams, fekete_result: FeketeResult,
-                     m: int = 8, eps: float = 0.05, atoms: int = 128) -> PartitionBounds:
+def partition_bounds(K: CompactSet, params: EnsembleParams,
+                     fekete_result: FeketeResult) -> PartitionBounds:
     """Sandwich for log Z: extremal-configuration upper bound and Jensen
     lower bound.
 
     upper = beta * log_delta + N log int exp(-(s+1-N) beta green) dA.
     lower uses the smoothed equilibrium measure of the inner set at margin
-    1/m with mollification radius eps; the field term -beta s N int green
+    1/8 with mollification radius 0.05; the field term -beta s N int green
     vanishes when its support stays in K (always for filled sets, never
     for a segment).
     """
@@ -180,10 +183,7 @@ def partition_bounds(K: CompactSet, params: EnsembleParams, fekete_result: Feket
     log_fi = math.log(fi) if fi > 0 else -math.inf
     upper = beta * fekete_result.log_delta + N * log_fi
 
-    if eps >= 1.0 / (2 * m):
-        warnings.warn(f"mollification eps={eps} is not below 1/(2m)={1/(2*m)}; "
-                      "the support may spill far outside the inner set")
-    energy, loga, gavg = _smoothed_terms(K, m, eps, atoms)
+    energy, loga, gavg = _smoothed_terms(K)
     if s == math.inf:
         field_term = 0.0 if gavg <= 1e-13 else math.inf
     else:

@@ -26,8 +26,8 @@ a zero distance.  The error state changes only whether a divide-by-zero
 is reported, never a value; green reports its failures as InversionError
 or snapped values, and its invalid-value warnings still surface.
 
-Each stored state keeps sum_n green(z_n) from the green values the chain
-already holds, so tail_mass_estimate evaluates no green of its own.
+Stored state j is row j of one (steps // thin, N) array; its green sum,
+from the chain's own green values, spares tail_mass_estimate a green call.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ def _others_index(n: int) -> np.ndarray:
 class Chain:
     """Thinned Metropolis chain with its acceptance and density trace.
 
-    `green_sums` holds sum_n green(z_n) of each stored state.  run_chain
-    records it from the green values it already holds, which are bitwise
-    the values green gives on the stored states; a chain built without
-    them (by hand, or by `load`, whose CSV does not carry them) computes
-    them once on first use.
+    `states` is one (n_states, N) complex128 array, whether from run_chain,
+    `load` or rows given by hand.  `green_sums` holds sum_n green(z_n) of
+    each stored state, recorded by run_chain bitwise equal to green on the
+    stored states; a chain built without them (by hand, or by `load`,
+    whose CSV does not carry them) computes them once on first use.
 
     `telemetry` records what run_chain did: `window_acceptance` and
     `scale_trace`, the acceptance of each 200-step burn-in window and the
@@ -170,25 +170,28 @@ class Chain:
     whose batched call raised InversionError."""
 
     def __init__(self, params: EnsembleParams, K: CompactSet, cfg: ChainConfig,
-                 seed, states: list, log_densities: list, acceptance_rate: float,
+                 seed, states, log_densities, acceptance_rate: float,
                  step_scale: float, zero_acceptance_burnin: bool = False,
-                 telemetry: Optional[dict] = None, green_sums: Optional[list] = None):
+                 telemetry: Optional[dict] = None, green_sums=None):
         self.params = params
         self.K = K
         self.cfg = cfg
         self.seed = seed
-        self.states = states  # list of complex ndarrays, shape (N,)
+        states = np.asarray(states, dtype=complex)
+        self.states = states.reshape(len(states), params.N)
         self.log_densities = np.asarray(log_densities, dtype=float)
         self.acceptance_rate = acceptance_rate
         self.step_scale = step_scale
         self.zero_acceptance_burnin = zero_acceptance_burnin
         self.telemetry = telemetry or {}
+        if green_sums is not None and len(green_sums) != len(states):
+            raise ValueError(f"{len(green_sums)} green sums for {len(states)} stored states")
         self._green_sums = None if green_sums is None else np.asarray(green_sums, dtype=float)
 
     @property
     def green_sums(self) -> np.ndarray:
         """sum_n green(z_n) of each stored state, shape (n_states,)."""
-        if self._green_sums is None or len(self._green_sums) != len(self.states):
+        if self._green_sums is None:
             sums = [np.add.reduce(self.K.green(block), axis=1)
                     for block in _state_blocks(self, self.params.N)]
             self._green_sums = np.concatenate(sums) if sums else np.empty(0)
@@ -197,27 +200,20 @@ class Chain:
     def __len__(self) -> int:
         return len(self.states)
 
-    def configurations(self):
-        return [Configuration(s) for s in self.states]
-
     def state_array(self) -> np.ndarray:
-        """The stored states as an (n_states, N) array, (0, N) when none."""
-        return np.asarray(self.states, dtype=complex).reshape(len(self.states), self.params.N)
+        """The stored states, an (n_states, N) array, (0, N) when none."""
+        return self.states
 
     def last_configuration(self) -> Configuration:
         return Configuration(self.states[-1])
 
     def save(self, basepath) -> None:
         base = Path(basepath)
-        arr = self.state_array()
-        n_states, n = arr.shape
-        cols = [np.arange(n_states)]
-        for k in range(n):
-            cols.extend([arr[:, k].real, arr[:, k].imag])
-        cols.append(self.log_densities)
-        header = "state," + ",".join(f"re{k},im{k}" for k in range(n)) + ",log_density"
-        np.savetxt(base.with_suffix(".csv"), np.column_stack(cols),
-                   delimiter=",", header=header, comments="")
+        # a state's row: its index, re0, im0, re1, im1, ..., its log density
+        table = np.column_stack([np.arange(len(self)),
+                                 np.ascontiguousarray(self.states).view(float), self.log_densities])
+        header = "state," + ",".join(f"re{k},im{k}" for k in range(self.params.N)) + ",log_density"
+        np.savetxt(base.with_suffix(".csv"), table, delimiter=",", header=header, comments="")
         meta = {"params": self.params.to_dict(), "set": self.K.to_dict(),
                 "cfg": self.cfg.to_dict(), "seed": self.seed,
                 "acceptance": self.acceptance_rate, "step_scale": self.step_scale,
@@ -231,12 +227,11 @@ class Chain:
         params = EnsembleParams.from_dict(meta["params"])
         K = compact_set_from_dict(meta["set"])
         cfg = ChainConfig(**meta["cfg"])
-        n = params.N
         rows = base.with_suffix(".csv").read_text().splitlines()[1:]
         # a chain without stored states saves a header-only file
-        raw = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 2 * n + 2))
-        states = [raw[i, 1:1 + 2 * n:2] + 1j * raw[i, 2:2 + 2 * n:2] for i in range(raw.shape[0])]
-        return cls(params, K, cfg, meta["seed"], states, raw[:, -1].tolist(),
+        raw = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 2 * params.N + 2))
+        states = np.ascontiguousarray(raw[:, 1:-1]).view(complex)
+        return cls(params, K, cfg, meta["seed"], states, raw[:, -1],
                    meta["acceptance"], meta["step_scale"],
                    telemetry=meta.get("telemetry"))
 
@@ -281,9 +276,9 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     burn_in, thin = cfg.burn_in, cfg.thin
     log, absolute, add_reduce = np.log, np.absolute, np.add.reduce
 
-    states: list[np.ndarray] = []
-    log_dens: list[float] = []
-    green_sums: list[float] = []
+    states = np.empty((cfg.steps // thin, n), dtype=complex)
+    log_dens, green_sums = np.empty(len(states)), np.empty(len(states))
+    stored = 0
     window_acceptance: list[float] = []
     scale_trace: list[float] = []
     batched_points = stale_points = inversion_errors = 0
@@ -348,10 +343,9 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                             accepted_post += 1
                     if step_index >= burn_in:
                         if (step_index - burn_in + 1) % thin == 0:
-                            log_density, green_sum = _log_density(params, g, pair_sum)
-                            states.append(pts.copy())
-                            log_dens.append(log_density)
-                            green_sums.append(green_sum)
+                            states[stored] = pts
+                            log_dens[stored], green_sums[stored] = _log_density(params, g, pair_sum)
+                            stored += 1
                     elif (step_index + 1) % _TUNE_WINDOW == 0:
                         rate = accepted_window / _TUNE_WINDOW
                         if cfg.step_scale is None:
@@ -392,11 +386,11 @@ def in_low_energy_set(params: EnsembleParams, K: CompactSet, c: Configuration,
 
 
 def _state_blocks(chain: Chain, per_state: int):
-    """The stored states as (states, N) arrays of about _CHUNK_ELEMENTS
-    values, at per_state values a state (at least one state a block)."""
+    """Views of the stored states in (states, N) blocks of about
+    _CHUNK_ELEMENTS values, at per_state values a state (at least one)."""
     step = max(1, _CHUNK_ELEMENTS // per_state)
     for first in range(0, len(chain), step):
-        yield np.asarray(chain.states[first:first + step])
+        yield chain.states[first:first + step]
 
 
 def tail_mass_estimate(chain: Chain, eps: float) -> float:

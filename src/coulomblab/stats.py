@@ -9,6 +9,7 @@ alone and not the quadrature.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -76,10 +77,11 @@ def tensor_integral(f: Callable, state: Configuration, n: int):
 def equilibrium_tensor_integral(K: CompactSet, f: Callable, n: int,
                                 tol: float = 1e-9):
     """Integral of f against the n-fold product equilibrium measure by
-    tensorized boundary quadrature with dyadic refinement."""
+    tensorized boundary quadrature with dyadic refinement (up to 2048 nodes
+    an axis at n = 2 and 256 at n = 3, which raises a warning)."""
     if n == 1:
         return equilibrium_integral(K, f, tol=tol)
-    max_m = 2048 if n == 2 else 192
+    max_m = 2048 if n == 2 else 256
     m, prev = 32, None
     while True:
         theta = (np.arange(m) + 0.5) * (2 * math.pi / m)
@@ -94,6 +96,8 @@ def equilibrium_tensor_integral(K: CompactSet, f: Callable, n: int,
         if prev is not None and abs(est - prev) < tol * max(1.0, abs(est)):
             break
         if m >= max_m:
+            warnings.warn(f"equilibrium tensor quadrature stalled at {m} nodes an axis "
+                          f"(last refinement change {abs(est - prev):.3e})")
             break
         prev, m = est, 2 * m
     if abs(est.imag) < 1e-12 * max(1.0, abs(est.real)):
@@ -241,7 +245,7 @@ def intensity_histogram(chain: Chain, bounds: Optional[tuple] = None,
                         bins: int = 64) -> IntensityHistogram:
     """Single-particle intensity estimate: all particles of all stored
     states binned on a rectangular grid and normalized to unit mass."""
-    pts = np.concatenate(chain.states)
+    pts = chain.states.ravel()
     if bounds is None:
         cap = chain.K.capacity()
         pad = (math.e - 1.0) * cap  # covers the green <= 1 neighborhood

@@ -311,7 +311,7 @@ def _log_density_full_grid(nu, cell=None):
 
 
 def _inner_nu(K):
-    # the smoothed measure partition_bounds builds at its defaults
+    # the smoothed measure partition_bounds builds
     return smooth(equilibrium_discretization(K.inner_set(1.0 / 8), 128), 0.05)
 
 
@@ -364,17 +364,9 @@ def test_bounds_sandwich_segment_cubature():
     assert b.green_average > 0  # smoothed segment measure spills off K
 
 
-def test_bounds_warn_on_wide_mollifier():
-    p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
-    fr = cl.solve(DISK, 2, seed=5)
-    for _ in range(2):  # the second call reuses the smoothed-measure terms
-        with pytest.warns(UserWarning, match="mollification"):
-            cl.partition_bounds(DISK, p, fr, m=8, eps=0.1)
-
-
 def test_bounds_smoothed_terms_shared_across_ensembles():
-    # the lower bound's smoothed-measure terms depend on (K, m, eps, atoms)
-    # only; every ensemble on a set gets that set's values computed afresh
+    # the lower bound's smoothed-measure terms depend on K only; every
+    # ensemble on a set gets that set's values computed afresh
     for K in (DISK, cl.Disk(0.0, 0.5)):
         nu = _inner_nu(K)
         fresh = (cl.continuous_energy(nu), _log_density_self_average(nu), nu.green_average(K))

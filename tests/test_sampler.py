@@ -215,7 +215,8 @@ def test_chain_save_load_resume(tmp_path, chain8):
     chain8.save(base)
     loaded = cl.Chain.load(base)
     assert loaded.params == chain8.params
-    assert np.allclose(loaded.states[-1], chain8.states[-1])
+    assert np.array_equal(loaded.states, chain8.states)
+    assert np.array_equal(loaded.log_densities, chain8.log_densities)
     more = cl.run_chain(chain8.params, DISK,
                         cl.ChainConfig(steps=500, burn_in=0, thin=5),
                         seed=1, init=loaded.last_configuration())
@@ -308,12 +309,12 @@ def test_tail_mass_same_from_recorded_rebuilt_and_loaded_sums(tmp_path):
                        ch.acceptance_rate, ch.step_scale)
     ch.save(tmp_path / "chain")
     loaded = cl.Chain.load(tmp_path / "chain")
-    # sums whose length differs from the states' are recomputed
-    stale = cl.Chain(ch.params, K, ch.cfg, ch.seed, ch.states[:-1], ch.log_densities[:-1],
-                     ch.acceptance_rate, ch.step_scale, green_sums=ch.green_sums)
     for other in (rebuilt, loaded):
         assert np.array_equal(other.green_sums, ch.green_sums)
-    assert np.array_equal(stale.green_sums, ch.green_sums[:-1])
+    # sums whose length differs from the states' are an error, not recomputed
+    with pytest.raises(ValueError, match="green sums"):
+        cl.Chain(ch.params, K, ch.cfg, ch.seed, ch.states[:-1], ch.log_densities[:-1],
+                 ch.acceptance_rate, ch.step_scale, green_sums=ch.green_sums)
     for eps in (0.2, 0.01, 0.001):
         assert len({cl.tail_mass_estimate(c, eps) for c in (ch, rebuilt, loaded)}) == 1
     empty = cl.Chain(ch.params, K, ch.cfg, ch.seed, [], [], 0.0, 1.0)
@@ -333,8 +334,27 @@ def test_chain_save_load_single_particle(tmp_path):
             warnings.simplefilter("error")
             loaded = cl.Chain.load(tmp_path / name)
         assert loaded.state_array().shape == chain.state_array().shape
-        assert np.allclose(loaded.state_array(), chain.state_array())
-        assert np.allclose(loaded.log_densities, chain.log_densities)
+        assert np.array_equal(loaded.state_array(), chain.state_array())
+        assert np.array_equal(loaded.log_densities, chain.log_densities)
+        assert np.array_equal(loaded.green_sums, chain.green_sums)
+
+
+def test_chain_states_are_one_array(tmp_path):
+    # run_chain, load and a hand-built chain all hold one (n_states, N)
+    # complex128 array, and rows or the array build the same chain
+    p = cl.EnsembleParams(4, 8.0, 2.0, 0.1)
+    ch = cl.run_chain(p, DISK, cl.ChainConfig(steps=300, burn_in=50, thin=3), seed=5)
+    ch.save(tmp_path / "chain")
+    rows = [state.tolist() for state in ch.states]
+    from_rows = cl.Chain(p, DISK, ch.cfg, 5, rows, list(ch.log_densities), 0.5, 1.0)
+    from_array = cl.Chain(p, DISK, ch.cfg, 5, ch.states.copy(), ch.log_densities, 0.5, 1.0)
+    for other in (ch, cl.Chain.load(tmp_path / "chain"), from_rows, from_array):
+        assert other.states.shape == (100, 4) and other.states.dtype == np.complex128
+        assert other.state_array() is other.states
+        assert np.array_equal(other.states, ch.states)
+        assert np.array_equal(other.green_sums, ch.green_sums)
+    with pytest.raises(ValueError):
+        cl.Chain(p, DISK, ch.cfg, 5, ch.states[:, :3], ch.log_densities, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
