@@ -17,9 +17,8 @@ from .partition import (PartitionBounds, PartitionReport, asymptotic_residual,
                         bridge_residual, build_report, kappa_disk,
                         log_partition_disk_exact, partition_bounds,
                         partition_cubature, theta)
-from .stats import (IntensityHistogram, LinearStatReport, RateReport,
-                    equilibrium_tensor_integral, intensity_histogram,
-                    linear_statistic, moment_statistic, positivity_scan,
-                    rate_function, symmetrize, tensor_integral)
+from .stats import (IntensityHistogram, LinearStatReport, RateReport, intensity_histogram,
+                    linear_statistic, moment_statistic, positivity_scan, rate_function,
+                    symmetrize, tensor_integral)
 
 __version__ = "0.1.0"

@@ -246,23 +246,20 @@ def criterion_4(lab: AcceptanceLab) -> CriterionResult:
 def criterion_5(lab: AcceptanceLab) -> CriterionResult:
     """Rate-function closed forms, positivity, and the hard-constraint case."""
     beta = 2.0
-    clauses = []
-    worst = 0.0
-    for r in (0.25, 0.5, 2.0, 4.0):
-        for ell in (0.25, 0.5, 1.0):
-            rep = stats._rate(CircleMeasure(0.0, r), lab.DISK, ell, beta, f"r={r}")
-            expected = (beta / 2) * abs(math.log(r)) if r < 1 \
-                else (beta / 2) * (2.0 / ell - 1.0) * math.log(r)
-            worst = max(worst, abs(rep.rate - expected))
-    clauses.append(Clause("circle-family closed forms", worst <= 1e-6,
-                          f"max |rate - closed form| = {worst:.2e} <= 1e-6"))
     family = [(f"r={r}", CircleMeasure(0.0, r)) for r in (0.25, 0.5, 2.0, 4.0)]
-    scan = stats.positivity_scan(lab.DISK, family, (0.25, 0.5, 1.0), beta=beta)
-    clauses.append(Clause("positivity off the equilibrium measure",
-                          all(rep.rate > 0 for rep in scan),
-                          f"min rate over scan = {min(rep.rate for rep in scan):.4f} > 0"))
-    inf_cases = [stats._rate(CircleMeasure(0.0, r), lab.DISK, 0.0, beta, "ell=0").rate
-                 for r in (2.0, 4.0)]
+    ells = (0.25, 0.5, 1.0)
+    scan = stats.positivity_scan(lab.DISK, family, ells, beta=beta)
+    worst = 0.0
+    for rep, r in zip(scan, [nu.radius for _, nu in family for _ in ells]):
+        expected = (beta / 2) * abs(math.log(r)) if r < 1 \
+            else (beta / 2) * (2.0 / rep.ell - 1.0) * math.log(r)
+        worst = max(worst, abs(rep.rate - expected))
+    clauses = [Clause("circle-family closed forms", worst <= 1e-6,
+                      f"max |rate - closed form| = {worst:.2e} <= 1e-6"),
+               Clause("positivity off the equilibrium measure",
+                      all(rep.rate > 0 for rep in scan),
+                      f"min rate over scan = {min(rep.rate for rep in scan):.4f} > 0")]
+    inf_cases = [rep.rate for rep in stats.positivity_scan(lab.DISK, family[2:], (0.0,), beta=beta)]
     clauses.append(Clause("ell=0 off-K gives +inf", all(v == math.inf for v in inf_cases),
                           f"rates {inf_cases}"))
     return CriterionResult(5, "large-deviation rate function", clauses)

@@ -62,7 +62,7 @@ class Configuration:
 class AtomicMeasure:
     """Weighted point measure sum_i w_i * delta(x_i), weights positive."""
 
-    def __init__(self, points, weights=None, require_probability: bool = False):
+    def __init__(self, points, weights=None):
         self.points = np.asarray(points, dtype=complex).ravel()
         if weights is None:
             n = self.points.size
@@ -75,8 +75,6 @@ class AtomicMeasure:
             raise ValueError("empty measure")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-        if require_probability and not self.is_probability:
-            raise ValueError(f"mass {self.mass()} is not 1 within {_PROB_TOL}")
 
     def mass(self) -> float:
         return float(self.weights.sum())
@@ -415,10 +413,12 @@ def continuous_energy(mu: Measure) -> float:
 # points per green call of _disk_green_averages: larger calls run slower per
 # point once their temporaries leave the cache
 _GREEN_POINTS = 1 << 13
+# _disk_green_averages' grid: angles on each ring, Gauss-Legendre radii per disk
+_RING_ANGLES = 128
+_RING_RADII = 24
 
 
-def _disk_green_averages(K, centers, radius: float,
-                         n_ring: int = 128, order: int = 24) -> np.ndarray:
+def _disk_green_averages(K, centers, radius: float) -> np.ndarray:
     """Average of green over each disk |z - c| < radius, c in centers.
 
     One green call on every boundary ring, then calls of at most
@@ -426,16 +426,16 @@ def _disk_green_averages(K, centers, radius: float,
     lies in K averages zero (green is subharmonic, so its max over the disk
     sits on the ring)."""
     centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-    rings = np.atleast_1d(K.green(_ring(centers[:, None], radius, n_ring).ravel()))
-    off = rings.reshape(centers.size, n_ring).max(axis=1) > 1e-15
+    rings = np.atleast_1d(K.green(_ring(centers[:, None], radius, _RING_ANGLES).ravel()))
+    off = rings.reshape(centers.size, _RING_ANGLES).max(axis=1) > 1e-15
     out = np.zeros(centers.size)
-    x, w = _gauss(order)
+    x, w = _gauss(_RING_RADII)
     r = 0.5 * radius * (x + 1.0)
     todo = np.flatnonzero(off)
-    step = max(1, _GREEN_POINTS // (order * n_ring))
+    step = max(1, _GREEN_POINTS // (_RING_RADII * _RING_ANGLES))
     for lo in range(0, todo.size, step):
         disks = todo[lo:lo + step]
-        pts = _ring(centers[disks, None, None], r[:, None], n_ring)
+        pts = _ring(centers[disks, None, None], r[:, None], _RING_ANGLES)
         g = np.atleast_1d(K.green(pts.ravel())).reshape(pts.shape)
         out[disks] = (g.mean(axis=2) * r) @ w / radius
     return out

@@ -20,7 +20,7 @@ import numpy as np
 from .fekete import FeketeResult
 from .measures import (SmoothedMeasure, _gauss, continuous_energy, equilibrium_discretization,
                        smooth)
-from .potential import CompactSet, Disk, ExteriorMap, robin_energy
+from .potential import _BLOCK_VALUES, CompactSet, Disk, ExteriorMap, _row_blocks, robin_energy
 from .sampler import EnsembleParams
 
 
@@ -195,19 +195,6 @@ def partition_bounds(K: CompactSet, params: EnsembleParams,
 # ---------------------------------------------------------------------------
 # small-N cubature
 # ---------------------------------------------------------------------------
-
-# values in one block of a cubature pair kernel (2^18 doubles are 2 MB, a
-# complex difference block 4 MB): the grid sets how many blocks there are,
-# never how much memory a block takes
-_BLOCK_VALUES = 1 << 18
-
-
-def _row_blocks(rows: int, row_values: int):
-    """Slices covering range(rows), each of as many rows of row_values
-    values as fit in _BLOCK_VALUES (at least one; none when rows is 0)."""
-    step = max(1, _BLOCK_VALUES // max(1, row_values))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
 
 def _graded_panels(lo: float, hi: float, grading=(0.0, 0.05, 0.25, 1.0)):
     return [(lo + (hi - lo) * a, lo + (hi - lo) * b) for a, b in zip(grading[:-1], grading[1:])]

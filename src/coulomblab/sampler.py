@@ -32,7 +32,6 @@ from the chain's own green values, spares tail_mass_estimate a green call.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import warnings
@@ -44,7 +43,7 @@ import numpy as np
 
 from .measures import Configuration, _pair_distances, _pair_log_sum
 from .potential import (CompactSet, InversionError, MEMBERSHIP_TOL, compact_set_from_dict,
-                        robin_energy)
+                        equilibrium_sample, robin_energy)
 from . import fekete
 
 _FULL_RECOMPUTE_EVERY = 10_000
@@ -143,13 +142,10 @@ def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configura
     return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))[0]
 
 
-@functools.lru_cache(maxsize=8)
 def _others_index(n: int) -> np.ndarray:
-    """Read-only (n, n - 1) table whose row k lists 0..n-1 without k."""
+    """(n, n - 1) table whose row k lists 0..n-1 without k."""
     cols = np.arange(n - 1)
-    table = cols + (cols[None, :] >= np.arange(n)[:, None])
-    table.flags.writeable = False
-    return table
+    return cols + (cols[None, :] >= np.arange(n)[:, None])
 
 
 class Chain:
@@ -184,6 +180,9 @@ class Chain:
         self.step_scale = step_scale
         self.zero_acceptance_burnin = zero_acceptance_burnin
         self.telemetry = telemetry or {}
+        if len(self.log_densities) != len(states):
+            raise ValueError(f"{len(self.log_densities)} log densities for {len(states)} stored "
+                             "states")
         if green_sums is not None and len(green_sums) != len(states):
             raise ValueError(f"{len(green_sums)} green sums for {len(states)} stored states")
         self._green_sums = None if green_sums is None else np.asarray(green_sums, dtype=float)
@@ -258,8 +257,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
         if not np.all(np.isfinite(pts)):
             raise ValueError("init has non-finite points")
     else:
-        theta = rng.uniform(0, 2 * math.pi, n)
-        pts = np.asarray(K.boundary_point(theta), dtype=complex).reshape(n)
+        pts = equilibrium_sample(K, n, seed=rng).points
     pair_sum = _pair_log_sum(pts)
     if pair_sum == -math.inf:
         raise ValueError("init has coincident points")

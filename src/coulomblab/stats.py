@@ -1,22 +1,22 @@
 """Linear statistics, moments, marginal-intensity histograms, the
 n-point symmetrizer, and the large-deviation rate function.
 
-Monte Carlo estimates are always compared against targets computed by
-tensorized boundary quadrature, so reported z-scores probe the chain
-alone and not the quadrature.
+Monte Carlo estimates are always compared against targets from
+potential.equilibrium_integral, the tensorized boundary quadrature of the
+n-fold equilibrium measure, so reported z-scores probe the chain alone
+and not the quadrature.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .measures import Configuration, Measure, weighted_energy
-from .potential import CompactSet, equilibrium_integral, robin_energy
+from .potential import CompactSet, _tensor_mean, equilibrium_integral, robin_energy
 from .sampler import Chain, EnsembleParams, _state_blocks
 
 
@@ -62,47 +62,10 @@ def _chain_series(chain: Chain, f: Callable, n: int) -> np.ndarray:
 
 
 def tensor_integral(f: Callable, state: Configuration, n: int):
-    """Plain n-fold tensor average of f over the empirical measure."""
+    """Plain n-fold tensor average of f over the empirical measure, by the
+    same n-fold mean as the equilibrium quadrature (n in {1, 2, 3})."""
     pts = state.points if isinstance(state, Configuration) else np.asarray(state, dtype=complex)
-    N = pts.size
-    if n == 1:
-        return np.mean(f(pts))
-    if n == 2:
-        return np.sum(f(pts[:, None], pts[None, :])) / N**2
-    if n == 3:
-        return np.sum(f(pts[:, None, None], pts[None, :, None], pts[None, None, :])) / N**3
-    raise ValueError("supported orders are n in {1, 2, 3}")
-
-
-def equilibrium_tensor_integral(K: CompactSet, f: Callable, n: int,
-                                tol: float = 1e-9):
-    """Integral of f against the n-fold product equilibrium measure by
-    tensorized boundary quadrature with dyadic refinement (up to 2048 nodes
-    an axis at n = 2 and 256 at n = 3, which raises a warning)."""
-    if n == 1:
-        return equilibrium_integral(K, f, tol=tol)
-    max_m = 2048 if n == 2 else 256
-    m, prev = 32, None
-    while True:
-        theta = (np.arange(m) + 0.5) * (2 * math.pi / m)
-        p = K.boundary_point(theta)
-        if n == 2:
-            est = complex(np.mean(f(p[:, None], p[None, :])))
-        else:
-            acc = 0.0 + 0.0j
-            for i in range(m):  # chunk the m^3 grid along the first axis
-                acc += np.sum(f(p[i], p[:, None], p[None, :]))
-            est = complex(acc / m**3)
-        if prev is not None and abs(est - prev) < tol * max(1.0, abs(est)):
-            break
-        if m >= max_m:
-            warnings.warn(f"equilibrium tensor quadrature stalled at {m} nodes an axis "
-                          f"(last refinement change {abs(est - prev):.3e})")
-            break
-        prev, m = est, 2 * m
-    if abs(est.imag) < 1e-12 * max(1.0, abs(est.real)):
-        return est.real
-    return est
+    return _tensor_mean(f, pts, n)
 
 
 @dataclass
@@ -151,7 +114,7 @@ def linear_statistic(chain: Chain, f: Callable, n: int = 1, label: str = "") -> 
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
     series = _chain_series(chain, f, n)
-    target = equilibrium_tensor_integral(chain.K, f, n)
+    target = equilibrium_integral(chain.K, f, n, tol=1e-9)
     return _batch_report(series, target, n, label)
 
 
@@ -241,21 +204,17 @@ class IntensityHistogram:
                    header="bin_center_re,bin_center_im,density", comments="")
 
 
-def intensity_histogram(chain: Chain, bounds: Optional[tuple] = None,
-                        bins: int = 64) -> IntensityHistogram:
+def intensity_histogram(chain: Chain, bins: int = 64) -> IntensityHistogram:
     """Single-particle intensity estimate: all particles of all stored
-    states binned on a rectangular grid and normalized to unit mass."""
+    states binned on a rectangular grid and normalized to unit mass.  The
+    grid is the bounding box of the boundary of K padded by (e - 1) cap,
+    which covers the green <= 1 neighborhood."""
     pts = chain.states.ravel()
-    if bounds is None:
-        cap = chain.K.capacity()
-        pad = (math.e - 1.0) * cap  # covers the green <= 1 neighborhood
-        theta = np.linspace(0, 2 * math.pi, 256)
-        b = chain.K.boundary_point(theta)
-        bounds = (b.real.min() - pad, b.real.max() + pad,
-                  b.imag.min() - pad, b.imag.max() + pad)
-    x0, x1, y0, y1 = bounds
+    pad = (math.e - 1.0) * chain.K.capacity()
+    b = chain.K.boundary_point(np.linspace(0, 2 * math.pi, 256))
     counts, xe, ye = np.histogram2d(pts.real, pts.imag, bins=bins,
-                                    range=[[x0, x1], [y0, y1]])
+                                    range=[[b.real.min() - pad, b.real.max() + pad],
+                                           [b.imag.min() - pad, b.imag.max() + pad]])
     cell = (xe[1] - xe[0]) * (ye[1] - ye[0])
     density = counts / (pts.size * cell)
     return IntensityHistogram(xe, ye, density, pts.size)

@@ -239,16 +239,74 @@ def test_equilibrium_integral_segment_moment():
 
 
 def test_equilibrium_integral_reports_error():
-    val, err = cl.equilibrium_integral(DISK, lambda z: np.exp(z.real), return_error=True)
+    val = cl.equilibrium_integral(DISK, lambda z: np.exp(z.real))
     oracle, _ = quad(lambda t: math.exp(math.cos(t)) / (2 * math.pi), 0, 2 * math.pi)
     assert val == pytest.approx(oracle, abs=1e-10)
-    assert err < 1e-10
 
 
 def test_equilibrium_integral_flags_nonconvergence():
+    # noise never converges, so the quadrature runs to its fixed cap of 2^18 nodes
     rng = np.random.default_rng(0)
-    with pytest.warns(UserWarning):
-        cl.equilibrium_integral(DISK, lambda z: rng.random(z.shape), max_nodes=2**10)
+    with pytest.warns(UserWarning, match=r"stalled at 262144 nodes \(last"):
+        cl.equilibrium_integral(DISK, lambda z: rng.random(z.shape))
+
+
+# integrands of orders 1, 2 and 3 built from arithmetic alone, and their values
+# at tol = 1e-9 on the disk, the segment [-2, 2], the ellipse (2, 1) and the
+# ExteriorMap of cap 1 and c_2 = 0.15
+_MATRIX_F = {
+    1: (lambda z: (z * np.conj(z)).real,
+        lambda z: 1 / (2.5 - z.real),
+        lambda z: (z + 0.5) ** 2 * (1 + 0.3j * np.conj(z))),
+    2: (lambda a, b: ((a - b) * np.conj(a - b)).real,
+        lambda a, b: 1 / (20 - ((a - b) * np.conj(a - b)).real),
+        lambda a, b: a * a * np.conj(b + 0.5) + 1),
+    3: (lambda a, b, c: (a * np.conj(b)).real * (b * np.conj(c)).real + (a * np.conj(a)).real,
+        lambda a, b, c: 1 / (40 - ((a - b) * np.conj(b - c)).real),
+        lambda a, b, c: (a + 0.5) * (b - 0.25j) * np.conj(c + 1)),
+}
+_MATRIX_SETS = {"disk": DISK, "segment": SEGMENT, "ellipse": ELLIPSE,
+                "exterior_map": cl.ExteriorMap(1.0, (0, 0, 0.15))}
+_MATRIX_VALUES = {
+    ("disk", 1): (1.0, 0.4364357804719847, 0.24999999999999994 + 0.29999999999999993j),
+    ("disk", 2): (2.0, 0.05590169943749474, 1.0),
+    ("disk", 3): (1.0, 0.02441152345829333, -2.168404344971009e-18 - 0.12499999999999999j),
+    ("segment", 1): (2.0, 0.6666666666666665, 2.25 + 0.5999999999999999j),
+    ("segment", 2): (4.0, 0.0718490770673792, 1.9999999999999998),
+    ("segment", 3): (2.0, 0.02398089535978672, -3.7947076036992655e-17 - 0.12499999999999999j),
+    ("ellipse", 1): (2.5, 0.6666666666666665, 1.75 + 0.7499999999999998j),
+    ("ellipse", 2): (5.0, 0.07674635310916433, 1.75),
+    ("ellipse", 3): (2.500000000000001, 0.023694796400523136,
+                     3.469446951953614e-18 - 0.12499999999999994j),
+    ("exterior_map", 1): (1.0225, 0.44156890427720763,
+                          0.24999999999999983 + 0.30674999999999997j),
+    ("exterior_map", 2): (2.045, 0.05607692704850807, 1.0),
+    ("exterior_map", 3): (1.0225, 0.024399693271142095,
+                          -2.7321894746634712e-17 - 0.12499999999999994j),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(_MATRIX_VALUES))
+def test_equilibrium_integral_matrix(name, n):
+    # n <= 2 values are bitwise those of the n = 1 loop and the former
+    # separate n = 2, 3 loop; n = 3 sums its grid in row blocks, not row by row
+    K = _MATRIX_SETS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every integrand converges below the node cap
+        values = [cl.equilibrium_integral(K, f, n, tol=1e-9) for f in _MATRIX_F[n]]
+    for value, frozen in zip(values, _MATRIX_VALUES[name, n]):
+        assert type(value) is type(frozen)
+        if n <= 2:
+            assert value == frozen
+        else:
+            assert abs(value - frozen) <= 1e-15 * max(1.0, abs(frozen))
+
+
+def test_equilibrium_integral_tol_is_keyword_only():
+    with pytest.raises(TypeError):
+        cl.equilibrium_integral(DISK, lambda z: z, 1, 1e-9)
+    with pytest.raises(ValueError, match="n in"):
+        cl.equilibrium_integral(DISK, lambda z: z, 4)
 
 
 # ---------------------------------------------------------------------------

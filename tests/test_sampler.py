@@ -92,8 +92,6 @@ def test_others_index():
     table = _others_index(4)
     assert table.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
     assert _others_index(1).shape == (1, 0)
-    with pytest.raises(ValueError):
-        table[0, 0] = 5
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +317,17 @@ def test_tail_mass_same_from_recorded_rebuilt_and_loaded_sums(tmp_path):
         assert len({cl.tail_mass_estimate(c, eps) for c in (ch, rebuilt, loaded)}) == 1
     empty = cl.Chain(ch.params, K, ch.cfg, ch.seed, [], [], 0.0, 1.0)
     assert empty.green_sums.shape == (0,)
+
+
+def test_chain_rejects_log_densities_of_another_length():
+    ch = cl.run_chain(cl.EnsembleParams(4, 8.0, 2.0, 0.1), DISK,
+                      cl.ChainConfig(steps=600, burn_in=100, thin=2), seed=5)
+    with pytest.raises(ValueError, match="150 log densities for 300 stored states"):
+        cl.Chain(ch.params, DISK, ch.cfg, ch.seed, ch.states, ch.log_densities[:150],
+                 ch.acceptance_rate, ch.step_scale)
+    with pytest.raises(ValueError, match="300 log densities for 150 stored states"):
+        cl.Chain(ch.params, DISK, ch.cfg, ch.seed, ch.states[:150], ch.log_densities,
+                 ch.acceptance_rate, ch.step_scale)
 
 
 def test_chain_save_load_single_particle(tmp_path):

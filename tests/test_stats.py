@@ -8,7 +8,7 @@ import pytest
 
 import coulomblab as cl
 from coulomblab import sampler
-from coulomblab.stats import _batch_report, equilibrium_tensor_integral, tensor_integral
+from coulomblab.stats import _batch_report, tensor_integral
 
 DISK = cl.Disk(0.0, 1.0)
 
@@ -88,19 +88,20 @@ def test_symmetrize_validation():
 def test_equilibrium_tensor_targets():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # every target converges below the node cap
-        assert equilibrium_tensor_integral(DISK, lambda z: np.abs(z) ** 2, 1) == \
+        assert cl.equilibrium_integral(DISK, lambda z: np.abs(z) ** 2, 1, tol=1e-9) == \
             pytest.approx(1.0)
-        prod = equilibrium_tensor_integral(DISK, lambda a, b: (a * np.conj(b)).real, 2)
+        prod = cl.equilibrium_integral(DISK, lambda a, b: (a * np.conj(b)).real, 2, tol=1e-9)
         assert abs(prod) < 1e-12
         f3 = lambda a, b, c_: np.abs(a) * np.abs(b) * np.abs(c_)
-        assert equilibrium_tensor_integral(DISK, f3, 3) == pytest.approx(1.0, abs=1e-10)
+        assert cl.equilibrium_integral(DISK, f3, 3, tol=1e-9) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_equilibrium_tensor_warns_at_node_cap():
     # the kink of |a - b| on the diagonal of the segment's arcsine measure
     # keeps the n = 2 quadrature above its tolerance up to 2048 nodes an axis
     with pytest.warns(UserWarning, match="stalled at 2048 nodes"):
-        value = equilibrium_tensor_integral(cl.Segment(-2.0, 2.0), lambda a, b: np.abs(a - b), 2)
+        value = cl.equilibrium_integral(cl.Segment(-2.0, 2.0), lambda a, b: np.abs(a - b), 2,
+                                        tol=1e-9)
     # E|a - b| = 16/pi^2 for two independent arcsine points on [-2, 2]
     assert value == pytest.approx(16 / math.pi ** 2, abs=1e-6)
 
