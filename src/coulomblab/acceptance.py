@@ -310,13 +310,14 @@ def criterion_6(lab: AcceptanceLab) -> CriterionResult:
     return CriterionResult(6, "linear statistics z-scores", clauses, diagnostics=diags)
 
 
-def _radial_cdf_grid(s: float, beta: float, rmax: float = 6.0, n: int = 8192):
-    """CDF of the single-particle radial law, density ~ r exp(-beta s green),
-    by cumulative quadrature on a fine grid."""
-    r = np.linspace(0.0, rmax, n)
-    dens = r * np.exp(-beta * s * np.log(np.maximum(r, 1.0)))
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(r))])
-    return r, cdf / cdf[-1]
+def _radial_cdf(r, s: float, beta: float):
+    """Exact CDF of the single-particle radial law on the unit disk, density
+    ~ r exp(-beta s green) = r min(1, r^-beta s): with p = beta s > 2,
+    F(r) = [min(r, 1)^2/2 + 1{r > 1}(1 - r^(2-p))/(p - 2)] / [1/2 + 1/(p - 2)]."""
+    r, p = np.asarray(r, dtype=float), beta * s
+    inner = 0.5 * np.minimum(r, 1.0) ** 2
+    outer = (1.0 - np.maximum(r, 1.0) ** (2.0 - p)) / (p - 2.0)
+    return (inner + outer) / (0.5 + 1.0 / (p - 2.0))
 
 
 def _pair_distance_cdf(params: EnsembleParams, levels: np.ndarray) -> np.ndarray:
@@ -336,13 +337,13 @@ def _pair_distance_cdf(params: EnsembleParams, levels: np.ndarray) -> np.ndarray
 
 
 def criterion_7(lab: AcceptanceLab) -> CriterionResult:
-    """Sampler correctness against quadrature oracles at N = 1 and N = 2."""
+    """Sampler correctness against the closed-form radial CDF at N = 1 and
+    the pair-distance quadrature at N = 2."""
     ch1 = lab.chain_1
     samples = np.abs(ch1.states.ravel())[:100_000]
-    grid, cdf = _radial_cdf_grid(4.0, 2.0)
     sorted_r = np.sort(samples)
     emp = np.arange(1, sorted_r.size + 1) / sorted_r.size
-    ks = float(np.max(np.abs(np.interp(sorted_r, grid, cdf) - emp)))
+    ks = float(np.max(np.abs(_radial_cdf(sorted_r, 4.0, 2.0) - emp)))
     clauses = [Clause("N=1 radial Kolmogorov-Smirnov", ks <= 0.02,
                       f"KS = {ks:.4f} <= 0.02 at {sorted_r.size} samples")]
     ch2 = lab.chain_2

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .measures import Configuration, _pair_distances, _pair_log_sum
-from .potential import CompactSet
+from .potential import CompactSet, _log_distances
 
 
 @dataclass
@@ -144,7 +144,7 @@ def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
     """
     theta = theta0.copy()
     pts, grad, hess = _angle_derivatives(K, theta)
-    logs = np.log(_pair_distances(pts))
+    logs = _log_distances(_pair_distances(pts))
     obj = float(np.sum(logs))
     trace = [obj]
     reason = "max_iterations"
@@ -160,8 +160,7 @@ def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
         accepted = False
         for _ in range(60):
             cand = theta + step
-            with np.errstate(divide="ignore"):
-                cand_logs = np.log(_pair_distances(K.boundary_point(cand)))
+            cand_logs = _log_distances(_pair_distances(K.boundary_point(cand)))
             gain = float(np.sum(cand_logs - logs))
             if gain > 0 or abs(gain) <= rounding:
                 accepted = True

@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix, vstack
 from scipy.special import xlogy
 
-from .potential import Disk, contains, equilibrium_integral
+from .potential import Disk, _log_distances, contains, equilibrium_integral
 
 _PROB_TOL = 1e-12
 
@@ -92,17 +92,13 @@ class AtomicMeasure:
         pts, w = self.points, self.weights
         if pts.size < 2:
             raise ValueError("need at least two points")
-        d = _pair_distances(pts)
-        if np.any(d == 0.0):
-            return math.inf
         iu, ju = _pair_index(pts.size)
-        return -2.0 * float((w[iu] * w[ju]) @ np.log(d))
+        return -2.0 * float((w[iu] * w[ju]) @ _log_distances(_pair_distances(pts)))
 
     def log_potential(self, z):
         """sum_i w_i log 1/|z - x_i|, +inf at an atom."""
         z = np.asarray(z, dtype=complex)
-        with np.errstate(divide="ignore"):
-            out = -np.log(np.abs(z[..., None] - self.points)) @ self.weights
+        out = -_log_distances(np.abs(z[..., None] - self.points)) @ self.weights
         return out if z.ndim else float(out)
 
     def green_average(self, K) -> float:
@@ -175,7 +171,7 @@ class SmoothedMeasure:
     def support_meets_complement(self, K) -> bool:
         # green is subharmonic, so a block meets the complement where its
         # rim does
-        return not contains(K, _ring(self.base.points[:, None], self.epsilon, 256))
+        return not contains(K, _ring(self.base.points[:, None], self.epsilon, 1024))
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
@@ -246,33 +242,28 @@ class CircleMeasure:
         return not contains(K, self.boundary_points(4096))
 
 
-@dataclass(frozen=True)
-class DiskUniformMeasure:
-    """Uniform probability measure on a filled disk."""
+class DiskUniformMeasure(SmoothedMeasure):
+    """Uniform probability measure on a filled disk: one smoothing block of
+    the given radius, so its energy is 1/4 - log radius."""
 
-    center: complex = 0.0 + 0.0j
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not self.radius > 0:
+    def __init__(self, center: complex = 0.0 + 0.0j, radius: float = 1.0):
+        if not radius > 0:
             raise ValueError("radius must be positive")
+        super().__init__(AtomicMeasure([center], [1.0]), radius)
 
-    def mass(self) -> float:
-        return 1.0
+    @property
+    def center(self) -> complex:
+        return complex(self.base.points[0])
 
-    def energy(self) -> float:
-        return 0.25 - math.log(self.radius)
+    @property
+    def radius(self) -> float:
+        return self.epsilon
 
-    def green_average(self, K) -> float:
-        return float(_disk_green_averages(K, [self.center], self.radius)[0])
-
-    def support_meets_complement(self, K) -> bool:
-        # green is subharmonic, so the disk meets the complement where its
-        # rim does
-        return not contains(K, _ring(self.center, self.radius, 1024))
+    def __repr__(self):
+        return f"DiskUniformMeasure(center={self.center!r}, radius={self.radius!r})"
 
 
-Measure = Union[AtomicMeasure, SmoothedMeasure, CircleMeasure, DiskUniformMeasure]
+Measure = Union[AtomicMeasure, SmoothedMeasure, CircleMeasure]
 
 
 def equilibrium_discretization(K, n: int) -> AtomicMeasure:
@@ -297,8 +288,7 @@ def uniform_disk_potential(d, eps: float):
     """Logarithmic potential of the uniform unit-mass disk of radius eps
     at distance d from its center (exact closed form)."""
     d = np.asarray(d, dtype=float)
-    with np.errstate(divide="ignore"):
-        outside = -np.log(np.maximum(d, eps))
+    outside = -_log_distances(np.maximum(d, eps))
     inside = -math.log(eps) + 0.5 * (1.0 - (d / eps) ** 2)
     out = np.where(d >= eps, outside, inside)
     return out if out.ndim else float(out)
@@ -324,15 +314,16 @@ def _pair_distances(pts: np.ndarray) -> np.ndarray:
     return np.abs(pts[..., iu] - pts[..., ju])
 
 
-def _log_sum(d: np.ndarray) -> float:
-    """sum log d over pair distances: -inf when one is zero, 0.0 for none."""
-    if np.any(d == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(d)))
+def _log_sum(d: np.ndarray):
+    """sum log d over the last axis: a float for one configuration's pair
+    distances, an array for a (..., pairs) block; -inf on a zero, 0.0 for none."""
+    total = np.add.reduce(_log_distances(d), axis=-1)
+    return total if total.ndim else float(total)
 
 
-def _pair_log_sum(pts: np.ndarray) -> float:
-    """sum_{i<j} log|z_i - z_j|: -inf on coincident points, 0.0 for one point."""
+def _pair_log_sum(pts: np.ndarray):
+    """sum_{i<j} log|z_i - z_j| over the last axis (row by row for a block):
+    -inf on coincident points, 0.0 for one point."""
     return _log_sum(_pair_distances(pts))
 
 
@@ -376,8 +367,7 @@ def _disk_pair_energy(d, eps: float):
     """
     d = np.asarray(d, dtype=float)
     flat = np.atleast_1d(d)
-    with np.errstate(divide="ignore"):
-        out = -np.log(flat)
+    out = -_log_distances(flat)
     near = flat < 2 * eps
     if near.any():
         dn = flat[near]
@@ -387,7 +377,7 @@ def _disk_pair_energy(d, eps: float):
         x, wq = _gauss(48)
         u = 0.5 * math.pi * (x + 1.0)
         rho = a[:, None] + (eps - a)[:, None] * (0.5 * (1.0 - np.cos(u)))
-        h = -math.log(eps) + 0.5 * (1.0 - (rho / eps) ** 2) + np.log(rho)
+        h = -math.log(eps) + 0.5 * (1.0 - (rho / eps) ** 2) + _log_distances(rho)
         num = rho**2 + dn[:, None] ** 2 - eps**2
         den = 2.0 * rho * dn[:, None]
         # coincident blocks (d = 0) have an empty lens interval; Theta = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -391,15 +391,10 @@ class PartitionReport:
     field_log_integral: Optional[float] = None
 
     def to_dict(self) -> dict:
-        d = {"N": self.N, "s": "inf" if self.s == math.inf else self.s,
-             "beta": self.beta}
-        for k in ("exact", "lower", "upper", "cubature", "asymptote", "residual",
-                  "nu_energy", "log_density_average", "green_average",
-                  "field_log_integral"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        return d
+        """The fields in declaration order, s = inf written "inf", None omitted."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["s"] = "inf" if self.s == math.inf else self.s
+        return {k: v for k, v in d.items() if v is not None}
 
     def csv_row(self) -> str:
         def fmt(v):
@@ -426,12 +421,7 @@ def build_report(K: CompactSet, params: EnsembleParams,
     if rep.exact is not None:
         rep.residual = rep.exact - rep.asymptote
     if fekete_result is not None:
-        bounds = partition_bounds(K, params, fekete_result)
-        rep.lower, rep.upper = bounds.lower, bounds.upper
-        rep.nu_energy = bounds.nu_energy
-        rep.log_density_average = bounds.log_density_average
-        rep.green_average = bounds.green_average
-        rep.field_log_integral = bounds.field_log_integral
+        rep = replace(rep, **asdict(partition_bounds(K, params, fekete_result)))
     if with_cubature and N <= 3:
         rep.cubature = math.log(partition_cubature(K, params))
     return rep

@@ -426,16 +426,22 @@ def _row_blocks(rows: int, row_values: int):
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
+def _grid_values(f: Callable, *args):
+    """f(*args) broadcast to its arguments' grid: a constant counts at every point."""
+    return np.broadcast_to(f(*args), np.broadcast_shapes(*(np.shape(a) for a in args)))
+
+
 def _tensor_mean(f: Callable, p: np.ndarray, n: int):
     """Mean of f over the n-fold grid p x ... x p of the points p, n in
     {1, 2, 3}; the n = 3 grid is summed in row blocks of its first axis."""
     m = p.size
     if n == 1:
-        return np.sum(f(p)) / m
+        return np.sum(_grid_values(f, p)) / m
     if n == 2:
-        return np.sum(f(p[:, None], p[None, :])) / m**2
+        return np.sum(_grid_values(f, p[:, None], p[None, :])) / m**2
     if n == 3:
-        return np.sum([np.sum(f(p[rows, None, None], p[None, :, None], p[None, None, :]))
+        return np.sum([np.sum(_grid_values(f, p[rows, None, None], p[None, :, None],
+                                           p[None, None, :]))
                        for rows in _row_blocks(m, m * m)]) / m**3
     raise ValueError("supported orders are n in {1, 2, 3}")
 
@@ -470,6 +476,13 @@ def equilibrium_integral(K: CompactSet, f: Callable, n: int = 1, *, tol: float =
     if abs(est.imag) < 1e-13 * max(1.0, abs(est.real)):
         return est.real
     return est
+
+
+def _log_distances(d):
+    """log d, elementwise, of distances d >= 0: the lab's one log of a distance,
+    where a coincidence (the density vanishes) gives log 0 = -inf silently."""
+    with np.errstate(divide="ignore"):
+        return np.log(d)
 
 
 def log_potential(mu, z):
@@ -573,8 +586,7 @@ class DiskBalayage:
         bpts = self.disk.boundary_point(theta)
         w = self.density(theta) * (2 * math.pi / n)
         d = np.abs(z[..., None] - bpts[None, :]) if z.ndim else np.abs(z - bpts)
-        with np.errstate(divide="ignore"):
-            out = -np.log(d) @ w
+        out = -_log_distances(d) @ w
         if self.boundary_points.size:
             out = out + log_potential(AtomicMeasure(self.boundary_points, self.boundary_weights), z)
         return out if z.ndim else float(out)

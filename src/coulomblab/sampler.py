@@ -17,14 +17,16 @@ alone in the same way, so only a point the chain really proposes can
 raise.  The chain is therefore the one-proposal-at-a-time chain step for
 step: same states, acceptance and step scale.
 
-Each step computes its O(N) pair delta inline, as the two log-distance
-sums of the proposal and of the point it moves against the other
-particles.  The whole step loop runs under np.errstate(divide="ignore"):
-a proposal that lands exactly on another particle gives log 0 = -inf,
-so its delta is -inf and the move is rejected, with no per-step test for
-a zero distance.  The error state changes only whether a divide-by-zero
-is reported, never a value; green reports its failures as InversionError
-or snapped values, and its invalid-value warnings still surface.
+Every log of a distance goes through potential._log_distances except in
+the step loop, which computes each O(N) pair delta inline, as the two
+log-distance sums of the proposal and of the point it moves against the
+other particles, and runs whole with numpy's divide-by-zero report off
+(a per-step zero scan or a per-sub-block error state measured slower).
+A proposal that lands exactly on another particle gives log 0 = -inf, so
+its delta is -inf and the move is rejected.  The error state changes only
+whether a divide-by-zero is reported, never a value; green reports its
+failures as InversionError or snapped values, and its invalid-value
+warnings still surface.
 
 Stored state j is row j of one (steps // thin, N) array; its green sum,
 from the chain's own green values, spares tail_mass_estimate a green call.
@@ -41,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import Configuration, _pair_distances, _pair_log_sum
+from .measures import Configuration, _pair_log_sum
 from .potential import (CompactSet, InversionError, MEMBERSHIP_TOL, compact_set_from_dict,
                         equilibrium_sample, robin_energy)
 from . import fekete
@@ -394,16 +396,14 @@ def _state_blocks(chain: Chain, per_state: int):
 def tail_mass_estimate(chain: Chain, eps: float) -> float:
     """Fraction of stored post-burn-in states outside the low-energy set.
 
-    Works on blocks of stored states; each state's weighted Fekete
-    objective is the one fekete.log_delta computes.  Its green term reads
-    chain.green_sums, which run_chain recorded bitwise equal to green on
-    the stored states, so a chain from run_chain costs no green call."""
+    Each block of stored states gets one row-wise _pair_log_sum, so a state
+    with coincident points has objective -inf and counts as outside.  The
+    green term reads chain.green_sums, recorded by run_chain bitwise equal
+    to green on the stored states, so such a chain costs no green call."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
     n = chain.params.N
-    with np.errstate(divide="ignore"):  # a coincidence gives -inf, as in _pair_log_sum
-        pair = np.concatenate([np.add.reduce(np.log(_pair_distances(block)), axis=1)
-                               for block in _state_blocks(chain, n * n)])
+    pair = np.concatenate([_pair_log_sum(block) for block in _state_blocks(chain, n * n)])
     values = pair - (n - 1) * chain.green_sums
     return int(np.count_nonzero(~(values >= _low_energy_bound(chain.K, n, eps)))) / len(chain)
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import Configuration, Measure, weighted_energy
-from .potential import CompactSet, _tensor_mean, equilibrium_integral, robin_energy
+from .potential import CompactSet, _grid_values, _tensor_mean, equilibrium_integral, robin_energy
 from .sampler import Chain, EnsembleParams, _state_blocks
 
 
@@ -39,18 +39,18 @@ def _symmetrize_rows(f: Callable, pts: np.ndarray, n: int) -> np.ndarray:
     if n > N:
         raise ValueError("order exceeds configuration size")
     if n == 1:
-        return np.mean(f(pts), axis=1)
+        return np.mean(_grid_values(f, pts), axis=1)
     x, y = pts[:, :, None], pts[:, None, :]
     if n == 2:
-        full = np.sum(f(x, y), axis=(1, 2))
-        diag = np.sum(f(pts, pts), axis=1)
+        full = np.sum(_grid_values(f, x, y), axis=(1, 2))
+        diag = np.sum(_grid_values(f, pts, pts), axis=1)
         return (full - diag) / (N * (N - 1))
-    full = np.sum(f(pts[:, :, None, None], pts[:, None, :, None], pts[:, None, None, :]),
-                  axis=(1, 2, 3))
-    s12 = np.sum(f(x, x, y), axis=(1, 2))
-    s13 = np.sum(f(x, y, x), axis=(1, 2))
-    s23 = np.sum(f(y, x, x), axis=(1, 2))
-    s123 = np.sum(f(pts, pts, pts), axis=1)
+    full = np.sum(_grid_values(f, pts[:, :, None, None], pts[:, None, :, None],
+                               pts[:, None, None, :]), axis=(1, 2, 3))
+    s12 = np.sum(_grid_values(f, x, x, y), axis=(1, 2))
+    s13 = np.sum(_grid_values(f, x, y, x), axis=(1, 2))
+    s23 = np.sum(_grid_values(f, y, x, x), axis=(1, 2))
+    s123 = np.sum(_grid_values(f, pts, pts, pts), axis=1)
     distinct = full - s12 - s13 - s23 + 2.0 * s123
     return distinct / (N * (N - 1) * (N - 2))
 

@@ -221,3 +221,22 @@ def test_intensity_concentrates_near_boundary(lab):
     ann = hist.mass_in(lambda z: (np.abs(z) >= 0.8) & (np.abs(z) <= 1.2))
     assert hist.mass() == pytest.approx(1.0, abs=1e-9)
     assert ann >= 0.9
+
+
+def test_radial_cdf_matches_quadrature():
+    # criterion 7's N = 1 oracle against adaptive quadrature of its density
+    # r min(1, r^-beta s), normalized over [0, inf)
+    import math
+
+    from scipy.integrate import quad
+
+    for s, beta in ((4.0, 2.0), (3.5, 1.0), (8.0, 2.0)):
+        p = beta * s
+
+        def density(r):
+            return r * min(1.0, r ** -p)
+
+        total = quad(density, 0, 1)[0] + quad(density, 1, math.inf)[0]
+        for r in (0.0, 0.3, 1.0, 1.2, 2.5, 6.0, 40.0):
+            mass = quad(density, 0, min(r, 1.0))[0] + (quad(density, 1, r)[0] if r > 1 else 0.0)
+            assert abs(acceptance._radial_cdf(r, s, beta) - mass / total) <= 1e-12

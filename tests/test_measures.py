@@ -2,6 +2,7 @@
 discretization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,45 @@ def test_pair_kernel():
             idx[0] = 1
 
 
+def test_pair_log_sum_is_row_wise():
+    # a (..., N) block gives one sum a row; numpy may add a 2-D block's rows
+    # in another order than one row's pairwise sum, so they agree to rounding
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(2, 7, 9)) + 1j * rng.normal(size=(2, 7, 9))
+    block[1, 3, 4] = block[1, 3, 1]  # one coincident row
+    rows = measures._pair_log_sum(block)
+    assert rows.shape == (2, 7)
+    for row, value in zip(block.reshape(14, 9), rows.ravel()):
+        alone = measures._pair_log_sum(row)
+        assert type(alone) is float
+        if value != alone:
+            scale = float(np.sum(np.abs(np.log(measures._pair_distances(row)))))
+            assert abs(value - alone) <= 1e-15 * scale
+    assert rows[1, 3] == -math.inf
+    assert np.isfinite(np.delete(rows.ravel(), 7 + 3)).all()
+
+
+def test_coincidence_matrix():
+    # two equal points: every reader of the pair kernel reports the vanishing
+    # density as an infinity, with no numpy warning
+    pts = np.array([0.1 + 0.2j, -0.4, 0.1 + 0.2j, 0.3j])
+    config = cl.Configuration(pts)
+    rng = np.random.default_rng(3)
+    states = 0.8 * (rng.random((1000, 4)) ** 0.5) * np.exp(2j * math.pi * rng.random((1000, 4)))
+    states[::100] = pts  # ten coincident states
+    params = cl.EnsembleParams(4, 8.0, 2.0)
+    chain = cl.Chain(params, DISK, cl.ChainConfig(), 0, states, np.zeros(1000), 0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cl.discrete_energy(config) == math.inf
+        assert cl.AtomicMeasure(pts).energy() == math.inf
+        assert cl.log_delta(DISK, config) == -math.inf
+        assert cl.log_density_unnormalized(params, DISK, config) == -math.inf
+        assert cl.AtomicMeasure(pts).log_potential(pts[0]) == math.inf
+        # a wide low-energy set holds every other state
+        assert cl.tail_mass_estimate(chain, 1e6) == 10 / 1000
+
+
 def test_atomic_energy_is_weighted():
     nu = cl.AtomicMeasure([0, 1, 3], [0.5, 0.25, 0.25])
     # oracle: the double loop over ordered pairs i != j
@@ -88,6 +128,16 @@ def test_circle_energy_quadrature_oracle():
         oracle = float(np.mean(-np.log(np.maximum(np.abs(pts), r))))
         assert cl.continuous_energy(cl.CircleMeasure(0.0, r)) == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(-math.log(r), abs=1e-12)
+
+
+def test_disk_uniform_is_one_block():
+    mu = cl.DiskUniformMeasure(0.3 + 0.2j, 0.5)
+    assert (mu.center, mu.radius) == (0.3 + 0.2j, 0.5)
+    assert isinstance(mu, cl.SmoothedMeasure) and len(mu.base) == 1
+    assert mu.mass() == 1.0
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius"):
+            cl.DiskUniformMeasure(0.0, radius)
 
 
 def test_disk_uniform_energy_quadrature_oracle():

@@ -309,6 +309,21 @@ def test_equilibrium_integral_tol_is_keyword_only():
         cl.equilibrium_integral(DISK, lambda z: z, 4)
 
 
+@pytest.mark.parametrize("name", sorted(_MATRIX_SETS))
+def test_equilibrium_integral_of_scalar_valued_f(name):
+    # a constant returned as a scalar counts once at every grid point, and an
+    # f that ignores an argument integrates that axis out
+    K = _MATRIX_SETS[name]
+    constants = {1: lambda a: 1.0, 2: lambda a, b: 1.0, 3: lambda a, b, c: 1.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no stall at the node cap
+        for n, f in constants.items():
+            assert cl.equilibrium_integral(K, f, n) == 1.0
+        one = cl.equilibrium_integral(K, lambda a: np.abs(a) ** 2)
+        two = cl.equilibrium_integral(K, lambda a, b: np.abs(a) ** 2, 2)
+    assert two == pytest.approx(one, rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # logarithmic potential
 # ---------------------------------------------------------------------------

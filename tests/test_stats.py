@@ -34,6 +34,10 @@ def test_symmetrize_constant_two():
     pts = cl.Configuration(np.arange(6) + 0j)
     one = lambda a, b: np.ones(np.broadcast(a, b).shape)
     assert cl.symmetrize(one, pts, 2) == pytest.approx(1.0)
+    # a constant returned as a scalar counts once at every tuple
+    for n, f in ((1, lambda a: 2.0), (2, lambda a, b: 2.0), (3, lambda a, b, c_: 2.0)):
+        assert cl.symmetrize(f, pts, n) == 2.0
+        assert tensor_integral(f, pts, n) == 2.0
 
 
 def test_symmetrize_brute_force_oracle():
