@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .measures import Configuration, _pair_distances, _pair_log_sum
+from .measures import Configuration, _as_points, _pair_distances, _pair_log_sum
 from .potential import CompactSet, _log_distances
 
 
@@ -61,7 +61,7 @@ def log_delta(K: CompactSet, c: Configuration) -> float:
 
     -inf on coincident points.
     """
-    pts = c.points if isinstance(c, Configuration) else np.asarray(c, dtype=complex)
+    pts = _as_points(c)
     n = pts.size
     if n < 2:
         raise ValueError("need at least two points")

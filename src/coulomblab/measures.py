@@ -2,8 +2,8 @@
 bounded-Lipschitz metric.
 
 Each measure class carries its own energy, Green average and support
-test, and the atomic and smoothed ones their logarithmic potential; the
-module functions continuous_energy and weighted_energy only combine them.
+test; the module functions continuous_energy and weighted_energy only
+combine them.
 The smoothed measure of an atomic base is an exact mixture of uniform disk
 blocks, so pair energies reduce to the closed uniform-disk potential plus,
 for overlapping blocks, one radial lens integral.
@@ -12,20 +12,18 @@ for overlapping blocks, one radial lens integral.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix, vstack
+from scipy.sparse import csr_matrix
 from scipy.special import xlogy
 
-from .potential import Disk, _log_distances, contains, equilibrium_integral
+from .potential import Disk, _log_distances, _midpoint_angles, contains, equilibrium_integral
 
 _PROB_TOL = 1e-12
 
@@ -57,6 +55,11 @@ class Configuration:
 
     def __repr__(self):
         return f"Configuration(N={len(self)})"
+
+
+def _as_points(c) -> np.ndarray:
+    """The points of a Configuration, or of anything array-like, as complex."""
+    return c.points if isinstance(c, Configuration) else np.asarray(c, dtype=complex)
 
 
 class AtomicMeasure:
@@ -95,12 +98,6 @@ class AtomicMeasure:
         iu, ju = _pair_index(pts.size)
         return -2.0 * float((w[iu] * w[ju]) @ _log_distances(_pair_distances(pts)))
 
-    def log_potential(self, z):
-        """sum_i w_i log 1/|z - x_i|, +inf at an atom."""
-        z = np.asarray(z, dtype=complex)
-        out = -_log_distances(np.abs(z[..., None] - self.points)) @ self.weights
-        return out if z.ndim else float(out)
-
     def green_average(self, K) -> float:
         return float(np.dot(np.atleast_1d(K.green(self.points)), self.weights))
 
@@ -113,19 +110,6 @@ class AtomicMeasure:
         w = np.zeros(pts.size)
         np.add.at(w, inv, self.weights)
         return AtomicMeasure(pts, w)
-
-    def save_csv(self, path) -> None:
-        arr = np.column_stack([self.points.real, self.points.imag, self.weights])
-        np.savetxt(path, arr, delimiter=",", header="re,im,weight", comments="")
-
-    @classmethod
-    def load_csv(cls, path) -> "AtomicMeasure":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        pts = arr[:, 0] + 1j * arr[:, 1]
-        w = arr[:, 2] if len(header) >= 3 else None
-        return cls(pts, w)
 
     def __repr__(self):
         return f"AtomicMeasure(n={len(self)}, mass={self.mass():.6f})"
@@ -158,13 +142,6 @@ class SmoothedMeasure:
         cross = np.sum(w[iu] * w[ju] * _disk_pair_energy(_pair_distances(pts), eps))
         return float(np.sum(w * w) * (0.25 - math.log(eps)) + 2.0 * cross)
 
-    def log_potential(self, z):
-        """The exact uniform-disk potential of each block, summed."""
-        z = np.asarray(z, dtype=complex)
-        d = np.abs(z[..., None] - self.base.points)
-        out = uniform_disk_potential(d, self.epsilon) @ self.base.weights
-        return out if z.ndim else float(out)
-
     def green_average(self, K) -> float:
         return float(self.base.weights @ _disk_green_averages(K, self.base.points, self.epsilon))
 
@@ -172,13 +149,6 @@ class SmoothedMeasure:
         # green is subharmonic, so a block meets the complement where its
         # rim does
         return not contains(K, _ring(self.base.points[:, None], self.epsilon, 1024))
-
-    def density(self, z):
-        z = np.asarray(z, dtype=complex)
-        d = np.abs(z[..., None] - self.base.points)
-        inside = d < self.epsilon
-        out = inside @ self.base.weights / (math.pi * self.epsilon**2)
-        return out if z.ndim else float(out)
 
     def bounding_box(self):
         x, y = self.base.points.real, self.base.points.imag
@@ -195,19 +165,6 @@ class SmoothedMeasure:
         pts = (self.base.points[:, None] + offsets[None, :]).ravel()
         w = np.repeat(self.base.weights / q, q)
         return AtomicMeasure(pts, w)
-
-    def save_csv(self, path) -> None:
-        path = Path(path)
-        self.base.save_csv(path)
-        sidecar = path.with_suffix(path.suffix + ".json")
-        sidecar.write_text(json.dumps({"epsilon": self.epsilon}))
-
-    @classmethod
-    def load_csv(cls, path) -> "SmoothedMeasure":
-        path = Path(path)
-        sidecar = path.with_suffix(path.suffix + ".json")
-        eps = json.loads(sidecar.read_text())["epsilon"]
-        return cls(AtomicMeasure.load_csv(path), eps)
 
     def __repr__(self):
         return f"SmoothedMeasure(blocks={len(self.base)}, eps={self.epsilon})"
@@ -268,8 +225,7 @@ Measure = Union[AtomicMeasure, SmoothedMeasure, CircleMeasure]
 
 def equilibrium_discretization(K, n: int) -> AtomicMeasure:
     """n equal-weight atoms at midpoint angles of the boundary map of K."""
-    theta = (np.arange(n) + 0.5) * (2 * math.pi / n)
-    return AtomicMeasure(K.boundary_point(theta), np.full(n, 1.0 / n))
+    return AtomicMeasure(K.boundary_point(_midpoint_angles(n)), np.full(n, 1.0 / n))
 
 
 def smooth(nu: AtomicMeasure, epsilon: float) -> SmoothedMeasure:
@@ -280,8 +236,7 @@ def smooth(nu: AtomicMeasure, epsilon: float) -> SmoothedMeasure:
 def _ring(center, radius: float, n: int):
     """n points at the midpoint angles of the circle |z - center| = radius
     (one row per center when center is a column)."""
-    theta = (np.arange(n) + 0.5) * (2 * math.pi / n)
-    return center + radius * np.exp(1j * theta)
+    return center + radius * np.exp(1j * _midpoint_angles(n))
 
 
 def uniform_disk_potential(d, eps: float):
@@ -309,9 +264,14 @@ def _pair_index(n: int):
 
 
 def _pair_distances(pts: np.ndarray) -> np.ndarray:
-    """|z_i - z_j| over the pairs i < j of the last axis, in _pair_index order."""
+    """|z_i - z_j| over the pairs i < j of the last axis, in _pair_index order.
+
+    A (k, N) block gives a C-contiguous (k, pairs) array, so a sum over its
+    rows takes each row's pairs in the order of one configuration's call
+    (fancy indexing would give a column-major block, summed in another order).
+    """
     iu, ju = _pair_index(pts.shape[-1])
-    return np.abs(pts[..., iu] - pts[..., ju])
+    return np.abs(np.take(pts, iu, axis=-1) - np.take(pts, ju, axis=-1))
 
 
 def _log_sum(d: np.ndarray):
@@ -332,7 +292,7 @@ def discrete_energy(c: Configuration) -> float:
 
     Coincident points yield +inf (the ensemble density vanishes there).
     """
-    pts = c.points if isinstance(c, Configuration) else np.asarray(c, dtype=complex)
+    pts = _as_points(c)
     n = pts.size
     if n < 2:
         raise ValueError("need at least two points")
@@ -462,12 +422,12 @@ def _bl_transport(x, wx, y, wy) -> float:
     """
     n1, n2 = x.size, y.size
     cost = np.minimum(np.abs(x[:, None] - y[None, :]), 2.0).ravel()
-    ci = np.arange(n1 * n2)
-    A1 = coo_matrix((np.ones(n1 * n2), (np.repeat(np.arange(n1), n2), ci)),
-                    shape=(n1, n1 * n2))
-    A2 = coo_matrix((np.ones(n1 * n2), (np.tile(np.arange(n2), n1), ci)),
-                    shape=(n2, n1 * n2))
-    A = vstack([A1, A2]).tocsr()
+    # plan entry (i, j) is variable i n2 + j: row i of A sums the range
+    # [i n2, (i + 1) n2), row n1 + j the stride-n2 set j, n2 + j, ...
+    v = np.arange(n1 * n2)
+    indices = np.concatenate([v, v.reshape(n1, n2).T.ravel()])
+    indptr = np.concatenate([np.arange(0, n1 * n2, n2), n1 * n2 + n1 * np.arange(n2 + 1)])
+    A = csr_matrix((np.ones(2 * n1 * n2), indices, indptr), shape=(n1 + n2, n1 * n2))
     res = linprog(cost, A_eq=A, b_eq=np.concatenate([wx, wy]),
                   bounds=(0, None), method="highs")
     if not res.success:
@@ -543,14 +503,6 @@ def bl_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     transportation LP.
     """
     return _bl_solve(mu, nu)[0]
-
-
-def bl_to_smoothed(nu: Union[Configuration, AtomicMeasure], target: SmoothedMeasure,
-                   nodes_per_block: int = 32) -> float:
-    """Distance between an atomic/empirical measure and a smoothed measure,
-    with the smoothed side quantized by deterministic sunflower nodes."""
-    atomic = nu.empirical_measure() if isinstance(nu, Configuration) else nu
-    return bl_distance(atomic, target.to_atomic(nodes_per_block))
 
 
 # ---------------------------------------------------------------------------
@@ -754,11 +706,6 @@ class PerturbationBall:
         r = self.radius * np.sqrt(rng.random(n))
         phi = rng.uniform(0, 2 * math.pi, n)
         return Configuration(self.center.points + r * np.exp(1j * phi))
-
-    def contains(self, c: Configuration) -> bool:
-        if len(c) != len(self.center):
-            return False
-        return bool(np.all(np.abs(c.points - self.center.points) < self.radius))
 
     def energy_deviation(self, c: Configuration) -> float:
         return abs(discrete_energy(c) - self._center_energy)

@@ -20,7 +20,8 @@ import numpy as np
 from .fekete import FeketeResult
 from .measures import (SmoothedMeasure, _gauss, continuous_energy, equilibrium_discretization,
                        smooth)
-from .potential import _BLOCK_VALUES, CompactSet, Disk, ExteriorMap, _row_blocks, robin_energy
+from .potential import (_BLOCK_VALUES, CompactSet, Disk, ExteriorMap, _midpoint_angles, _row_blocks,
+                        robin_energy)
 from .sampler import EnsembleParams
 
 
@@ -80,17 +81,6 @@ def asymptotic_residual(N: int, s: float) -> float:
     s = inf."""
     ell = 0.0 if s == math.inf else N / s
     return log_partition_disk_exact(N, s) - theta(ell) * N
-
-
-def bridge_residual(N: int, s: float) -> float:
-    """Residual of the finite-s reduction
-    log Z(N,s) - [log Z(N,inf) - sum_{k<N} log(s-k) + N log s];
-    equals -log(1 - N/s) exactly, an O(1) quantity at fixed ratio."""
-    if s == math.inf or not s > N:
-        raise ValueError("bridge residual needs finite s > N")
-    rhs = (log_partition_disk_exact(N, math.inf)
-           - sum(math.log(s - k) for k in range(N)) + N * math.log(s))
-    return log_partition_disk_exact(N, s) - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,7 @@ def _pair_angular_factor(r, beta: float, n_theta: int):
 
     Row blocks of the (r_i, r_j, theta) tensor: every element and every
     mean over theta is computed as on the whole tensor."""
-    th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
+    th = _midpoint_angles(n_theta)
     cos = np.cos(th)[None, None, :]
     rr = np.outer(r, r)
     out = np.empty((r.size, r.size))
@@ -269,7 +259,7 @@ def _cubature_disk(K: Disk, params: EnsembleParams, order: int, n_theta: int) ->
     # N == 3: z1 sits on the positive axis, particles 2 and 3 carry the
     # two relative angles; their shared node vector is v with weights
     # already folded into per-z1 coefficient rows of A.
-    th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
+    th = _midpoint_angles(n_theta)
     dtheta = 2 * math.pi / n_theta
     v = np.outer(r, np.exp(1j * th)).ravel()        # (nv,) particle-2/3 nodes
     uv = np.repeat(u, n_theta) * dtheta             # node weights incl. angle
@@ -289,7 +279,7 @@ def _exterior_nodes(K: CompactSet, params: EnsembleParams, order: int, n_phi: in
     if params.s == math.inf:
         return np.array([], dtype=complex), np.array([])
     x, wq = _gauss(order)
-    phi = (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
+    phi = _midpoint_angles(n_phi)
     dphi = 2 * math.pi / n_phi
     zs, ws = [], []
     for a, b in _graded_panels(0.0, 1.0):
@@ -310,7 +300,7 @@ def _interior_nodes(K: CompactSet, order: int, n_phi: int):
         return np.array([], dtype=complex), np.array([])
     x, wq = _gauss(order)
     rho, w_rho = 0.5 * (x + 1.0), 0.5 * wq
-    phi = (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
+    phi = _midpoint_angles(n_phi)
     dphi = 2 * math.pi / n_phi
     b, db, _ = K.boundary_jet(phi)
     c0 = K.laurent()[1][0]

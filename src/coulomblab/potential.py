@@ -419,6 +419,11 @@ _QUADRATURE_NODES = {1: (64, 1 << 18), 2: (32, 2048), 3: (32, 256)}
 _BLOCK_VALUES = 1 << 18
 
 
+def _midpoint_angles(n: int) -> np.ndarray:
+    """The n midpoint angles (k + 1/2) 2 pi / n of the periodic trapezoid rule."""
+    return (np.arange(n) + 0.5) * (2 * math.pi / n)
+
+
 def _row_blocks(rows: int, row_values: int):
     """Slices covering range(rows), each of as many rows of row_values
     values as fit in _BLOCK_VALUES (at least one; none when rows is 0)."""
@@ -463,8 +468,7 @@ def equilibrium_integral(K: CompactSet, f: Callable, n: int = 1, *, tol: float =
     m, max_m = _QUADRATURE_NODES[n]
     prev = None
     while True:
-        theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-        est = complex(_tensor_mean(f, K.boundary_point(theta), n))
+        est = complex(_tensor_mean(f, K.boundary_point(_midpoint_angles(m)), n))
         if prev is not None and abs(est - prev) < tol * max(1.0, abs(est)):
             break
         if m >= max_m:
@@ -483,141 +487,3 @@ def _log_distances(d):
     where a coincidence (the density vanishes) gives log 0 = -inf silently."""
     with np.errstate(divide="ignore"):
         return np.log(d)
-
-
-def log_potential(mu, z):
-    """Logarithmic potential of an atomic or smoothed measure at z, from
-    the measure's own log_potential.
-
-    Atomic measures give sum_i w_i log 1/|z - x_i| (+inf at an atom);
-    smoothed measures use the exact uniform-disk potential per block.
-    """
-    return mu.log_potential(z)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial with complex coefficients in ascending degree order."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        if len(coeffs) == 0:
-            raise ValueError("zero polynomial is not allowed")
-        if coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def leading(self) -> complex:
-        return self.coefficients[-1]
-
-    def roots(self) -> np.ndarray:
-        if self.degree == 0:
-            return np.array([], dtype=complex)
-        return np.roots(self.coefficients[::-1])
-
-    def __call__(self, z):
-        return np.polyval(self.coefficients[::-1], _as_complex(z))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        prod = np.polymul(self.coefficients[::-1], other.coefficients[::-1])
-        return Polynomial(tuple(prod[::-1]))
-
-
-def mahler_measure(K: CompactSet, p: Polynomial) -> float:
-    """exp of the equilibrium average of log|p|, for sets of capacity one.
-
-    Evaluated through the factorization |leading| * prod_roots exp(green),
-    which is exact for cp(K) = 1; cross-checkable by equilibrium_integral
-    of log|p|.
-    """
-    if abs(K.capacity() - 1.0) > 1e-12:
-        raise ValueError("mahler measure requires a set of capacity 1")
-    g = np.atleast_1d(K.green(p.roots())) if p.degree > 0 else np.array([])
-    return float(abs(p.leading) * math.exp(float(np.sum(g))))
-
-
-class DiskBalayage:
-    """Sweep of an atomic measure onto a disk boundary.
-
-    Exterior atoms become exterior-Poisson-kernel densities in the boundary
-    angle; atoms already on the boundary are kept as atoms.  Total mass is
-    preserved.
-    """
-
-    def __init__(self, disk: Disk, exterior_points, exterior_weights,
-                 boundary_points=(), boundary_weights=()):
-        self.disk = disk
-        self.exterior_points = np.asarray(exterior_points, dtype=complex)
-        self.exterior_weights = np.asarray(exterior_weights, dtype=float)
-        self.boundary_points = np.asarray(boundary_points, dtype=complex)
-        self.boundary_weights = np.asarray(boundary_weights, dtype=float)
-        # positions normalized to the unit disk
-        self._xi = (self.exterior_points - disk.center) / disk.radius
-
-    def density(self, theta):
-        """Density with respect to d(theta) on the boundary circle."""
-        theta = np.asarray(theta, dtype=float)
-        e = np.exp(1j * theta)
-        xi = self._xi[None, :] if theta.ndim else self._xi
-        num = np.abs(self._xi) ** 2 - 1.0
-        den = np.abs((e[..., None] if theta.ndim else e) - xi) ** 2
-        vals = (num / (2.0 * math.pi)) / den
-        return vals @ self.exterior_weights if theta.ndim else float(np.dot(vals, self.exterior_weights))
-
-    def mass(self, n: int = 4096) -> float:
-        """Total mass by boundary quadrature plus boundary atoms."""
-        theta = (np.arange(n) + 0.5) * (2 * math.pi / n)
-        cont = float(np.mean(self.density(theta)) * 2 * math.pi)
-        return cont + float(self.boundary_weights.sum())
-
-    def potential(self, z, n: int = 4096):
-        """Logarithmic potential of the swept measure at z."""
-        from .measures import AtomicMeasure
-
-        z = _as_complex(z)
-        theta = (np.arange(n) + 0.5) * (2 * math.pi / n)
-        bpts = self.disk.boundary_point(theta)
-        w = self.density(theta) * (2 * math.pi / n)
-        d = np.abs(z[..., None] - bpts[None, :]) if z.ndim else np.abs(z - bpts)
-        out = -_log_distances(d) @ w
-        if self.boundary_points.size:
-            out = out + log_potential(AtomicMeasure(self.boundary_points, self.boundary_weights), z)
-        return out if z.ndim else float(out)
-
-    def to_atomic(self, n: int = 1024):
-        """Discretize the boundary density to n equal-angle atoms."""
-        from .measures import AtomicMeasure
-
-        theta = (np.arange(n) + 0.5) * (2 * math.pi / n)
-        w = self.density(theta) * (2 * math.pi / n)
-        pts = self.disk.boundary_point(theta)
-        if self.boundary_points.size:
-            pts = np.concatenate([pts, self.boundary_points])
-            w = np.concatenate([w, self.boundary_weights])
-        return AtomicMeasure(pts, w)
-
-
-def balayage_disk(mu, K: Disk) -> DiskBalayage:
-    """Balayage of an atomic measure with atoms outside the disk onto it.
-
-    Atoms on the boundary circle (within relative tolerance 1e-12) are
-    returned unchanged as atoms; atoms strictly inside violate the
-    precondition and are rejected.
-    """
-    if not isinstance(K, Disk):
-        raise TypeError("balayage is implemented for disks only")
-    r = np.abs(mu.points - K.center)
-    on_boundary = np.abs(r - K.radius) <= 1e-12 * K.radius
-    inside = r < K.radius * (1 - 1e-12)
-    if inside.any():
-        raise ValueError("balayage requires atoms outside the disk")
-    ext = ~on_boundary
-    return DiskBalayage(K, mu.points[ext], mu.weights[ext],
-                        mu.points[on_boundary], mu.weights[on_boundary])

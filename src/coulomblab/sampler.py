@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import Configuration, _pair_log_sum
+from .measures import Configuration, _as_points, _pair_log_sum
 from .potential import (CompactSet, InversionError, MEMBERSHIP_TOL, compact_set_from_dict,
                         equilibrium_sample, robin_energy)
 from . import fekete
@@ -138,7 +138,7 @@ def _log_density(params: EnsembleParams, g: np.ndarray,
 def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configuration) -> float:
     """log of the joint density without the normalizing constant:
     -beta s sum_n green(z_n) + beta sum_{m<n} log|z_n - z_m|."""
-    pts = c.points if isinstance(c, Configuration) else np.asarray(c, dtype=complex)
+    pts = _as_points(c)
     if pts.size != params.N:
         raise ValueError(f"configuration has {pts.size} points, params expect {params.N}")
     return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))[0]
@@ -379,7 +379,7 @@ def in_low_energy_set(params: EnsembleParams, K: CompactSet, c: Configuration,
                       eps: float) -> bool:
     """Membership in the low-energy set: the weighted Fekete objective of
     the configuration is at least -(I[omega_K] + eps) N(N-1)/2."""
-    n = len(c) if isinstance(c, Configuration) else np.asarray(c).size
+    n = _as_points(c).size
     if n < 2:
         return True  # empty pair product: both sides are trivial
     return bool(fekete.log_delta(K, c) >= _low_energy_bound(K, n, eps))
@@ -396,8 +396,10 @@ def _state_blocks(chain: Chain, per_state: int):
 def tail_mass_estimate(chain: Chain, eps: float) -> float:
     """Fraction of stored post-burn-in states outside the low-energy set.
 
-    Each block of stored states gets one row-wise _pair_log_sum, so a state
-    with coincident points has objective -inf and counts as outside.  The
+    Each block of stored states gets one row-wise _pair_log_sum, bitwise the
+    sum of in_low_energy_set on each state, so the two classify every state
+    alike; a state with coincident points has objective -inf and counts as
+    outside.  The
     green term reads chain.green_sums, recorded by run_chain bitwise equal
     to green on the stored states, so such a chain costs no green call."""
     if len(chain) < 1000:

@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import Configuration, Measure, weighted_energy
+from .measures import Configuration, Measure, _as_points, weighted_energy
 from .potential import CompactSet, _grid_values, _tensor_mean, equilibrium_integral, robin_energy
-from .sampler import Chain, EnsembleParams, _state_blocks
+from .sampler import Chain, _state_blocks
 
 
 def symmetrize(f: Callable, state: Configuration, n: int):
@@ -27,7 +27,7 @@ def symmetrize(f: Callable, state: Configuration, n: int):
     O(1/N); exactly equal for n = 1.  f must accept n broadcastable
     complex array arguments.
     """
-    pts = state.points if isinstance(state, Configuration) else np.asarray(state, dtype=complex)
+    pts = _as_points(state)
     return _symmetrize_rows(f, pts[None, :], n)[0]
 
 
@@ -64,8 +64,7 @@ def _chain_series(chain: Chain, f: Callable, n: int) -> np.ndarray:
 def tensor_integral(f: Callable, state: Configuration, n: int):
     """Plain n-fold tensor average of f over the empirical measure, by the
     same n-fold mean as the equilibrium quadrature (n in {1, 2, 3})."""
-    pts = state.points if isinstance(state, Configuration) else np.asarray(state, dtype=complex)
-    return _tensor_mean(f, pts, n)
+    return _tensor_mean(f, _as_points(state), n)
 
 
 @dataclass
@@ -155,15 +154,10 @@ def _rate(nu: Measure, K: CompactSet, ell: float, beta: float, label: str) -> Ra
     return RateReport(label or repr(nu), ell, w, r, rate)
 
 
-def rate_function(nu: Measure, K: CompactSet, params: EnsembleParams,
-                  label: str = "") -> RateReport:
-    """Large-deviation rate of finding the empirical measure near nu."""
-    return _rate(nu, K, params.ell(), params.beta, label)
-
-
 def positivity_scan(K: CompactSet, family: Sequence[tuple[str, Measure]],
                     ells: Sequence[float], beta: float = 2.0) -> list[RateReport]:
-    """Rate-function table over a family of test measures and an ell grid."""
+    """Large-deviation rates of the empirical measure near each test measure
+    of a family, over an ell grid."""
     return [_rate(nu, K, ell, beta, label) for label, nu in family for ell in ells]
 
 

@@ -7,9 +7,12 @@ xfail(strict=True) with the measured-margin analysis in the reason string
 and in docs/VERIFICATION.md; everything else must pass outright.
 """
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from coulomblab import acceptance
+from coulomblab import acceptance, stats
 
 
 @pytest.fixture(scope="session")
@@ -148,9 +151,24 @@ def test_criterion_6_pair_zscore(lab):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the squared linear statistic inherits the same finite-N bias "
-    "(measured estimate 0.789 vs target 1)"))
+    "(exact finite-N value 0.789538 vs target 1)"))
 def test_criterion_6_moment_zscore(lab):
     assert _clause(_criterion(6, lab), "moment k=m=1 z-score").ok
+
+
+def test_criterion_6_moment_matches_exact_finite_n(lab):
+    # at beta = 2 on the disk the squared moduli of the N modes are
+    # independent (Kostlan), with E|z_k|^(2m) = M(k + m)/M(k) for
+    # M(a) = 1/(2a + 2) + 1/(2s - 2a - 2); the statistic is the mean of
+    # (sum |z|^2 / N)^2 = (sum Var + (sum mean)^2) / N^2
+    N, s = 16, 32
+    M = lambda a: Fraction(1, 2 * a + 2) + Fraction(1, 2 * s - 2 * a - 2)
+    mean = [M(k + 1) / M(k) for k in range(N)]
+    var = [M(k + 2) / M(k) - mk**2 for k, mk in enumerate(mean)]
+    exact = float((sum(var) + sum(mean) ** 2) / N**2)
+    assert round(exact, 6) == 0.789538
+    rep = stats.moment_statistic(lab.chain_16, lambda z: np.abs(z) ** 2, 1, 1)
+    assert abs(rep.estimate.real - exact) <= 4 * rep.stderr
 
 
 # -- criteria 7-11 -------------------------------------------------------------

@@ -129,12 +129,6 @@ def test_asymptotic_residuals():
     assert max(ratios) < 0.25
 
 
-def test_bridge_residual_identity():
-    # the finite-s reduction residual is exactly -log(1 - N/s)
-    for n, s in ((5, 10.0), (10, 20.0), (16, 64.0)):
-        assert cl.bridge_residual(n, s) == pytest.approx(-math.log1p(-n / s), abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # cubature
 # ---------------------------------------------------------------------------

@@ -324,126 +324,12 @@ def test_equilibrium_integral_of_scalar_valued_f(name):
     assert two == pytest.approx(one, rel=1e-12, abs=0)
 
 
-# ---------------------------------------------------------------------------
-# logarithmic potential
-# ---------------------------------------------------------------------------
-
-def test_log_potential_atoms():
-    delta0 = cl.AtomicMeasure([0.0])
-    assert cl.log_potential(delta0, math.e + 0j) == pytest.approx(-1.0, abs=1e-15)
-    assert cl.log_potential(delta0, 0.0 + 0j) == math.inf
-    circle = cl.equilibrium_discretization(DISK, 512)
-    assert abs(cl.log_potential(circle, 0.0 + 0j)) < 1e-12
-
-
-def test_log_potential_smoothed_matches_quadrature():
-    nu = cl.smooth(cl.AtomicMeasure([0.0]), 0.25)
-    # oracle: radial quadrature of the angular mean -log max(|z|, r),
-    # split at the kink radius r = |z|
-    for z in (0.1 + 0.05j, 0.3j, 1.0 + 0.0j):
-        def integrand(r):
-            return -np.log(np.maximum(abs(z), r)) * 2 * r / 0.25**2
-        oracle = quad(integrand, 0, 0.25, points=[min(abs(z), 0.25)], limit=200)[0]
-        assert cl.log_potential(nu, z) == pytest.approx(oracle, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# mahler measure
-# ---------------------------------------------------------------------------
-
-def test_mahler_classical_oracle():
-    # classical form |a| * prod max(1, |root|)
-    p = cl.Polynomial((-2.0, 0.0, 1.0))  # z^2 - 2
-    roots = p.roots()
-    oracle = abs(p.leading) * np.prod(np.maximum(1.0, np.abs(roots)))
-    assert cl.mahler_measure(DISK, p) == pytest.approx(float(oracle), rel=1e-12)
-    assert cl.mahler_measure(DISK, p) == pytest.approx(2.0, rel=1e-12)
-    assert cl.mahler_measure(DISK, cl.Polynomial((0.0, 1.0))) == pytest.approx(1.0)
-
-
-def test_mahler_segment_log_x():
-    assert cl.mahler_measure(SEGMENT, cl.Polynomial((0.0, 1.0))) == pytest.approx(1.0, rel=1e-12)
-    # quadrature cross-check of the defining average; the log-singular
-    # integrand stalls the dyadic refinement, which is flagged
+def test_equilibrium_integral_log_singular_stalls():
+    # the equilibrium average of log|z| on [-2, 2] is log cap = 0; the
+    # log-singular integrand stalls the dyadic refinement, which is flagged
     with pytest.warns(UserWarning, match="stalled"):
         val = cl.equilibrium_integral(SEGMENT, lambda z: np.log(np.abs(z)), tol=1e-8)
     assert abs(val) < 1e-4
-
-
-def test_mahler_quadrature_cross_check():
-    p = cl.Polynomial((1.5, -0.3 + 0.2j, 1.0))
-    direct = cl.mahler_measure(DISK, p)
-    quadrature = math.exp(cl.equilibrium_integral(DISK, lambda z: np.log(np.abs(p(z)))))
-    assert direct == pytest.approx(quadrature, rel=1e-8)
-
-
-def test_mahler_multiplicativity():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        p = cl.Polynomial(tuple(rng.normal(size=3) + 1j * rng.normal(size=3)))
-        q = cl.Polynomial(tuple(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        lhs = cl.mahler_measure(DISK, p * q)
-        rhs = cl.mahler_measure(DISK, p) * cl.mahler_measure(DISK, q)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_mahler_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        cl.mahler_measure(cl.Disk(0, 2.0), cl.Polynomial((0.0, 1.0)))  # cap != 1
-    with pytest.raises(ValueError):
-        cl.Polynomial(())
-    with pytest.raises(ValueError):
-        cl.Polynomial((1.0, 0.0))  # zero leading coefficient
-
-
-# ---------------------------------------------------------------------------
-# balayage onto the disk
-# ---------------------------------------------------------------------------
-
-def test_balayage_density_formula():
-    bal = cl.balayage_disk(cl.AtomicMeasure([2.0]), DISK)
-    theta = np.linspace(0, 2 * math.pi, 7)
-    expected = 3.0 / (2 * math.pi * np.abs(2.0 - np.exp(1j * theta)) ** 2)
-    assert np.allclose(bal.density(theta), expected, atol=1e-14)
-
-
-def test_balayage_mass_preserved():
-    rng = np.random.default_rng(8)
-    pts = (1.5 + rng.random(6) * 2) * np.exp(2j * math.pi * rng.random(6))
-    w = rng.random(6)
-    bal = cl.balayage_disk(cl.AtomicMeasure(pts, w), DISK)
-    assert bal.mass() == pytest.approx(float(w.sum()), abs=1e-10)
-
-
-def test_balayage_potential_identity_on_disk():
-    # swept potential equals original plus green(x) inside the disk
-    x = 2.0
-    bal = cl.balayage_disk(cl.AtomicMeasure([x]), DISK)
-    rng = np.random.default_rng(9)
-    z = 0.8 * np.sqrt(rng.random(20)) * np.exp(2j * math.pi * rng.random(20))
-    lhs = bal.potential(z)
-    rhs = -np.log(np.abs(z - x)) + math.log(x)
-    assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
-def test_balayage_far_atom_near_uniform():
-    bal = cl.balayage_disk(cl.AtomicMeasure([1e9]), DISK)
-    theta = np.linspace(0, 2 * math.pi, 32)
-    assert np.allclose(bal.density(theta), 1.0 / (2 * math.pi), rtol=1e-6)
-
-
-def test_balayage_boundary_atom_unchanged():
-    z0 = np.exp(0.3j)
-    bal = cl.balayage_disk(cl.AtomicMeasure([z0, 3.0], [0.4, 0.6]), DISK)
-    assert bal.boundary_points.size == 1
-    assert bal.boundary_points[0] == pytest.approx(z0)
-    assert bal.boundary_weights[0] == pytest.approx(0.4)
-    assert bal.mass() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_balayage_inside_atom_rejected():
-    with pytest.raises(ValueError):
-        cl.balayage_disk(cl.AtomicMeasure([0.5]), DISK)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import coulomblab as cl
 from coulomblab.measures import _pair_log_sum
 from coulomblab.potential import MEMBERSHIP_TOL
-from coulomblab.sampler import _TUNE_WINDOW, _log_density, _others_index
+from coulomblab.sampler import _TUNE_WINDOW, _log_density, _low_energy_bound, _others_index
 
 DISK = cl.Disk(0.0, 1.0)
 
@@ -251,6 +251,28 @@ def test_tail_mass_estimate(chain8):
                      list(chain8.log_densities[:10]), 0.5, 1.0)
     with pytest.raises(ValueError):
         cl.tail_mass_estimate(short, 0.2)
+
+
+def test_tail_mass_estimate_at_bounds_on_stored_objectives(chain8):
+    # a bound equal to a stored state's objective classifies it one way only
+    # if the block sums of tail_mass_estimate are bitwise the per-state sums
+    # of in_low_energy_set
+    ch = cl.Chain(chain8.params, DISK, chain8.cfg, 0, chain8.states[:1000],
+                  chain8.log_densities[:1000], 0.5, 1.0, green_sums=chain8.green_sums[:1000])
+    n = ch.params.N
+    hits = set()
+    for state in ch.states[:60]:
+        objective = cl.log_delta(DISK, state)
+        eps = -objective / (n * (n - 1) / 2) - cl.robin_energy(DISK)
+        for direction in (-math.inf, math.inf):
+            e = eps
+            for _ in range(4):
+                if _low_energy_bound(DISK, n, e) == objective:
+                    hits.add(e)
+                e = np.nextafter(e, direction)
+    assert len(hits) >= 20
+    for eps in sorted(hits):
+        assert cl.tail_mass_estimate(ch, eps) == _tail_mass_by_state(ch, eps)
 
 
 def test_tail_mass_estimate_exterior_map_and_one_particle():

@@ -186,21 +186,18 @@ def test_moment_statistic_exact_cases(chain8):
 # rate function
 # ---------------------------------------------------------------------------
 
-def test_rate_function_closed_forms():
-    p = cl.EnsembleParams(16, 32.0, 2.0, 0.1)  # ell = 1/2
-    inner = cl.rate_function(cl.CircleMeasure(0.0, 0.5), DISK, p)
+def test_positivity_scan_closed_forms():
+    circles = [("r=0.5", cl.CircleMeasure(0.0, 0.5)), ("r=2", cl.CircleMeasure(0.0, 2.0))]
+    inner, outer = cl.positivity_scan(DISK, circles, (0.5,))
     assert inner.rate == pytest.approx(math.log(2), abs=1e-9)
-    outer = cl.rate_function(cl.CircleMeasure(0.0, 2.0), DISK, p)
     assert outer.rate == pytest.approx((2 / 0.5 - 1) * math.log(2), abs=1e-9)
     assert inner.robin == 0.0
 
 
-def test_rate_function_equilibrium_argmin():
-    p = cl.EnsembleParams(16, 32.0, 2.0, 0.1)
+def test_positivity_scan_equilibrium_argmin():
     eq = cl.equilibrium_discretization(DISK, 512)
-    reports = [cl.rate_function(cl.CircleMeasure(0.0, r), DISK, p, label=f"r={r}")
-               for r in (0.25, 0.5, 2.0, 4.0)]
-    eq_rep = cl.rate_function(eq, DISK, p, label="equilibrium")
+    family = [(f"r={r}", cl.CircleMeasure(0.0, r)) for r in (0.25, 0.5, 2.0, 4.0)]
+    *reports, eq_rep = cl.positivity_scan(DISK, family + [("equilibrium", eq)], (0.5,))
     assert abs(eq_rep.rate) <= 0.02  # discrete self-energy bias only
     assert all(abs(eq_rep.rate) < r.rate for r in reports)
 
