@@ -323,7 +323,7 @@ def _radial_cdf(r, s: float, beta: float):
 def _pair_distance_cdf(params: EnsembleParams, levels: np.ndarray) -> np.ndarray:
     """Exact pair-distance CDF for the N = 2, beta = 2 disk ensemble by the
     rotational reduction (angular integral in closed form)."""
-    r, u = partition._disk_radial_nodes(Disk(0.0, 1.0), params, 48)
+    r, u = partition._radial_rule(params, 48)
     A = r[:, None] ** 2 + r[None, :] ** 2
     B = 2.0 * np.outer(r, r)
     W = np.outer(u, u)
@@ -490,17 +490,17 @@ def run_criterion(number: int, lab: Optional[AcceptanceLab] = None) -> Criterion
     return result
 
 
-def run_all(numbers=None, verbose: bool = False, lab: Optional[AcceptanceLab] = None):
-    lab = lab or AcceptanceLab()
-    numbers = list(numbers) if numbers else sorted(_CRITERIA)
+def run_all(numbers=None):
+    """Run the given criteria (all by default) on one shared lab, printing
+    each result as it completes."""
+    lab = AcceptanceLab()
     results = []
-    for n in numbers:
+    for n in numbers or sorted(_CRITERIA):
         r = run_criterion(n, lab)
         results.append(r)
-        if verbose:
-            print(r.summary_line())
-            for c in r.clauses:
-                print(c.line())
-            for d in r.diagnostics:
-                print(f"  note: {d}")
+        print(r.summary_line())
+        for c in r.clauses:
+            print(c.line())
+        for d in r.diagnostics:
+            print(f"  note: {d}")
     return results

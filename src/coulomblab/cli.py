@@ -119,6 +119,20 @@ def _list_of(kind):
     return convert
 
 
+def _bool(value) -> bool:
+    """A JSON boolean, taken as it is: no other value stands for one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _statistic(name) -> str:
+    """A statistic name of _STAT_LIBRARY."""
+    if not isinstance(name, str) or name not in _STAT_LIBRARY:
+        raise ValueError(f"unknown statistic {name!r}; available: {sorted(_STAT_LIBRARY)}")
+    return name
+
+
 def _int_pair(value):
     k, m = value
     return int(k), int(m)
@@ -206,7 +220,7 @@ def _cmd_sample(cfg, args) -> int:
 
 
 def _cmd_fekete(cfg, args) -> int:
-    K, _ = _build(cfg)
+    K = potential.compact_set_from_dict(cfg["set"])
     n, starts, max_iterations = _fields(cfg, "fekete", N=int, starts=_optional(int),
                                         max_iterations=int)
     result = fekete.solve(K, n, starts=starts, max_iterations=max_iterations,
@@ -236,9 +250,9 @@ def _cmd_fekete(cfg, args) -> int:
 def _cmd_partition(cfg, args) -> int:
     K = potential.compact_set_from_dict(cfg["set"])
     N, s, beta, c0 = _ensemble_fields(cfg)
-    pc = cfg["partition"]
-    n_values, s_values = _fields(cfg, "partition", N_values=_optional(_list_of(int)),
-                                 s_values=_optional(_list_of(_parse_s)))
+    n_values, s_values, with_cubature, with_bounds = _fields(
+        cfg, "partition", N_values=_optional(_list_of(int)), s_values=_optional(_list_of(_parse_s)),
+        with_cubature=_bool, with_bounds=_bool)
     # N_values and s_values replace the ensemble's N and s, so only the
     # (N, s) pairs that run are checked, all before any of them runs
     grid = [(n, [sampler.EnsembleParams(n, si, beta, c0) for si in s_values or [s]])
@@ -246,11 +260,11 @@ def _cmd_partition(cfg, args) -> int:
     out = _outdir(cfg, args)
     rows, reports = [], []
     for n, row_params in grid:
-        fr = fekete.solve(K, n, seed=cfg["seed"]) if pc["with_bounds"] and n >= 2 else None
+        fr = fekete.solve(K, n, seed=cfg["seed"]) if with_bounds and n >= 2 else None
         for p in row_params:
             try:
                 rep = partition.build_report(K, p, fekete_result=fr,
-                                             with_cubature=pc["with_cubature"] and n <= 3)
+                                             with_cubature=with_cubature and n <= 3)
             except NotImplementedError as e:  # no cubature for this set at this N
                 raise SchemaError(f"partition.with_cubature: {e}") from e
             rows.append(rep.csv_row())
@@ -264,12 +278,15 @@ def _cmd_partition(cfg, args) -> int:
 
 
 def _cmd_rate(cfg, args) -> int:
-    K, params = _build(cfg)
+    K = potential.compact_set_from_dict(cfg["set"])
+    beta, = _fields(cfg, "ensemble", beta=float)
+    if not beta > 0:
+        raise SchemaError(f"ensemble.beta: must be positive, got {beta:g}")
     radii, ells = _fields(cfg, "rate", radii=_list_of(float), ells=_list_of(float))
     # the descriptor keeps each radius as written in the config
     family = [(f"circle_r={r}", measures.CircleMeasure(0.0, radius))
               for r, radius in zip(cfg["rate"]["radii"], radii)]
-    reports = stats.positivity_scan(K, family, ells, beta=params.beta)
+    reports = stats.positivity_scan(K, family, ells, beta=beta)
     out = _outdir(cfg, args)
     base = out / _stem("rate", cfg)
     lines = ["measure,ell,weighted_energy,robin_energy,rate"]
@@ -290,14 +307,11 @@ _STAT_LIBRARY = {
 
 def _cmd_linstat(cfg, args) -> int:
     K, params = _build(cfg)
-    moments, bins = _fields(cfg, "linstat", moments=_list_of(_int_pair), bins=int)
+    names, moments, bins = _fields(cfg, "linstat", statistics=_list_of(_statistic),
+                                   moments=_list_of(_int_pair), bins=int)
     chain = sampler.run_chain(params, K, _chain_config(cfg), seed=cfg["seed"])
-    lc = cfg["linstat"]
     reports = []
-    for name in lc["statistics"]:
-        if name not in _STAT_LIBRARY:
-            raise SchemaError(f"unknown statistic {name!r}; "
-                              f"available: {sorted(_STAT_LIBRARY)}")
+    for name in names:
         f, n = _STAT_LIBRARY[name]
         reports.append(stats.linear_statistic(chain, f, n, label=name))
     for k, m in moments:
@@ -315,7 +329,7 @@ def _cmd_linstat(cfg, args) -> int:
 
 
 def _cmd_discretize(cfg, args) -> int:
-    K, _ = _build(cfg)
+    K = potential.compact_set_from_dict(cfg["set"])
     n, epsilon, base_atoms, nodes = _fields(cfg, "discretize", N=int, epsilon=float,
                                             base_atoms=int, bl_nodes_per_block=int)
     base_measure = measures.equilibrium_discretization(K, base_atoms)
@@ -347,7 +361,7 @@ def _cmd_discretize(cfg, args) -> int:
 
 def _cmd_verify(cfg, args) -> int:
     numbers, = _fields(cfg, "verify", criteria=_optional(_list_of(_criterion)))
-    results = acceptance.run_all(numbers=numbers, verbose=True)
+    results = acceptance.run_all(numbers)
     out = _outdir(cfg, args)
     payload = {"criteria": [r.to_dict() for r in results],
                "all_pass": all(r.passed for r in results)}

@@ -20,7 +20,7 @@ import numpy as np
 from .fekete import FeketeResult
 from .measures import (SmoothedMeasure, _gauss, continuous_energy, equilibrium_discretization,
                        smooth)
-from .potential import (_BLOCK_VALUES, CompactSet, Disk, ExteriorMap, _midpoint_angles, _row_blocks,
+from .potential import (_BLOCK_VALUES, CompactSet, Disk, _midpoint_angles, _row_blocks,
                         robin_energy)
 from .sampler import EnsembleParams
 
@@ -186,26 +186,24 @@ def partition_bounds(K: CompactSet, params: EnsembleParams,
 # small-N cubature
 # ---------------------------------------------------------------------------
 
-def _graded_panels(lo: float, hi: float, grading=(0.0, 0.05, 0.25, 1.0)):
-    return [(lo + (hi - lo) * a, lo + (hi - lo) * b) for a, b in zip(grading[:-1], grading[1:])]
+# t-panels of the rule beyond rho = 1, graded towards rho = inf (t = 0)
+_PANELS = (0.0, 0.05, 0.25, 1.0)
 
 
-def _disk_radial_nodes(K: Disk, params: EnsembleParams, order: int):
-    """Nodes r_i and weights u_i with int h(r) w(r)^{beta s} r dr ~ sum u h(r)."""
-    R = K.radius
-    beta_s = params.beta * params.s
+def _radial_rule(params: EnsembleParams, order: int):
+    """Radii rho_i and weights u_i with int h(rho) W(rho) rho drho ~ sum u h(rho),
+    where W = 1 on [0, 1] and rho^{-beta s} beyond: `order` Gauss nodes on
+    [0, 1], then rho = 1/t on each t-panel with weight t^{beta s - 3} dt.
+    No radii beyond 1 at s = inf."""
     x, wq = _gauss(order)
-    nodes, weights = [], []
-    # interior [0, R]
-    r = 0.5 * R * (x + 1.0)
-    nodes.append(r)
-    weights.append(0.5 * R * wq * r)
+    rho = 0.5 * (x + 1.0)
+    nodes, weights = [rho], [0.5 * wq * rho]
     if params.s != math.inf:
-        # exterior via r = R/t, t in (0, 1]: R^2 t^{beta s - 3} dt
-        for a, b in _graded_panels(0.0, 1.0):
+        beta_s = params.beta * params.s
+        for a, b in zip(_PANELS[:-1], _PANELS[1:]):
             t = 0.5 * (b - a) * x + 0.5 * (a + b)
-            nodes.append(R / t)
-            weights.append(0.5 * (b - a) * wq * R * R * t ** (beta_s - 3.0))
+            nodes.append(1.0 / t)
+            weights.append(0.5 * (b - a) * wq * t ** (beta_s - 3.0))
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -248,9 +246,10 @@ def _pair_angular_factor(r, beta: float, n_theta: int):
 
 
 def _cubature_disk(K: Disk, params: EnsembleParams, order: int, n_theta: int) -> float:
-    center_free = Disk(0.0, K.radius)  # translation invariance
     N, beta = params.N, params.beta
-    r, u = _disk_radial_nodes(center_free, params, order)
+    # by translation invariance only the radius R enters: r = R rho, weights R^2 u
+    rho, u = _radial_rule(params, order)
+    r, u = K.radius * rho, K.radius * K.radius * u
     if N == 1:
         return 2 * math.pi * float(np.sum(u))
     if N == 2:
@@ -272,42 +271,31 @@ def _cubature_disk(K: Disk, params: EnsembleParams, order: int, n_theta: int) ->
     return 2 * math.pi * total
 
 
-def _exterior_nodes(K: CompactSet, params: EnsembleParams, order: int, n_phi: int):
-    """Quadrature nodes for the exterior of K in map coordinates, with the
-    field weight |w|^{-beta s} |psi'(w)|^2 folded into the node weights."""
-    beta_s = params.beta * params.s
-    if params.s == math.inf:
-        return np.array([], dtype=complex), np.array([])
-    x, wq = _gauss(order)
-    phi = _midpoint_angles(n_phi)
-    dphi = 2 * math.pi / n_phi
-    zs, ws = [], []
-    for a, b in _graded_panels(0.0, 1.0):
-        t = 0.5 * (b - a) * x + 0.5 * (a + b)
-        wt = 0.5 * (b - a) * wq * t ** (beta_s - 3.0)
-        w_grid = (1.0 / t)[:, None] * np.exp(1j * phi)[None, :]
-        zs.append(K.map(w_grid).ravel())
-        ws.append((wt[:, None] * np.abs(K.map_derivative(w_grid)) ** 2 * dphi).ravel())
-    return np.concatenate(zs), np.concatenate(ws)
+def _laurent_nodes(K: CompactSet, params: EnsembleParams, order: int, n_phi: int):
+    """Nodes z and weights w of exp(-beta s green) dA from K's Laurent data:
+    _radial_rule's radii on n_phi midpoint angles, as (z, w) inside K and
+    (z, w) outside.
 
-
-def _interior_nodes(K: CompactSet, order: int, n_phi: int):
-    """Area nodes of K, where the field weight is one, on the rays from c0
-    (the constant Laurent coefficient) to the boundary:
-    z = c0 + rho (b(phi) - c0) with dA = rho Im(conj(b - c0) b'(phi)) drho dphi,
-    exact for sets star-shaped about c0.  A set of zero area has none."""
-    if K.area() == 0:
-        return np.array([], dtype=complex), np.array([])
-    x, wq = _gauss(order)
-    rho, w_rho = 0.5 * (x + 1.0), 0.5 * wq
+    Inside K the field weight is one, and the radii below 1 run along the
+    rays from c0 (the constant Laurent coefficient) to the boundary:
+    z = c0 + rho (b(phi) - c0) with dA = rho Im(conj(b - c0) b'(phi)) drho dphi.
+    Where K is not star-shaped about c0 that Jacobian changes sign, and the
+    signed weights still count each point of K once, net.  A set of zero
+    area has none.
+    Outside, the radii beyond 1 are map coordinates w = rho e^{i phi} of
+    z = psi(w), and |psi'(w)|^2 joins the rule's weight |w|^{-beta s}."""
+    rho, u = _radial_rule(params, order)
     phi = _midpoint_angles(n_phi)
-    dphi = 2 * math.pi / n_phi
-    b, db, _ = K.boundary_jet(phi)
     c0 = K.laurent()[1][0]
+    b, db, _ = K.boundary_jet(phi)
     ray = b - c0
-    z = c0 + rho[:, None] * ray[None, :]
-    wts = (w_rho * rho)[:, None] * (np.conj(ray) * db).imag[None, :] * dphi
-    return z.ravel(), wts.ravel()
+    inside, outside = (rho < 1.0) & (K.area() > 0), rho > 1.0
+    z_in = c0 + rho[inside, None] * ray[None, :]
+    w = rho[outside, None] * np.exp(1j * phi)[None, :]
+    dphi = 2 * math.pi / n_phi
+    w_in = u[inside, None] * (np.conj(ray) * db).imag[None, :] * dphi
+    w_out = u[outside, None] * np.abs(K.map_derivative(w)) ** 2 * dphi
+    return (z_in.ravel(), w_in.ravel()), (K.map(w).ravel(), w_out.ravel())
 
 
 def _pair_sum(z, w, beta: float) -> float:
@@ -331,9 +319,8 @@ def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
     (N-1) beta/2 in each angle, so (N-1) beta/2 + 1 midpoints are exact
     (2 at N = 2, beta = 2); every other beta keeps 96 angles (42 at N = 3).
 
-    Supported: disks at N <= 3, segments and ellipses at N <= 2, and
-    `ExteriorMap` sets at N = 1.  Other pairs raise NotImplementedError,
-    and N > 3 raises ValueError.
+    Supported: disks at N <= 3 and every other set at N <= 2.  Other sets
+    at N = 3 raise NotImplementedError, and N > 3 raises ValueError.
 
     Each pair kernel runs in row blocks of at most _BLOCK_VALUES = 2^18
     values (a few MB of temporaries, whatever the grid).  The block size
@@ -348,14 +335,10 @@ def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
         return _cubature_disk(K, params, order, _disk_angles(N, params.beta))
     if N == 3:
         raise NotImplementedError("N = 3 cubature is available for disks only")
-    if isinstance(K, ExteriorMap) and N >= 2:
-        raise NotImplementedError(
-            "pair cubature for exterior-map sets is not offered: no exact value checks it yet")
-    ze, we = _exterior_nodes(K, params, order, _ANGLES)
+    (zi, wi), (ze, we) = _laurent_nodes(K, params, order, _ANGLES)
     if N == 1:
         # the field weight is one on K, so the interior part is the area
         return K.area() + float(np.sum(we))
-    zi, wi = _interior_nodes(K, order, _ANGLES)
     return _pair_sum(np.concatenate([zi, ze]), np.concatenate([wi, we]), params.beta)
 
 

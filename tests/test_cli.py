@@ -120,8 +120,15 @@ def test_step_scale_from_json(tmp_path, capsys, scale, code):
     ("linstat", {"linstat": {"bins": [64]}}),
     ("discretize", {"discretize": {"epsilon": [0.1]}}),
     ("discretize", {"discretize": {"N": None}}),
+    # "no" is truthy, yet it is not a JSON boolean
+    ("partition", {"partition": {"with_bounds": "no"}}),
+    ("partition", {"partition": {"with_cubature": 1}}),
+    # a string is not a list of names, and each name must be known
+    ("linstat", {"linstat": {"statistics": "abs2"}}),
+    ("linstat", {"linstat": {"statistics": ["nope"]}}),
 ], ids=["ensemble", "fekete", "partition", "rate", "linstat", "discretize",
-        "discretize_null"])
+        "discretize_null", "partition_with_bounds", "partition_with_cubature",
+        "linstat_statistics_string", "linstat_statistics_unknown"])
 def test_config_value_of_wrong_type(tmp_path, capsys, command, config):
     # a value that does not convert is a config error (exit 2) naming its
     # field, raised before anything runs or is written
@@ -145,10 +152,10 @@ EXTERIOR = {"type": "exterior_map", "cap": 1, "coeffs": [[0, 0], [0, 0], [0.15, 
     ({}, ["verify", "--criteria", "0"], "verify.criteria:"),
     ({"set": ELLIPSE}, ["partition", "--N", "3", "--s", "8", "--with-cubature"],
      "partition.with_cubature:"),
-    ({"set": EXTERIOR}, ["partition", "--N", "2", "--s", "8", "--with-cubature"],
+    ({"set": EXTERIOR}, ["partition", "--N", "3", "--s", "8", "--with-cubature"],
      "partition.with_cubature:"),
 ], ids=["seed", "criteria_string", "criteria_99", "criteria_flag_0", "cubature_ellipse_n3",
-        "cubature_exterior_map_n2"])
+        "cubature_exterior_map_n3"])
 def test_config_error_exits_2(tmp_path, capsys, config, argv, field):
     # each of these used to escape main with a traceback and exit 1
     cfg = _write_config(tmp_path, {"schema_version": 1, **config})
@@ -389,13 +396,37 @@ def test_linstat_outputs(tmp_path):
     assert np.sum(data[:, 2]) * cell == pytest.approx(1.0, abs=1e-9)
 
 
-def test_unknown_statistic_rejected(tmp_path):
+def test_unknown_statistic_rejected(tmp_path, capsys, monkeypatch):
+    # the names are checked before the chain runs
+    def no_chain(*args, **kwargs):
+        raise AssertionError("run_chain called")
+
+    monkeypatch.setattr(cli.sampler, "run_chain", no_chain)
     cfg = _write_config(tmp_path, {
         "schema_version": 1,
         "sample": {"steps": 11000, "burn_in": 500, "thin": 10},
-        "linstat": {"statistics": ["nope"], "moments": []},
+        "linstat": {"statistics": ["z", "nope"], "moments": []},
     })
     assert run(["--config", cfg, "--out", str(tmp_path), "linstat"]) == 2
+    err = capsys.readouterr().err
+    assert "linstat.statistics:" in err and "unknown statistic 'nope'" in err
+
+
+def test_ensemble_checked_only_where_used(tmp_path, capsys):
+    # fekete, rate and discretize use no (N, s) pair, so an inadmissible one
+    # does not stop them; the commands that build the ensemble exit 3
+    cfg = _write_config(tmp_path, {"schema_version": 1, "ensemble": {"N": 16, "s": 8},
+                                   "discretize": {"base_atoms": 64, "bl_nodes_per_block": 4}})
+    for argv in (["fekete", "--N", "4"], ["rate"], ["discretize", "--N", "16"]):
+        assert run(["--config", cfg, "--out", str(tmp_path / argv[0]), *argv]) == 0
+    for command in ("sample", "linstat", "partition"):
+        assert run(["--config", cfg, "--out", str(tmp_path / command), command]) == 3
+        assert "require s > N" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+    # rate reads only beta, which must still be positive
+    cfg = _write_config(tmp_path, {"schema_version": 1, "ensemble": {"beta": -1.0}})
+    assert run(["--config", cfg, "--out", str(tmp_path / "bad"), "rate"]) == 2
+    assert "ensemble.beta: must be positive" in capsys.readouterr().err
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

@@ -11,9 +11,9 @@ from scipy.integrate import quad
 import coulomblab as cl
 from coulomblab.measures import equilibrium_discretization, smooth
 from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _cubature_disk,
-                                  _disk_angles, _disk_radial_nodes, _exterior_nodes,
-                                  _interior_nodes, _log_density_self_average,
-                                  _pair_angular_factor, _pair_sum, build_report)
+                                  _disk_angles, _laurent_nodes,
+                                  _log_density_self_average, _pair_angular_factor, _pair_sum,
+                                  _radial_rule, build_report)
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -211,17 +211,48 @@ def test_cubature_segment_n1():
         SEGMENT.field_integral(16.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("s,beta", [(8.0, 2.0), (16.0, 3.0), (math.inf, 2.0)])
+def test_radial_rule_integrates_the_radial_weight(s, beta):
+    # int_0^1 rho drho + int_1^inf rho^(1 - beta s) drho = 1/2 + 1/(beta s - 2),
+    # and the second moment 1/4 + 1/(beta s - 4); Gauss radii first, none
+    # beyond 1 at s = inf
+    rho, u = _radial_rule(cl.EnsembleParams(2, s, beta, 0.1), 24)
+    p = beta * s
+    assert rho.size == (24 if s == math.inf else 4 * 24) and np.all(u > 0)
+    assert np.all(rho[:24] < 1.0) and np.all(rho[24:] > 1.0)
+    assert float(np.sum(u)) == pytest.approx(0.5 + 1.0 / (p - 2.0), rel=1e-13)
+    assert float(np.sum(u * rho ** 2)) == pytest.approx(0.25 + 1.0 / (p - 4.0), rel=1e-13)
+
+
+_P = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
+
+
 @pytest.mark.parametrize("K", [cl.Disk(1 + 2j, 0.5), cl.Ellipse(0.0, 2.0, 1.0)])
 def test_interior_nodes_sum_to_area(K):
-    z, w = _interior_nodes(K, 24, 64)
+    (z, w), _ = _laurent_nodes(K, _P, 24, 64)
     assert w.size == z.size == 24 * 64 and np.all(w > 0)
     assert float(np.sum(w)) == pytest.approx(K.area(), rel=1e-13)
     assert cl.contains(K, z)
 
 
+def test_interior_nodes_beyond_star_shape():
+    # psi(w) = w - 0.6/w - 0.3/w^2 bounds a set that is not star-shaped about
+    # c0 = 0: some ray Jacobians are negative, and the signed weights still
+    # give the area and int_K |z|^2 dA = pi sum_k |a_k|^2/(k + 1) over the
+    # coefficients of psi psi' = w + 0.3/w^2 - 0.36/w^3 - 0.54/w^4 - 0.18/w^5
+    K = cl.ExteriorMap(1.0, (0.0, -0.6, -0.3))
+    (z, w), _ = _laurent_nodes(K, _P, 36, 96)
+    assert np.any(w < 0)
+    assert float(np.sum(w)) == pytest.approx(K.area(), rel=1e-13)
+    moment = math.pi * (1 / 2 - 0.09 - 0.1296 / 2 - 0.2916 / 3 - 0.0324 / 4)
+    assert float(np.sum(w * np.abs(z) ** 2)) == pytest.approx(moment, rel=1e-13)
+
+
 def test_segment_has_no_interior_nodes():
-    z, w = _interior_nodes(SEGMENT, 24, 64)
+    (z, w), (ze, we) = _laurent_nodes(SEGMENT, _P, 24, 64)
     assert z.size == w.size == 0
+    # the exterior keeps every radius beyond 1 on every angle
+    assert ze.size == we.size == 3 * 24 * 64
 
 
 def _angular_factor_one_shot(r, beta, n_theta):
@@ -235,17 +266,14 @@ def _angular_factor_one_shot(r, beta, n_theta):
 @pytest.mark.parametrize("beta", [2.0, 3.0])
 def test_blocked_angular_factor_is_bit_identical(beta):
     # the refined grid of criterion 1's cubature: (144, 144, 96) values
-    r, _ = _disk_radial_nodes(DISK, cl.EnsembleParams(2, 8.0, beta, 0.1), 36)
+    r, _ = _radial_rule(cl.EnsembleParams(2, 8.0, beta, 0.1), 36)
     assert r.size ** 2 * 96 > 4 * _BLOCK_VALUES
     blocked = _pair_angular_factor(r, beta, 96)
     assert blocked.tobytes() == _angular_factor_one_shot(r, beta, 96).tobytes()
 
 
 def test_blocked_pair_sum_matches_one_shot():
-    K = cl.Ellipse(0.0, 2.0, 1.0)
-    p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
-    zi, wi = _interior_nodes(K, 12, 32)
-    ze, we = _exterior_nodes(K, p, 12, 32)
+    (zi, wi), (ze, we) = _laurent_nodes(cl.Ellipse(0.0, 2.0, 1.0), _P, 12, 32)
     z, w = np.concatenate([zi, ze]), np.concatenate([wi, we])
     assert z.size ** 2 > 4 * _BLOCK_VALUES
     one_shot = float(w @ (np.abs(z[:, None] - z[None, :]) ** 2.0) @ w)
@@ -274,12 +302,44 @@ def test_cubature_segment_hard_wall_is_zero():
 def test_cubature_rejections():
     with pytest.raises(ValueError):
         cl.partition_cubature(DISK, cl.EnsembleParams(4, 16.0, 2.0, 0.1))
-    with pytest.raises(NotImplementedError):
-        cl.partition_cubature(SEGMENT, cl.EnsembleParams(3, 8.0, 2.0, 0.1))
-    # the ray rule covers this star-shaped set; what is missing is an exact value
-    with pytest.raises(NotImplementedError, match="no exact value checks it yet"):
-        cl.partition_cubature(cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)),
-                              cl.EnsembleParams(2, 8.0, 2.0, 0.1))
+    # every set but the disk stops at N = 2
+    for K in (SEGMENT, cl.ExteriorMap(1.0, (0.0, 0.0, 0.15))):
+        with pytest.raises(NotImplementedError):
+            cl.partition_cubature(K, cl.EnsembleParams(3, 8.0, 2.0, 0.1))
+
+
+@pytest.mark.parametrize("R", [1.0, 1.5])
+@pytest.mark.parametrize("s", [4.0, 8.0])
+def test_exterior_map_pair_cubature_matches_disk_closed_form(R, s):
+    # psi(w) = R w + c is the disk of radius R about c, taken through the
+    # Laurent route; log Z scales by R^(2N + beta N(N-1)/2) = R^6 at N = 2
+    K = cl.ExteriorMap(R, (0.3 + 0.2j,))
+    value = math.log(cl.partition_cubature(K, cl.EnsembleParams(2, s, 2.0, 0.1)))
+    exact = cl.log_partition_disk_exact(2, s) + 6.0 * math.log(R)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_exterior_map_pair_cubature_faber_value():
+    # psi(w) = w + c/w^2 is symmetric under z -> e^{2 pi i/3} z, so with
+    # mu = exp(-8 green) dA (s = 4) the mean of z vanishes and
+    # Z = int int |z1 - z2|^2 = 2 mu(1) mu(|z|^2).  mu(|z|^2) sums the
+    # squared Laurent coefficients of psi psi' = w - c/w^2 - 2c^2/w^5
+    # against pi/(k+1) inside K and 2 pi/(6 - 2k) outside.  3.2291102689674074
+    # is log 2! + log det G for the 2 x 2 Gram matrix G of the Faber
+    # polynomials 1 and z under mu.
+    c = 0.15
+    K = cl.ExteriorMap(1.0, (0.0, 0.0, c))
+    value = math.log(cl.partition_cubature(K, cl.EnsembleParams(2, 4.0, 2.0, 0.1)))
+    closed = math.log(2.0 * K.field_integral(8.0) * math.pi * (1 - 0.8 * c * c - c ** 4 / 2))
+    assert abs(value - closed) <= 1e-12
+    assert abs(value - 3.2291102689674074) <= 1e-12
+
+
+def test_exterior_map_pair_cubature_equals_ellipse():
+    # the ellipse (2, 1) given as psi(w) = 1.5 w + 0.5/w: the same nodes
+    p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
+    value = cl.partition_cubature(cl.ExteriorMap(1.5, (0.0, 0.5)), p)
+    assert value.hex() == cl.partition_cubature(cl.Ellipse(0.0, 2.0, 1.0), p).hex()
 
 
 # ---------------------------------------------------------------------------
