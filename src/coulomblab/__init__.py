@@ -4,10 +4,10 @@ particle ensembles on regular compact sets."""
 from .potential import (CompactSet, Disk, Ellipse, ExteriorMap, InversionError, Segment,
                         capacity, compact_set_from_dict, contains, equilibrium_integral,
                         equilibrium_sample, green, robin_energy)
-from .measures import (AtomicMeasure, CircleMeasure, Configuration, DiskUniformMeasure,
-                       SmoothedMeasure, bl_distance, continuous_energy, discrete_energy,
-                       discretize, equilibrium_discretization, perturbation_ball, smooth,
-                       weighted_energy)
+from .measures import (AtomicMeasure, CircleMeasure, DiskUniformMeasure, SmoothedMeasure,
+                       bl_distance, continuous_energy, discrete_energy, discretize,
+                       equilibrium_discretization, load_points, perturbation_ball,
+                       save_points, smooth, weighted_energy)
 from .fekete import FeketeResult, capacity_estimate, log_delta, solve
 from .sampler import (Chain, ChainConfig, EnsembleParams, InadmissibleParams,
                       in_low_energy_set, log_density_unnormalized,

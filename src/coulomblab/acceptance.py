@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fekete, measures, partition, potential, sampler, stats
-from .measures import CircleMeasure, Configuration
+from .measures import CircleMeasure
 from .potential import Disk, Ellipse, Segment
 from .sampler import ChainConfig, EnsembleParams
 
@@ -137,7 +137,7 @@ class AcceptanceLab:
         """(distance, solve record) of each discretization to nu_eps at
         8 nodes per block."""
         target = self.nu_eps.to_atomic(8)
-        return {n: measures._bl_solve(res.configuration.empirical_measure(), target)
+        return {n: measures._bl_solve(measures.AtomicMeasure(res.configuration), target)
                 for n, res in self.discretize_results.items()}
 
 
@@ -452,10 +452,10 @@ def criterion_11(lab: AcceptanceLab) -> CriterionResult:
     worst3 = 0.0
     for N in (8, 16, 32, 64):
         for t in range(5):
-            pts = Configuration(rng.normal(size=N) + 1j * rng.normal(size=N))
+            pts = rng.normal(size=N) + 1j * rng.normal(size=N)
             a, b, c = rng.normal(size=3) + 1j * rng.normal(size=3)
             f2 = lambda z1, z2: np.cos((a * z1).real) * np.sin((b * z2).imag)
-            vals = np.abs(f2(pts.points[:, None], pts.points[None, :]))
+            vals = np.abs(f2(pts[:, None], pts[None, :]))
             fmax = float(vals.max())
             dev = abs(stats.symmetrize(f2, pts, 2) - stats.tensor_integral(f2, pts, 2))
             worst2 = max(worst2, dev - 2.0 * fmax / (N - 1))

@@ -95,7 +95,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, default=str)
+    canon = json.dumps(cfg, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -195,7 +195,7 @@ def _stem(name: str, cfg: dict) -> str:
 
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = {"config_sha256_12": config_hash(cfg), "seed": cfg["seed"], **payload}
-    path.write_text(json.dumps(payload, indent=2, default=str))
+    path.write_text(json.dumps(payload, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +337,14 @@ def _cmd_discretize(cfg, args) -> int:
     t0 = time.perf_counter()
     res = measures.discretize(nu, n)
     t1 = time.perf_counter()
-    bl, bl_record = measures._bl_solve(res.configuration.empirical_measure(),
+    bl, bl_record = measures._bl_solve(measures.AtomicMeasure(res.configuration),
                                        nu.to_atomic(nodes))
     t2 = time.perf_counter()
     cont = measures.continuous_energy(nu)
     t3 = time.perf_counter()
     out = _outdir(cfg, args)
     base = out / _stem("discretize", cfg)
-    res.configuration.save_csv(base.with_suffix(".csv"))
+    measures.save_points(base.with_suffix(".csv"), res.configuration)
     payload = {"N": n, "min_separation": res.min_separation,
                "separation_constant": res.separation_constant,
                "discrete_energy": res.discrete_energy,

@@ -24,13 +24,13 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .measures import Configuration, _as_points, _pair_distances, _pair_log_sum
+from .measures import _pair_distances, _pair_log_sum, save_points
 from .potential import CompactSet, _log_distances
 
 
 @dataclass
 class FeketeResult:
-    configuration: Configuration
+    configuration: np.ndarray  # (N,) complex points
     log_delta: float
     max_green_violation: float
     trace: list = field(default_factory=list)
@@ -46,7 +46,7 @@ class FeketeResult:
 
     def save(self, basepath) -> None:
         base = Path(basepath)
-        self.configuration.save_csv(base.with_suffix(".csv"))
+        save_points(base.with_suffix(".csv"), self.configuration)
         meta = {"log_delta": self.log_delta,
                 "max_green_violation": self.max_green_violation,
                 "iterations": self.iterations, "converged": self.converged,
@@ -55,13 +55,13 @@ class FeketeResult:
         base.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
 
-def log_delta(K: CompactSet, c: Configuration) -> float:
-    """log of the weighted Fekete product:
+def log_delta(K: CompactSet, c) -> float:
+    """log of the weighted Fekete product of array-like complex points:
     sum_{m<n} log|z_n - z_m| - (N-1) sum_n green(z_n).
 
     -inf on coincident points.
     """
-    pts = _as_points(c)
+    pts = np.asarray(c, dtype=complex)
     n = pts.size
     if n < 2:
         raise ValueError("need at least two points")
@@ -209,15 +209,14 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_starts)):
         theta0 = _stratified_angles(np.random.default_rng(child), N)
         pts, trace, its, reason, shifted = _ascend(K, theta0, max_iterations, grad_tol)
-        config = Configuration(pts)
-        val = log_delta(K, config)
+        val = log_delta(K, pts)
         records.append({"log_delta": val, "iterations": its, "stop_reason": reason,
                         "shifted_steps": shifted})
         if best is None or val > best[0]:
-            best = (val, config, trace, its, reason, idx)
-    val, config, trace, its, reason, idx = best
-    violation = float(np.max(np.atleast_1d(K.green(config.points))))
-    return FeketeResult(configuration=config, log_delta=val,
+            best = (val, pts, trace, its, reason, idx)
+    val, pts, trace, its, reason, idx = best
+    violation = float(np.max(np.atleast_1d(K.green(pts))))
+    return FeketeResult(configuration=pts, log_delta=val,
                         max_green_violation=violation, trace=trace,
                         iterations=its, start_index=idx, stop_reason=reason,
                         starts=records)

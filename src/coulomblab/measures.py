@@ -28,38 +28,17 @@ from .potential import Disk, _log_distances, _midpoint_angles, contains, equilib
 _PROB_TOL = 1e-12
 
 
-class Configuration:
-    """Ordered list of N planar points with its empirical measure."""
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=complex).ravel()
-        if pts.size < 1:
-            raise ValueError("configuration needs at least one point")
-        self.points = pts
-
-    def __len__(self) -> int:
-        return self.points.size
-
-    def empirical_measure(self) -> "AtomicMeasure":
-        n = len(self)
-        return AtomicMeasure(self.points, np.full(n, 1.0 / n))
-
-    def save_csv(self, path) -> None:
-        arr = np.column_stack([self.points.real, self.points.imag])
-        np.savetxt(path, arr, delimiter=",", header="re,im", comments="")
-
-    @classmethod
-    def load_csv(cls, path) -> "Configuration":
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(arr[:, 0] + 1j * arr[:, 1])
-
-    def __repr__(self):
-        return f"Configuration(N={len(self)})"
+def save_points(path, z) -> None:
+    """Write planar points as a CSV with header `re,im`, one point a row."""
+    z = np.asarray(z, dtype=complex).ravel()
+    np.savetxt(path, np.column_stack([z.real, z.imag]), delimiter=",", header="re,im",
+               comments="")
 
 
-def _as_points(c) -> np.ndarray:
-    """The points of a Configuration, or of anything array-like, as complex."""
-    return c.points if isinstance(c, Configuration) else np.asarray(c, dtype=complex)
+def load_points(path) -> np.ndarray:
+    """Read the (N,) complex points that save_points wrote."""
+    arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return arr[:, 0] + 1j * arr[:, 1]
 
 
 class AtomicMeasure:
@@ -287,12 +266,13 @@ def _pair_log_sum(pts: np.ndarray):
     return _log_sum(_pair_distances(pts))
 
 
-def discrete_energy(c: Configuration) -> float:
-    """Off-diagonal pairwise energy N^-2 sum_{n != m} log 1/|z_n - z_m|.
+def discrete_energy(c) -> float:
+    """Off-diagonal pairwise energy N^-2 sum_{n != m} log 1/|z_n - z_m| of
+    array-like complex points.
 
     Coincident points yield +inf (the ensemble density vanishes there).
     """
-    pts = _as_points(c)
+    pts = np.asarray(c, dtype=complex)
     n = pts.size
     if n < 2:
         raise ValueError("need at least two points")
@@ -628,7 +608,7 @@ class _StripCDF:
 class DiscretizeResult:
     """Strip construction output with its separation and energy diagnostics."""
 
-    configuration: Configuration
+    configuration: np.ndarray  # (N,) complex points
     min_separation: float
     separation_constant: float  # min separation * sqrt(N)
     discrete_energy: float
@@ -676,8 +656,8 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
     total = pts.size
     if total < N:
         raise ValueError(f"strip construction produced {total} points, fewer than N = {N}")
-    config = Configuration(pts[:N])
-    d = _pair_distances(config.points)
+    config = pts[:N]
+    d = _pair_distances(config)
     sep = float(np.min(d))
     return DiscretizeResult(
         configuration=config,
@@ -694,24 +674,24 @@ def discretize(nu_eps: SmoothedMeasure, N: int) -> DiscretizeResult:
 class PerturbationBall:
     """Product of disks of radius c'/(3 sqrt N) around a configuration."""
 
-    def __init__(self, center: Configuration, separation_constant: float):
-        self.center = center
-        n = len(center)
+    def __init__(self, center, separation_constant: float):
+        self.center = np.asarray(center, dtype=complex).ravel()
+        n = self.center.size
         self.radius = separation_constant / (3.0 * math.sqrt(n))
-        self._center_energy = discrete_energy(center)
+        self._center_energy = discrete_energy(self.center)
 
-    def sample(self, seed=None) -> Configuration:
+    def sample(self, seed=None) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        n = len(self.center)
+        n = self.center.size
         r = self.radius * np.sqrt(rng.random(n))
         phi = rng.uniform(0, 2 * math.pi, n)
-        return Configuration(self.center.points + r * np.exp(1j * phi))
+        return self.center + r * np.exp(1j * phi)
 
-    def energy_deviation(self, c: Configuration) -> float:
+    def energy_deviation(self, c) -> float:
         return abs(discrete_energy(c) - self._center_energy)
 
 
-def perturbation_ball(c: Configuration, separation_constant: float) -> PerturbationBall:
+def perturbation_ball(c, separation_constant: float) -> PerturbationBall:
     """Box descriptor of admissible perturbations of a discretized
-    configuration, with a uniform sampler."""
+    configuration (array-like complex points), with a uniform sampler."""
     return PerturbationBall(c, separation_constant)

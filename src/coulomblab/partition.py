@@ -396,5 +396,6 @@ def build_report(K: CompactSet, params: EnsembleParams,
     if fekete_result is not None:
         rep = replace(rep, **asdict(partition_bounds(K, params, fekete_result)))
     if with_cubature and N <= 3:
-        rep.cubature = math.log(partition_cubature(K, params))
+        z = partition_cubature(K, params)  # 0.0 on a zero-area set with a hard wall
+        rep.cubature = -math.inf if z == 0.0 else math.log(z)
     return rep

@@ -396,18 +396,17 @@ def contains(K: CompactSet, z) -> bool:
 
 
 def equilibrium_sample(K: CompactSet, n: int, seed=None):
-    """Draw n independent points from the equilibrium measure of K.
+    """Draw n independent points from the equilibrium measure of K, as an
+    (n,) complex array.
 
     Uniform angles on the reference circle are pushed through the boundary
     correspondence of the exterior map (arcsine law for a segment).
     """
-    from .measures import Configuration
-
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return Configuration(K.boundary_point(theta))
+    return K.boundary_point(theta)
 
 
 # equilibrium quadrature: nodes an axis at the first and at the last pass, by order n

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import Configuration, _as_points, _pair_log_sum
+from .measures import _pair_log_sum
 from .potential import (CompactSet, InversionError, MEMBERSHIP_TOL, compact_set_from_dict,
                         equilibrium_sample, robin_energy)
 from . import fekete
@@ -135,10 +135,11 @@ def _log_density(params: EnsembleParams, g: np.ndarray,
     return -params.beta * params.s * green_sum + params.beta * pair_sum, green_sum
 
 
-def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c: Configuration) -> float:
-    """log of the joint density without the normalizing constant:
+def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c) -> float:
+    """log of the joint density of array-like complex points, without the
+    normalizing constant:
     -beta s sum_n green(z_n) + beta sum_{m<n} log|z_n - z_m|."""
-    pts = _as_points(c)
+    pts = np.asarray(c, dtype=complex)
     if pts.size != params.N:
         raise ValueError(f"configuration has {pts.size} points, params expect {params.N}")
     return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))[0]
@@ -205,9 +206,6 @@ class Chain:
         """The stored states, an (n_states, N) array, (0, N) when none."""
         return self.states
 
-    def last_configuration(self) -> Configuration:
-        return Configuration(self.states[-1])
-
     def save(self, basepath) -> None:
         base = Path(basepath)
         # a state's row: its index, re0, im0, re1, im1, ..., its log density
@@ -238,11 +236,12 @@ class Chain:
 
 
 def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] = None,
-              seed=None, init: Optional[Configuration] = None) -> Chain:
+              seed=None, init=None) -> Chain:
     """Run a Metropolis chain targeting the ensemble density on K.
 
-    The initial state is an equilibrium sample unless `init` is given
-    (which also makes stored chains resumable); an `init` with coincident
+    The initial state is an equilibrium sample unless `init`, array-like
+    complex points, is given (`init=chain.states[-1]` resumes a stored
+    chain; `init` itself is not modified); an `init` with coincident
     or non-finite points raises ValueError, since its density is -inf or
     nan.  Proposals are isotropic Gaussian single-particle moves.  The
     step loop does not report numpy divide-by-zero: a proposal that lands
@@ -253,13 +252,13 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     rng = np.random.default_rng(seed)
     n = params.N
     if init is not None:
-        pts = np.asarray(init.points, dtype=complex).copy()
+        pts = np.array(init, dtype=complex).ravel()
         if pts.size != n:
             raise ValueError("init size does not match params.N")
         if not np.all(np.isfinite(pts)):
             raise ValueError("init has non-finite points")
     else:
-        pts = equilibrium_sample(K, n, seed=rng).points
+        pts = equilibrium_sample(K, n, seed=rng)
     pair_sum = _pair_log_sum(pts)
     if pair_sum == -math.inf:
         raise ValueError("init has coincident points")
@@ -375,11 +374,10 @@ def _low_energy_bound(K: CompactSet, n: int, eps: float) -> float:
     return -(robin_energy(K) + eps) * n * (n - 1) / 2.0
 
 
-def in_low_energy_set(params: EnsembleParams, K: CompactSet, c: Configuration,
-                      eps: float) -> bool:
+def in_low_energy_set(params: EnsembleParams, K: CompactSet, c, eps: float) -> bool:
     """Membership in the low-energy set: the weighted Fekete objective of
-    the configuration is at least -(I[omega_K] + eps) N(N-1)/2."""
-    n = _as_points(c).size
+    the array-like complex points is at least -(I[omega_K] + eps) N(N-1)/2."""
+    n = np.size(c)
     if n < 2:
         return True  # empty pair product: both sides are trivial
     return bool(fekete.log_delta(K, c) >= _low_energy_bound(K, n, eps))

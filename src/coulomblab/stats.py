@@ -15,19 +15,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import Configuration, Measure, _as_points, weighted_energy
+from .measures import Measure, weighted_energy
 from .potential import CompactSet, _grid_values, _tensor_mean, equilibrium_integral, robin_energy
 from .sampler import Chain, _state_blocks
 
 
-def symmetrize(f: Callable, state: Configuration, n: int):
-    """Average of f over ordered n-tuples of distinct particle indices.
+def symmetrize(f: Callable, state, n: int):
+    """Average of f over ordered n-tuples of distinct particles of the
+    array-like complex points `state`.
 
     Agrees with the n-fold tensor average of the empirical measure up to
     O(1/N); exactly equal for n = 1.  f must accept n broadcastable
     complex array arguments.
     """
-    pts = _as_points(state)
+    pts = np.asarray(state, dtype=complex)
     return _symmetrize_rows(f, pts[None, :], n)[0]
 
 
@@ -61,10 +62,10 @@ def _chain_series(chain: Chain, f: Callable, n: int) -> np.ndarray:
                            for block in _state_blocks(chain, chain.params.N ** n)])
 
 
-def tensor_integral(f: Callable, state: Configuration, n: int):
+def tensor_integral(f: Callable, state, n: int):
     """Plain n-fold tensor average of f over the empirical measure, by the
     same n-fold mean as the equilibrium quadrature (n in {1, 2, 3})."""
-    return _tensor_mean(f, _as_points(state), n)
+    return _tensor_mean(f, np.asarray(state, dtype=complex), n)
 
 
 @dataclass

@@ -224,6 +224,32 @@ def test_partition_n_values_checked_against_s(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_partition_cubature_zero_area_hard_wall(tmp_path):
+    # the segment has no area and a hard wall admits no exterior, so Z = 0:
+    # log Z = -inf is written as -inf in the CSV and -Infinity in the JSON
+    cfg = _write_config(tmp_path, {"schema_version": 1, "set": {"type": "segment", "a": -2, "b": 2},
+                                   "partition": {"N_values": [1, 2], "s_values": [8, 16, "inf"],
+                                                 "with_cubature": True}})
+    assert run(["--config", cfg, "--out", str(tmp_path), "partition"]) == 0
+    rows = [line.split(",") for line in
+            next(tmp_path.glob("partition_*.csv")).read_text().splitlines()[1:]]
+    text = next(tmp_path.glob("partition_*.json")).read_text()
+    assert [row[-1] == "-inf" for row in rows] == [False, False, True] * 2
+    assert text.count('"cubature": -Infinity') == 2
+    assert all(math.isfinite(rep["cubature"]) for rep in json.loads(text)["reports"]
+               if rep["s"] != "inf")
+
+
+@pytest.mark.parametrize("value", [np.int64(3), object()], ids=["int64", "object"])
+def test_json_outputs_reject_non_json_values(tmp_path, value):
+    # a value json cannot write raises instead of being written as its str
+    with pytest.raises(TypeError):
+        cli.config_hash({"seed": 0, "x": value})
+    with pytest.raises(TypeError):
+        cli._write_json(tmp_path / "out.json", {"x": value}, {"seed": 0})
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_partition_one_fekete_solve_per_n(tmp_path, monkeypatch):
     solve, solved = cli.fekete.solve, []
 

@@ -21,10 +21,10 @@ SEGMENT = cl.Segment(-2.0, 2.0)
 # ---------------------------------------------------------------------------
 
 def test_log_delta_examples():
-    assert cl.log_delta(DISK, cl.Configuration([1.0, -1.0])) == pytest.approx(math.log(2))
+    assert cl.log_delta(DISK, [1.0, -1.0]) == pytest.approx(math.log(2))
     # pair at distance 4 with green penalty (N-1)(log 2 + log 2)
-    assert cl.log_delta(DISK, cl.Configuration([2.0, -2.0])) == pytest.approx(0.0, abs=1e-12)
-    assert cl.log_delta(DISK, cl.Configuration([1.0, 1.0])) == -math.inf
+    assert cl.log_delta(DISK, [2.0, -2.0]) == pytest.approx(0.0, abs=1e-12)
+    assert cl.log_delta(DISK, [1.0, 1.0]) == -math.inf
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -33,8 +33,7 @@ def test_log_delta_roots_of_unity(n):
     roots = np.exp(2j * math.pi * np.arange(n) / n)
     prod = np.prod([abs(roots[i] - roots[j]) for i in range(n) for j in range(i + 1, n)])
     assert math.log(prod) == pytest.approx((n / 2) * math.log(n), abs=1e-9)
-    assert cl.log_delta(DISK, cl.Configuration(roots)) == pytest.approx(
-        (n / 2) * math.log(n), abs=1e-10)
+    assert cl.log_delta(DISK, roots) == pytest.approx((n / 2) * math.log(n), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +203,8 @@ def test_solve_segment_three_points():
     vals = np.log(xs + 2) + np.log(2 - xs) + math.log(4)
     assert xs[np.argmax(vals)] == pytest.approx(0.0, abs=1e-3)
     res = cl.solve(SEGMENT, 3, seed=3)
-    assert np.allclose(np.sort(res.configuration.points.real), [-2.0, 0.0, 2.0], atol=1e-6)
-    assert np.allclose(res.configuration.points.imag, 0.0, atol=1e-12)
+    assert np.allclose(np.sort(res.configuration.real), [-2.0, 0.0, 2.0], atol=1e-6)
+    assert np.allclose(res.configuration.imag, 0.0, atol=1e-12)
 
 
 def test_solve_containment():
@@ -221,7 +220,7 @@ def test_solve_segment_gauss_lobatto():
     res = cl.solve(SEGMENT, 60, seed=82)
     inner, _ = roots_jacobi(58, 1.0, 1.0)
     nodes = 2.0 * np.concatenate([[-1.0], inner, [1.0]])
-    assert np.max(np.abs(np.sort(res.configuration.points.real) - nodes)) <= 1e-10
+    assert np.max(np.abs(np.sort(res.configuration.real) - nodes)) <= 1e-10
     assert res.log_delta == pytest.approx(144.1321222047735, abs=1e-12)
     assert cl.capacity_estimate(SEGMENT, 60, result=res) == pytest.approx(1.084838, abs=1e-6)
 
@@ -284,7 +283,7 @@ def test_scaling_covariance():
 
 def test_rotation_invariance():
     res = cl.solve(DISK, 10, seed=8)
-    rotated = cl.Configuration(np.exp(0.37j) * res.configuration.points)
+    rotated = np.exp(0.37j) * res.configuration
     assert abs(cl.log_delta(DISK, rotated) - res.log_delta) < 1e-12
 
 
@@ -342,8 +341,8 @@ def test_fekete_result_save(tmp_path):
         assert 0 <= rec["shifted_steps"] <= rec["iterations"]
     assert meta["starts"][res.start_index]["log_delta"] == pytest.approx(res.log_delta)
     assert max(rec["log_delta"] for rec in meta["starts"]) == pytest.approx(res.log_delta)
-    loaded = cl.Configuration.load_csv(tmp_path / "fekete_run.csv")
-    assert np.allclose(loaded.points, res.configuration.points)
+    loaded = cl.load_points(tmp_path / "fekete_run.csv")
+    assert np.allclose(loaded, res.configuration)
 
 
 def test_capacity_estimate_segment_trend():

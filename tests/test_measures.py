@@ -28,18 +28,39 @@ def _random_atomic(rng, n, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_discrete_energy_examples():
-    assert cl.discrete_energy(cl.Configuration([0.0, 1.0])) == 0.0
-    assert cl.discrete_energy(cl.Configuration([0.0, math.e])) == pytest.approx(-0.5)
+    assert cl.discrete_energy([0.0, 1.0]) == 0.0
+    assert cl.discrete_energy([0.0, math.e]) == pytest.approx(-0.5)
     for n in range(3, 13):
         roots = np.exp(2j * math.pi * np.arange(n) / n)
         # oracle: direct product of all ordered pair distances equals n^n
         prod = np.prod([abs(roots[i] - roots[j]) for i in range(n) for j in range(n) if i != j])
         assert prod == pytest.approx(float(n) ** n, rel=1e-9)
-        assert cl.discrete_energy(cl.Configuration(roots)) == pytest.approx(-math.log(n) / n, abs=1e-12)
+        assert cl.discrete_energy(roots) == pytest.approx(-math.log(n) / n, abs=1e-12)
 
 
 def test_discrete_energy_coincident_infinite():
-    assert cl.discrete_energy(cl.Configuration([1.0, 1.0, 2.0])) == math.inf
+    assert cl.discrete_energy([1.0, 1.0, 2.0]) == math.inf
+
+
+P3 = cl.EnsembleParams(3, 6.0, 2.0, 0.1)
+CONSUMERS = {
+    "log_delta": lambda c: cl.log_delta(DISK, c),
+    "discrete_energy": cl.discrete_energy,
+    "log_density_unnormalized": lambda c: cl.log_density_unnormalized(P3, DISK, c),
+    "in_low_energy_set": lambda c: cl.in_low_energy_set(P3, DISK, c, 0.5),
+    "symmetrize": lambda c: cl.symmetrize(lambda a, b: np.abs(a - b), c, 2),
+    "tensor_integral": lambda c: cl.tensor_integral(lambda a, b: np.abs(a - b), c, 2),
+    "perturbation_ball": lambda c: cl.perturbation_ball(c, 0.5).sample(seed=1).tobytes(),
+    "run_chain": lambda c: cl.run_chain(P3, DISK, cl.ChainConfig(steps=50, burn_in=0, thin=10),
+                                        seed=2, init=c).states.tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_points_taken_as_list_or_array(name):
+    # a configuration is any array-like of complex points
+    f, pts = CONSUMERS[name], [0.3, -0.5, 0.1]
+    assert f(pts) == f(np.array(pts)) == f(np.array(pts, dtype=complex))
 
 
 def test_pair_kernel():
@@ -76,7 +97,6 @@ def test_coincidence_matrix():
     # two equal points: every reader of the pair kernel reports the vanishing
     # density as an infinity, with no numpy warning
     pts = np.array([0.1 + 0.2j, -0.4, 0.1 + 0.2j, 0.3j])
-    config = cl.Configuration(pts)
     rng = np.random.default_rng(3)
     states = 0.8 * (rng.random((1000, 4)) ** 0.5) * np.exp(2j * math.pi * rng.random((1000, 4)))
     states[::100] = pts  # ten coincident states
@@ -84,10 +104,10 @@ def test_coincidence_matrix():
     chain = cl.Chain(params, DISK, cl.ChainConfig(), 0, states, np.zeros(1000), 0.5, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cl.discrete_energy(config) == math.inf
+        assert cl.discrete_energy(pts) == math.inf
         assert cl.AtomicMeasure(pts).energy() == math.inf
-        assert cl.log_delta(DISK, config) == -math.inf
-        assert cl.log_density_unnormalized(params, DISK, config) == -math.inf
+        assert cl.log_delta(DISK, pts) == -math.inf
+        assert cl.log_density_unnormalized(params, DISK, pts) == -math.inf
         # a wide low-energy set holds every other state
         assert cl.tail_mass_estimate(chain, 1e6) == 10 / 1000
 
@@ -347,8 +367,8 @@ def test_bl_exact_two_point_values():
 def test_bl_identical_and_permuted():
     rng = np.random.default_rng(31)
     pts = rng.normal(size=9) + 1j * rng.normal(size=9)
-    emp = cl.Configuration(pts).empirical_measure()
-    perm = cl.Configuration(pts[rng.permutation(9)]).empirical_measure()
+    emp = cl.AtomicMeasure(pts)
+    perm = cl.AtomicMeasure(pts[rng.permutation(9)])
     assert bl_distance(emp, perm) == pytest.approx(0.0, abs=1e-12)
     mu = _random_atomic(rng, 6)
     assert bl_distance(mu, mu) == pytest.approx(0.0, abs=1e-12)
@@ -422,7 +442,7 @@ def test_bl_assignment_matches_rows_repeated(nu_eps):
     # 128-point strip against the 128 base atoms (the tie)
     cases = []
     for n in (16, 64, 128):
-        emp = cl.discretize(nu_eps, n).configuration.empirical_measure()
+        emp = cl.AtomicMeasure(cl.discretize(nu_eps, n).configuration)
         cases += [(emp, nu_eps.to_atomic(q)) for q in (4, 8)]
     cases.append((emp, nu_eps.base))
     for mu, nu in cases:
@@ -509,7 +529,7 @@ def test_discretize_basic_counts(nu_eps):
 def test_discretize_diagnostics_equal_standalone_values(nu_eps):
     # separation and energy share one distance array; both stay bit-identical
     res = cl.discretize(nu_eps, 64)
-    pts = res.configuration.points
+    pts = res.configuration
     assert res.discrete_energy == cl.discrete_energy(res.configuration)
     assert res.min_separation == min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
 
@@ -519,7 +539,7 @@ def test_discretize_rectangle_masses(nu_eps):
     # exactly 1/N of mass: verify via the strip profile
     N = 64
     res = cl.discretize(nu_eps, N)
-    pts = res.configuration.points
+    pts = res.configuration
     xs = np.unique(pts.real)
     x_lo, x_hi, _, _ = nu_eps.bounding_box()
     width = (x_hi - x_lo) / math.ceil(math.sqrt(N))
@@ -580,7 +600,7 @@ def test_perturbation_ball_contains_center(nu_eps):
     ball = cl.perturbation_ball(res.configuration, res.separation_constant)
     assert ball.radius > 0
     s = ball.sample(seed=5)
-    assert np.all(np.abs(s.points - res.configuration.points) < ball.radius)
+    assert np.all(np.abs(s - res.configuration) < ball.radius)
 
 
 def test_perturbation_ball_bl_bound(nu_eps):
@@ -588,7 +608,7 @@ def test_perturbation_ball_bl_bound(nu_eps):
     ball = cl.perturbation_ball(res.configuration, res.separation_constant)
     for i in range(5):
         s = ball.sample(seed=i)
-        d = bl_distance(s.empirical_measure(), res.configuration.empirical_measure())
+        d = bl_distance(cl.AtomicMeasure(s), cl.AtomicMeasure(res.configuration))
         assert d <= ball.radius + 1e-12
 
 
@@ -604,12 +624,13 @@ def test_perturbation_energy_deviation_scale(nu_eps):
 # ---------------------------------------------------------------------------
 
 def test_configuration_csv_round_trip(tmp_path):
-    c = cl.Configuration([1 + 2j, -0.5, 3j])
+    c = [1 + 2j, -0.5, 3j]
     path = tmp_path / "config.csv"
-    c.save_csv(path)
+    cl.save_points(path, c)
     assert path.read_text().splitlines()[0] == "re,im"
-    c2 = cl.Configuration.load_csv(path)
-    assert np.allclose(c.points, c2.points)
+    c2 = cl.load_points(path)
+    assert c2.dtype == complex and c2.shape == (3,)
+    assert np.array_equal(c2, c)
 
 
 def test_strip_support_bottom_is_greatest_zero_ordinate():
@@ -682,8 +703,7 @@ def test_newton_inversion_matches_bisection(K, sizes, monkeypatch):
             m.setattr(_StripCDF, "invert", lambda self, t: (_bisect_invert(self, t), 60))
             bisection = cl.discretize(nu, n)
         assert newton.points_generated == bisection.points_generated
-        assert np.max(np.abs(newton.configuration.points
-                             - bisection.configuration.points)) <= 1e-12
+        assert np.max(np.abs(newton.configuration - bisection.configuration)) <= 1e-12
         record = newton.inversion_record()
         assert record["strips"] == len(newton.strip_iterations) == bisection.strips
         assert record["total_iterations"] == sum(newton.strip_iterations)

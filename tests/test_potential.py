@@ -216,8 +216,8 @@ def test_invalid_sets_rejected():
 
 def test_equilibrium_sample_disk_on_circle():
     c = cl.equilibrium_sample(DISK, 500, seed=1)
-    assert np.allclose(np.abs(c.points), 1.0, atol=1e-12)
-    mean = np.mean(cl.equilibrium_sample(DISK, 200_000, seed=2).points)
+    assert np.allclose(np.abs(c), 1.0, atol=1e-12)
+    mean = np.mean(cl.equilibrium_sample(DISK, 200_000, seed=2))
     assert abs(mean) < 0.01
 
 
@@ -225,7 +225,7 @@ def test_equilibrium_sample_segment_arcsine_moment():
     # oracle: int x^2 / (pi sqrt(4 - x^2)) dx = 2 by adaptive quadrature
     target, _ = quad(lambda x: x * x / (math.pi * math.sqrt(4 - x * x)), -2, 2)
     assert target == pytest.approx(2.0, abs=1e-9)
-    x = cl.equilibrium_sample(SEGMENT, 400_000, seed=3).points.real
+    x = cl.equilibrium_sample(SEGMENT, 400_000, seed=3).real
     assert np.mean(x**2) == pytest.approx(2.0, abs=0.02)
 
 

@@ -44,23 +44,22 @@ def test_params_round_trip():
 
 def test_log_density_examples():
     p1 = cl.EnsembleParams(1, 4.0, 2.0, 0.1)
-    assert cl.log_density_unnormalized(p1, DISK, cl.Configuration([0.3])) == 0.0
-    assert cl.log_density_unnormalized(p1, DISK, cl.Configuration([2.0])) == pytest.approx(
+    assert cl.log_density_unnormalized(p1, DISK, [0.3]) == 0.0
+    assert cl.log_density_unnormalized(p1, DISK, [2.0]) == pytest.approx(
         -8.0 * math.log(2))
     p2 = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
     d = 0.7
-    c = cl.Configuration([0.1, 0.1 + d])
+    c = [0.1, 0.1 + d]
     assert cl.log_density_unnormalized(p2, DISK, c) == pytest.approx(2.0 * math.log(d))
-    assert cl.log_density_unnormalized(
-        p2, DISK, cl.Configuration([0.5, 0.5])) == -math.inf
+    assert cl.log_density_unnormalized(p2, DISK, [0.5, 0.5]) == -math.inf
 
 
 def test_log_density_hard_wall():
     p = cl.EnsembleParams(2, math.inf, 2.0, 0.1)
-    inside = cl.Configuration([0.2, -0.4])
+    inside = [0.2, -0.4]
     assert cl.log_density_unnormalized(p, DISK, inside) == pytest.approx(
         2.0 * math.log(0.6))
-    outside = cl.Configuration([0.2, 1.5])
+    outside = [0.2, 1.5]
     assert cl.log_density_unnormalized(p, DISK, outside) == -math.inf
 
 
@@ -68,8 +67,8 @@ def test_log_density_rotational_equivariance():
     p = cl.EnsembleParams(12, 24.0, 2.0, 0.1)
     rng = np.random.default_rng(1)
     pts = rng.normal(size=12) * 0.8 + 1j * rng.normal(size=12) * 0.8
-    base = cl.log_density_unnormalized(p, DISK, cl.Configuration(pts))
-    rotated = cl.log_density_unnormalized(p, DISK, cl.Configuration(np.exp(1.1j) * pts))
+    base = cl.log_density_unnormalized(p, DISK, pts)
+    rotated = cl.log_density_unnormalized(p, DISK, np.exp(1.1j) * pts)
     assert rotated == pytest.approx(base, abs=1e-12 * max(1.0, abs(base)))
 
 
@@ -84,7 +83,7 @@ def test_chain_densities_match_full_recomputation(params, K):
     ch = cl.run_chain(params, K, cl.ChainConfig(steps=6_000, burn_in=1_000, thin=10), seed=21)
     assert len(ch) == 600
     for state, stored in zip(ch.states, ch.log_densities):
-        fresh = cl.log_density_unnormalized(params, K, cl.Configuration(state))
+        fresh = cl.log_density_unnormalized(params, K, state)
         assert abs(fresh - stored) <= 1e-9 * max(1.0, abs(fresh))
 
 
@@ -141,8 +140,7 @@ def test_chain_acceptance_tuned(chain8):
 
 def test_chain_densities_match_recomputation(chain8):
     for state, stored in zip(chain8.states[::97], chain8.log_densities[::97]):
-        fresh = cl.log_density_unnormalized(chain8.params, chain8.K,
-                                            cl.Configuration(state))
+        fresh = cl.log_density_unnormalized(chain8.params, chain8.K, state)
         assert abs(fresh - stored) <= 1e-9 * max(1.0, abs(fresh))
 
 
@@ -176,7 +174,7 @@ def test_chain_rejects_degenerate_init(points):
     with pytest.raises(ValueError, match="init has"):
         cl.run_chain(cl.EnsembleParams(3, 6.0, 2.0, 0.1), DISK,
                      cl.ChainConfig(steps=200, burn_in=0, thin=1), seed=1,
-                     init=cl.Configuration(points))
+                     init=points)
 
 
 class _InvalidGreenDisk(cl.Disk):
@@ -215,10 +213,12 @@ def test_chain_save_load_resume(tmp_path, chain8):
     assert loaded.params == chain8.params
     assert np.array_equal(loaded.states, chain8.states)
     assert np.array_equal(loaded.log_densities, chain8.log_densities)
-    more = cl.run_chain(chain8.params, DISK,
-                        cl.ChainConfig(steps=500, burn_in=0, thin=5),
-                        seed=1, init=loaded.last_configuration())
+    last = loaded.states[-1].copy()
+    more = cl.run_chain(chain8.params, DISK, cl.ChainConfig(steps=500, burn_in=0, thin=5),
+                        seed=1, init=loaded.states[-1])
     assert len(more) == 100
+    assert more.states[0].tobytes() != last.tobytes()  # the resumed chain moved
+    assert np.array_equal(loaded.states[-1], last)  # and left its init as it was
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +227,10 @@ def test_chain_save_load_resume(tmp_path, chain8):
 
 def test_in_low_energy_set_examples():
     p = cl.EnsembleParams(16, 32.0, 2.0, 0.1)
-    roots = cl.Configuration(np.exp(2j * math.pi * np.arange(16) / 16))
+    roots = np.exp(2j * math.pi * np.arange(16) / 16)
     assert cl.in_low_energy_set(p, DISK, roots, 0.01)
     p2 = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
-    near = cl.Configuration([0.5, 0.5 + 1e-9])
+    near = [0.5, 0.5 + 1e-9]
     assert not cl.in_low_energy_set(p2, DISK, near, 0.1)
     fek = cl.solve(DISK, 8, seed=3).configuration
     assert cl.in_low_energy_set(cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK, fek, 1e-6)
@@ -418,7 +418,7 @@ def _sequential_chain(params, K, cfg, seed, init=None):
     rng = np.random.default_rng(seed)
     n = params.N
     if init is not None:
-        pts = np.asarray(init.points, dtype=complex).copy()
+        pts = np.array(init, dtype=complex)
     else:
         theta = rng.uniform(0, 2 * math.pi, n)
         pts = np.asarray(K.boundary_point(theta), dtype=complex).reshape(n)
@@ -463,7 +463,7 @@ def _sequential_chain(params, K, cfg, seed, init=None):
     return np.asarray(states), np.asarray(log_dens, dtype=float), acc, scale
 
 
-RING8 = cl.Configuration(0.9 * np.exp(2j * math.pi * np.arange(8) / 8))
+RING8 = 0.9 * np.exp(2j * math.pi * np.arange(8) / 8)
 
 # (params, set, config, seed, init); the N = 16 chain crosses two draw
 # blocks and the periodic full recomputation at step 10000
@@ -509,11 +509,10 @@ def test_chain_rejects_a_proposal_onto_another_particle():
     pts = np.array([0.5, 0.5j, -0.5, -0.5j])
     j = (k + 1) % n
     pts[j] = (pts[[k]] + cfg.step_scale * unit_moves[:1])[0]
-    init = cl.Configuration(pts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ch = cl.run_chain(params, DISK, cfg, seed=seed, init=init)
-        states, log_dens, acc, scale = _sequential_chain(params, DISK, cfg, seed, init)
+        ch = cl.run_chain(params, DISK, cfg, seed=seed, init=pts)
+        states, log_dens, acc, scale = _sequential_chain(params, DISK, cfg, seed, pts)
     assert ch.states[0].tobytes() == pts.tobytes()
     assert ch.state_array().tobytes() == states.tobytes()
     assert ch.log_densities.tobytes() == log_dens.tobytes()
