@@ -2,8 +2,8 @@
 particle ensembles on regular compact sets."""
 
 from .potential import (CompactSet, Disk, Ellipse, ExteriorMap, InversionError, Segment,
-                        capacity, compact_set_from_dict, contains, equilibrium_integral,
-                        equilibrium_sample, green, robin_energy)
+                        compact_set_from_dict, contains, equilibrium_integral,
+                        equilibrium_sample, robin_energy)
 from .measures import (AtomicMeasure, CircleMeasure, DiskUniformMeasure, SmoothedMeasure,
                        bl_distance, continuous_energy, discrete_energy, discretize,
                        equilibrium_discretization, load_points, perturbation_ball,

@@ -218,7 +218,7 @@ def criterion_4(lab: AcceptanceLab) -> CriterionResult:
     clauses, diags = [], []
     for name, res in lab.fekete_60.items():
         K, cap, tol = targets[name]
-        est = fekete.capacity_estimate(K, 60, result=res)
+        est = fekete.capacity_estimate(res)
         rel = abs(est - cap) / cap
         clauses.append(Clause(f"capacity estimate {name}", rel <= tol,
                               f"estimate {est:.5f} vs {cap}, relative error "

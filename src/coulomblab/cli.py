@@ -1,13 +1,15 @@
 """Batch experiment runner.
 
 Subcommands map onto the library modules; every run is driven by a strict
-versioned JSON config plus numeric flag overrides, and every output file
-embeds the config hash and seed (JSON fields, or the file-name stem for
-CSV formats).
+versioned JSON config plus numeric flag overrides.  A run writes its files
+under one stem, <command>_<config hash>_seed<seed>, and exactly one JSON
+record, which carries `config_sha256_12` and `seed` as fields; CSV files
+carry them in the stem only.
 
 Exit codes: 0 ok, 1 a verification clause failed that is not a documented
 expected failure, 2 config/schema problem, 3 ensemble-constraint
-violation, 4 numerical non-convergence, 5 missing file.
+violation (s = inf on a set of zero area included), 4 numerical
+non-convergence, 5 missing file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import copy
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -99,12 +100,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _parse_s(value):
-    if value in ("inf", "Infinity", math.inf):
-        return math.inf
-    return float(value)
-
-
 def _optional(kind):
     """Converter that keeps None and converts anything else by kind."""
     return lambda value: None if value is None else kind(value)
@@ -165,7 +160,7 @@ def _fields(cfg: dict, block: str, **kinds):
 def _ensemble_fields(cfg: dict):
     """The ensemble block's N, s, beta and c0, converted but not yet checked
     against the ensemble constraint."""
-    return _fields(cfg, "ensemble", N=int, s=_parse_s, beta=float, c0=float)
+    return _fields(cfg, "ensemble", N=int, s=float, beta=float, c0=float)
 
 
 def _build(cfg: dict):
@@ -207,12 +202,7 @@ def _cmd_sample(cfg, args) -> int:
     chain = sampler.run_chain(params, K, _chain_config(cfg), seed=cfg["seed"])
     out = _outdir(cfg, args)
     base = out / _stem("chain", cfg)
-    chain.save(base)
-    _write_json(out / (_stem("chain", cfg) + "_summary.json"),
-                {"states": len(chain), "acceptance": chain.acceptance_rate,
-                 "step_scale": chain.step_scale,
-                 "psr": sampler.potential_scale_reduction(chain),
-                 "telemetry": chain.telemetry}, cfg)
+    chain.save(base, config_sha256_12=config_hash(cfg))
     print(f"chain: {len(chain)} states, acceptance {chain.acceptance_rate:.3f} -> {base}.csv")
     if chain.zero_acceptance_burnin:
         raise NonConvergenceError("zero acceptance during burn-in")
@@ -227,9 +217,9 @@ def _cmd_fekete(cfg, args) -> int:
                           seed=cfg["seed"])
     out = _outdir(cfg, args)
     base = out / _stem("fekete", cfg)
-    result.save(base)
-    est = fekete.capacity_estimate(K, n, result=result) if n >= 8 else None
-    _write_json(out / (_stem("fekete", cfg) + "_summary.json"),
+    measures.save_points(base.with_suffix(".csv"), result.configuration)
+    est = fekete.capacity_estimate(result) if n >= 8 else None
+    _write_json(base.with_suffix(".json"),
                 {"N": n, "log_delta": result.log_delta,
                  "max_green_violation": result.max_green_violation,
                  "converged": result.converged, "iterations": result.iterations,
@@ -251,7 +241,7 @@ def _cmd_partition(cfg, args) -> int:
     K = potential.compact_set_from_dict(cfg["set"])
     N, s, beta, c0 = _ensemble_fields(cfg)
     n_values, s_values, with_cubature, with_bounds = _fields(
-        cfg, "partition", N_values=_optional(_list_of(int)), s_values=_optional(_list_of(_parse_s)),
+        cfg, "partition", N_values=_optional(_list_of(int)), s_values=_optional(_list_of(float)),
         with_cubature=_bool, with_bounds=_bool)
     # N_values and s_values replace the ensemble's N and s, so only the
     # (N, s) pairs that run are checked, all before any of them runs

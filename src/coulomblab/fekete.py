@@ -15,16 +15,14 @@ uniformizing angle: one angle drawn uniformly in each of N equal arcs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .measures import _pair_distances, _pair_log_sum, save_points
+from .measures import _pair_distances, _pair_log_sum
 from .potential import CompactSet, _log_distances
 
 
@@ -43,16 +41,6 @@ class FeketeResult:
     @property
     def converged(self) -> bool:
         return self.stop_reason == "gradient_tol"
-
-    def save(self, basepath) -> None:
-        base = Path(basepath)
-        save_points(base.with_suffix(".csv"), self.configuration)
-        meta = {"log_delta": self.log_delta,
-                "max_green_violation": self.max_green_violation,
-                "iterations": self.iterations, "converged": self.converged,
-                "stop_reason": self.stop_reason, "start_index": self.start_index,
-                "starts": self.starts}
-        base.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
 
 def log_delta(K: CompactSet, c) -> float:
@@ -222,14 +210,13 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
                         starts=records)
 
 
-def capacity_estimate(K: CompactSet, N: int, seed=None,
-                      result: Optional[FeketeResult] = None) -> float:
-    """Transfinite-diameter estimate exp(2 log_delta / (N(N-1))).
+def capacity_estimate(result: FeketeResult) -> float:
+    """Transfinite-diameter estimate exp(2 log_delta / (N(N-1))) of a solved
+    N-point configuration, N >= 8.
 
     Converges to the capacity from above as N grows.
     """
-    if N < 8:
+    n = result.configuration.size
+    if n < 8:
         raise ValueError("need N >= 8")
-    if result is None:
-        result = solve(K, N, seed=seed)
-    return math.exp(2.0 * result.log_delta / (N * (N - 1)))
+    return math.exp(2.0 * result.log_delta / (n * (n - 1)))

@@ -372,8 +372,7 @@ class PartitionReport:
     def csv_row(self) -> str:
         def fmt(v):
             return "" if v is None else f"{v:.12g}"
-        s = "inf" if self.s == math.inf else f"{self.s:g}"
-        return ",".join([str(self.N), s, fmt(self.exact), fmt(self.lower),
+        return ",".join([str(self.N), f"{self.s:g}", fmt(self.exact), fmt(self.lower),
                          fmt(self.upper), fmt(self.asymptote), fmt(self.residual),
                          fmt(self.cubature)])
 

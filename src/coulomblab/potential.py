@@ -372,19 +372,6 @@ def compact_set_from_dict(d: dict) -> CompactSet:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def green(K: CompactSet, z):
-    """Green function of the complement of K with pole at infinity.
-
-    Zero on K, harmonic off K, and green(z) - log|z| -> -log(capacity)
-    as |z| -> infinity.
-    """
-    return K.green(z)
-
-
-def capacity(K: CompactSet) -> float:
-    return K.capacity()
-
-
 def robin_energy(K: CompactSet) -> float:
     """Minimal logarithmic energy over probability measures on K."""
     return -math.log(K.capacity())

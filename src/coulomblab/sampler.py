@@ -56,7 +56,8 @@ _CHUNK_ELEMENTS = 1 << 14  # values per state chunk of a chain statistic (~256 K
 
 
 class InadmissibleParams(ValueError):
-    """The ensemble triple violates s > N or the integrability condition."""
+    """The ensemble triple violates s > N or the integrability condition, or
+    puts the hard wall s = inf on a set of zero area."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class EnsembleParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleParams":
-        s = math.inf if d["s"] in ("inf", math.inf) else float(d["s"])
-        return cls(int(d["N"]), s, float(d["beta"]), float(d.get("c0", 0.1)))
+        return cls(int(d["N"]), float(d["s"]), float(d["beta"]), float(d.get("c0", 0.1)))
 
 
 @dataclass
@@ -206,17 +206,23 @@ class Chain:
         """The stored states, an (n_states, N) array, (0, N) when none."""
         return self.states
 
-    def save(self, basepath) -> None:
+    def save(self, basepath, **stamp) -> None:
+        """Write the states to <basepath>.csv and the chain's one JSON record
+        to <basepath>.json: the `stamp` fields first (the CLI passes its
+        config hash), then the seed, the parameters, set and chain config
+        that `load` reads back, the number of stored states, the
+        acceptance, the step scale, the split-chain `psr` of the density
+        trace and the telemetry."""
         base = Path(basepath)
         # a state's row: its index, re0, im0, re1, im1, ..., its log density
         table = np.column_stack([np.arange(len(self)),
                                  np.ascontiguousarray(self.states).view(float), self.log_densities])
         header = "state," + ",".join(f"re{k},im{k}" for k in range(self.params.N)) + ",log_density"
         np.savetxt(base.with_suffix(".csv"), table, delimiter=",", header=header, comments="")
-        meta = {"params": self.params.to_dict(), "set": self.K.to_dict(),
-                "cfg": self.cfg.to_dict(), "seed": self.seed,
+        meta = {**stamp, "seed": self.seed, "params": self.params.to_dict(),
+                "set": self.K.to_dict(), "cfg": self.cfg.to_dict(), "states": len(self),
                 "acceptance": self.acceptance_rate, "step_scale": self.step_scale,
-                "telemetry": self.telemetry}
+                "psr": potential_scale_reduction(self), "telemetry": self.telemetry}
         base.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
     @classmethod
@@ -243,11 +249,15 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     complex points, is given (`init=chain.states[-1]` resumes a stored
     chain; `init` itself is not modified); an `init` with coincident
     or non-finite points raises ValueError, since its density is -inf or
-    nan.  Proposals are isotropic Gaussian single-particle moves.  The
+    nan.  The hard-wall ensemble s = inf on a set of zero area (a segment)
+    has no density in the plane, and raises InadmissibleParams.  Proposals are isotropic Gaussian single-particle moves.  The
     step loop does not report numpy divide-by-zero: a proposal that lands
     exactly on another particle has log-distance -inf, and the move is
     rejected.
     """
+    if params.s == math.inf and K.area() == 0.0:
+        raise InadmissibleParams("inadmissible parameters: s = inf confines the points to "
+                                 "K, which has zero area")
     cfg = cfg or ChainConfig()
     rng = np.random.default_rng(seed)
     n = params.N
@@ -374,7 +384,7 @@ def _low_energy_bound(K: CompactSet, n: int, eps: float) -> float:
     return -(robin_energy(K) + eps) * n * (n - 1) / 2.0
 
 
-def in_low_energy_set(params: EnsembleParams, K: CompactSet, c, eps: float) -> bool:
+def in_low_energy_set(K: CompactSet, c, eps: float) -> bool:
     """Membership in the low-energy set: the weighted Fekete objective of
     the array-like complex points is at least -(I[omega_K] + eps) N(N-1)/2."""
     n = np.size(c)

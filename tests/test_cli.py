@@ -60,8 +60,20 @@ def test_chain_without_stored_states(tmp_path):
     for extra in (["--steps", "0", "--burn-in", "100"], ["--steps", "5", "--thin", "10"]):
         out = tmp_path / extra[1]
         assert run(["--out", str(out), "sample", "--N", "4", "--s", "8", *extra]) == 0
-        summary = json.loads(next(out.glob("chain_*_summary.json")).read_text())
-        assert summary["states"] == 0
+        record = json.loads(next(out.glob("chain_*.json")).read_text())
+        assert record["states"] == 0
+
+
+@pytest.mark.parametrize("command", ["sample", "linstat"])
+def test_hard_wall_on_zero_area_set_exit_code(tmp_path, capsys, command):
+    # s = inf confines the points to the segment, which has no area: refused
+    # before the chain runs, and nothing is written
+    cfg = _write_config(tmp_path, {"schema_version": 1, "set": {"type": "segment", "a": -2, "b": 2}})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), command, "--N", "8", "--s", "inf",
+                "--steps", "3000", "--burn-in", "1000", "--thin", "1"]) == 3
+    assert "zero area" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_chain_config_exit_code(tmp_path, capsys):
@@ -106,8 +118,8 @@ def test_step_scale_from_json(tmp_path, capsys, scale, code):
                                               "step_scale": scale}})
     assert run(["--config", cfg, "--out", str(tmp_path), "sample"]) == code
     if code == 0:
-        summary = json.loads(next(tmp_path.glob("chain_*_summary.json")).read_text())
-        assert summary["telemetry"]["scale_trace"]  # tuned from the float 0.3
+        record = json.loads(next(tmp_path.glob("chain_*.json")).read_text())
+        assert record["telemetry"]["scale_trace"]  # tuned from the float 0.3
     else:
         assert "config error" in capsys.readouterr().err
 
@@ -167,7 +179,7 @@ def test_config_error_exits_2(tmp_path, capsys, config, argv, field):
 
 @pytest.mark.parametrize("flags,block,written", [
     (["sample", "--N", "8", "--steps", "3000"],
-     {"ensemble": {"N": 8}, "sample": {"steps": 3000}}, "chain_*_summary.json"),
+     {"ensemble": {"N": 8}, "sample": {"steps": 3000}}, "chain_*.json"),
     (["partition", "--with-cubature"], {"partition": {"with_cubature": True}},
      "partition_*.json"),
 ])
@@ -186,6 +198,31 @@ def test_flags_hash_like_config(tmp_path, flags, block, written):
 # ---------------------------------------------------------------------------
 # subcommand outputs
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,config", [
+    (["sample", "--N", "4", "--s", "8", "--steps", "200", "--burn-in", "100"], {}),
+    (["fekete", "--N", "8"], {}),
+    (["partition", "--N", "2", "--s", "8"], {}),
+    (["rate"], {"rate": {"radii": [2.0], "ells": [0.5]}}),
+    (["linstat", "--N", "4", "--s", "8", "--steps", "1000", "--burn-in", "100", "--thin", "1"],
+     {"linstat": {"bins": 8}}),
+    (["discretize"], {"discretize": {"N": 16, "base_atoms": 64, "bl_nodes_per_block": 4}}),
+    (["verify", "--criteria", "11"], {}),
+], ids=["sample", "fekete", "partition", "rate", "linstat", "discretize", "verify"])
+def test_one_stamped_json_record_per_run(tmp_path, argv, config):
+    # every run writes exactly one JSON, stamped with the config hash of its
+    # file stem and the seed, and no second summary of it
+    cfg = _write_config(tmp_path, {"schema_version": 1, **config})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--seed", "3", "--out", str(out), *argv]) == 0
+    (record_path,) = out.glob("*.json")
+    command, digest, seed = record_path.name.removesuffix(".json").split("_")
+    record = json.loads(record_path.read_text())
+    assert record["config_sha256_12"] == digest and len(digest) == 12
+    assert record["seed"] == 3 and seed == "seed3"
+    assert command == {"sample": "chain"}.get(argv[0], argv[0])
+    if argv[0] in ("sample", "fekete"):
+        assert len(list(out.glob("*.csv"))) == 1
 
 def test_partition_override_exact_value(tmp_path, capsys):
     code = run(["--out", str(tmp_path), "partition", "--N", "2", "--s", "8"])
@@ -276,9 +313,9 @@ def test_partition_one_fekete_solve_per_n(tmp_path, monkeypatch):
 def test_fekete_pair_log_delta(tmp_path):
     code = run(["--out", str(tmp_path), "fekete", "--N", "2"])
     assert code == 0
-    summary = json.loads(next(tmp_path.glob("fekete_*_summary.json")).read_text())
-    assert summary["log_delta"] == pytest.approx(math.log(2), abs=1e-9)
-    assert summary["max_green_violation"] <= 1e-8
+    record = json.loads(next(tmp_path.glob("fekete_*.json")).read_text())
+    assert record["log_delta"] == pytest.approx(math.log(2), abs=1e-9)
+    assert record["max_green_violation"] <= 1e-8
 
 
 def test_fekete_per_start_telemetry(tmp_path):
@@ -288,21 +325,36 @@ def test_fekete_per_start_telemetry(tmp_path):
         "fekete": {"N": 20, "starts": 3},
     })
     assert run(["--config", cfg, "--out", str(tmp_path), "fekete"]) == 0
-    summary = json.loads(next(tmp_path.glob("fekete_*_summary.json")).read_text())
-    meta = json.loads(next(p for p in tmp_path.glob("fekete_*.json")
-                           if not p.name.endswith("_summary.json")).read_text())
-    for record in (summary, meta):
-        starts = record["starts"]
-        assert len(starts) == 3
-        assert all(set(st) == {"log_delta", "iterations", "stop_reason", "shifted_steps"}
-                   for st in starts)
-        assert all(st["stop_reason"] == "gradient_tol" and st["iterations"] >= 1
-                   for st in starts)
-        assert all(0 <= st["shifted_steps"] <= st["iterations"] for st in starts)
-        best = starts[record["start_index"]]
-        assert best["log_delta"] == record["log_delta"] == max(st["log_delta"] for st in starts)
-        assert best["iterations"] == record["iterations"]
-        assert best["stop_reason"] == record["stop_reason"]
+    record = json.loads(next(tmp_path.glob("fekete_*.json")).read_text())
+    starts = record["starts"]
+    assert len(starts) == 3
+    assert all(set(st) == {"log_delta", "iterations", "stop_reason", "shifted_steps"}
+               for st in starts)
+    assert all(st["stop_reason"] == "gradient_tol" and st["iterations"] >= 1
+               for st in starts)
+    assert all(0 <= st["shifted_steps"] <= st["iterations"] for st in starts)
+    best = starts[record["start_index"]]
+    assert best["log_delta"] == record["log_delta"] == max(st["log_delta"] for st in starts)
+    assert best["iterations"] == record["iterations"]
+    assert best["stop_reason"] == record["stop_reason"]
+
+
+def test_fekete_record_matches_solve(tmp_path):
+    # the one JSON record and the CSV hold what the library solve returns
+    assert run(["--seed", "13", "--out", str(tmp_path), "fekete", "--N", "8"]) == 0
+    res = cli.fekete.solve(cli.potential.Disk(0.0, 1.0), 8, seed=13)
+    record = json.loads(next(tmp_path.glob("fekete_*.json")).read_text())
+    assert record["N"] == 8 and record["seed"] == 13
+    assert record["log_delta"] == res.log_delta
+    assert record["max_green_violation"] == res.max_green_violation
+    assert record["converged"] is res.converged is True
+    assert record["stop_reason"] == res.stop_reason == "gradient_tol"
+    assert (record["iterations"], record["start_index"]) == (res.iterations, res.start_index)
+    assert record["starts"] == res.starts and len(res.starts) == 8
+    assert record["capacity_estimate"] == cli.fekete.capacity_estimate(res)
+    assert record["capacity"] == 1.0
+    points = cli.measures.load_points(next(tmp_path.glob("fekete_*.csv")))
+    assert np.array_equal(points, res.configuration)
 
 
 def test_sample_and_reproducibility(tmp_path):
@@ -320,14 +372,23 @@ def test_sample_and_reproducibility(tmp_path):
     assert csv1 == csv2  # bit-identical with the same config and seed
     name = next(out1.glob("chain_*.csv")).name
     assert "seed5" in name
-    summary = json.loads(next(out1.glob("chain_*_summary.json")).read_text())
-    meta = json.loads(next(p for p in out1.glob("chain_*.json")
-                           if not p.name.endswith("_summary.json")).read_text())
-    for record in (summary, meta):
-        tel = record["telemetry"]
-        assert len(tel["scale_trace"]) == len(tel["window_acceptance"]) == 400 // 200
-        assert tel["scale_trace"][-1] == record["step_scale"]
-        assert tel["batched_points"] == 2400 and tel["stale_points"] > 0
+    record = json.loads(next(out1.glob("chain_*.json")).read_text())
+    tel = record["telemetry"]
+    assert len(tel["scale_trace"]) == len(tel["window_acceptance"]) == 400 // 200
+    assert tel["scale_trace"][-1] == record["step_scale"]
+    assert tel["batched_points"] == 2400 and tel["stale_points"] > 0
+    # the record is the file Chain.load reads: the chain comes back whole
+    chain = cli.sampler.Chain.load(next(out1.glob("chain_*.csv")).with_suffix(""))
+    ran = cli.sampler.run_chain(cli.sampler.EnsembleParams(6, 12.0, 2.0, 0.1),
+                                cli.potential.Disk(0.0, 1.0),
+                                cli.sampler.ChainConfig(2000, 400, 10), seed=5)
+    assert np.array_equal(chain.states, ran.states)
+    assert np.array_equal(chain.log_densities, ran.log_densities)
+    assert (record["states"], record["acceptance"]) == (len(ran), ran.acceptance_rate)
+    assert record["psr"] == cli.sampler.potential_scale_reduction(ran)
+    more = cli.sampler.run_chain(chain.params, chain.K, cli.sampler.ChainConfig(100, 0, 10),
+                                 seed=6, init=chain.states[-1])
+    assert len(more) == 10
 
 
 def test_discretize_outputs(tmp_path, capsys):
@@ -461,8 +522,8 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
         "fekete": {"N": 12, "max_iterations": 1},
     })
     assert run(["--config", cfg, "--out", str(tmp_path), "fekete"]) == 4
-    summary = json.loads(next(tmp_path.glob("fekete_*_summary.json")).read_text())
-    assert summary["stop_reason"] == "max_iterations"
+    record = json.loads(next(tmp_path.glob("fekete_*.json")).read_text())
+    assert record["stop_reason"] == "max_iterations"
     err = capsys.readouterr().err
     assert "no fekete start" not in err
     assert "returned start " in err and "stop_reason=max_iterations" in err

@@ -1,6 +1,5 @@
 """Fekete configurations against brute-force and closed-form oracles."""
 
-import json
 import math
 
 import numpy as np
@@ -222,7 +221,7 @@ def test_solve_segment_gauss_lobatto():
     nodes = 2.0 * np.concatenate([[-1.0], inner, [1.0]])
     assert np.max(np.abs(np.sort(res.configuration.real) - nodes)) <= 1e-10
     assert res.log_delta == pytest.approx(144.1321222047735, abs=1e-12)
-    assert cl.capacity_estimate(SEGMENT, 60, result=res) == pytest.approx(1.084838, abs=1e-6)
+    assert cl.capacity_estimate(res) == pytest.approx(1.084838, abs=1e-6)
 
 
 @pytest.mark.parametrize("K, theta", [
@@ -300,53 +299,29 @@ def test_trace_monotone():
 def test_capacity_estimate_disk_closed_form():
     # the optimum is the roots-of-unity value exp(log N / (N - 1))
     for n in (8, 16, 24):
-        est = cl.capacity_estimate(DISK, n, seed=10)
+        est = cl.capacity_estimate(cl.solve(DISK, n, seed=10))
         assert est == pytest.approx(math.exp(math.log(n) / (n - 1)), rel=1e-8)
 
 
 def test_capacity_estimate_decreasing():
-    ests = [cl.capacity_estimate(DISK, n, seed=11) for n in (8, 12, 16, 24, 32)]
+    ests = [cl.capacity_estimate(cl.solve(DISK, n, seed=11)) for n in (8, 12, 16, 24, 32)]
     assert all(a > b for a, b in zip(ests[:-1], ests[1:]))
 
 
 def test_capacity_estimate_scaled_disk():
-    est = cl.capacity_estimate(cl.Disk(0.0, 2.0), 16, seed=12)
+    est = cl.capacity_estimate(cl.solve(cl.Disk(0.0, 2.0), 16, seed=12))
     assert est == pytest.approx(2.0 * math.exp(math.log(16) / 15), rel=1e-8)
 
 
 def test_capacity_estimate_validation():
     with pytest.raises(ValueError):
-        cl.capacity_estimate(DISK, 4)
+        cl.capacity_estimate(cl.solve(DISK, 4))
     with pytest.raises(ValueError):
         cl.solve(DISK, 1)
 
 
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def test_fekete_result_save(tmp_path):
-    res = cl.solve(DISK, 6, seed=13)
-    base = tmp_path / "fekete_run"
-    res.save(base)
-    meta = json.loads((tmp_path / "fekete_run.json").read_text())
-    assert meta["log_delta"] == pytest.approx(res.log_delta)
-    assert meta["converged"] is True
-    assert meta["stop_reason"] == res.stop_reason == "gradient_tol"
-    assert meta["start_index"] == res.start_index
-    assert len(meta["starts"]) == 8
-    for rec in meta["starts"]:
-        assert set(rec) == {"log_delta", "iterations", "stop_reason", "shifted_steps"}
-        assert rec["iterations"] >= 1 and rec["stop_reason"] == "gradient_tol"
-        assert 0 <= rec["shifted_steps"] <= rec["iterations"]
-    assert meta["starts"][res.start_index]["log_delta"] == pytest.approx(res.log_delta)
-    assert max(rec["log_delta"] for rec in meta["starts"]) == pytest.approx(res.log_delta)
-    loaded = cl.load_points(tmp_path / "fekete_run.csv")
-    assert np.allclose(loaded, res.configuration)
-
-
 def test_capacity_estimate_segment_trend():
-    ests = [cl.capacity_estimate(SEGMENT, n, seed=14) for n in (8, 16, 32)]
+    ests = [cl.capacity_estimate(cl.solve(SEGMENT, n, seed=14)) for n in (8, 16, 32)]
     assert all(a > b for a, b in zip(ests[:-1], ests[1:]))
     assert all(e > 1.0 for e in ests)  # converges to capacity 1 from above
     assert ests[-1] < 1.2

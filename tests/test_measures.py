@@ -47,7 +47,7 @@ CONSUMERS = {
     "log_delta": lambda c: cl.log_delta(DISK, c),
     "discrete_energy": cl.discrete_energy,
     "log_density_unnormalized": lambda c: cl.log_density_unnormalized(P3, DISK, c),
-    "in_low_energy_set": lambda c: cl.in_low_energy_set(P3, DISK, c, 0.5),
+    "in_low_energy_set": lambda c: cl.in_low_energy_set(DISK, c, 0.5),
     "symmetrize": lambda c: cl.symmetrize(lambda a, b: np.abs(a - b), c, 2),
     "tensor_integral": lambda c: cl.tensor_integral(lambda a, b: np.abs(a - b), c, 2),
     "perturbation_ball": lambda c: cl.perturbation_ball(c, 0.5).sample(seed=1).tobytes(),

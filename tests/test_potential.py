@@ -23,9 +23,9 @@ ALL_SETS = [DISK, SEGMENT, ELLIPSE, EXTMAP]
 # ---------------------------------------------------------------------------
 
 def test_green_disk_values():
-    assert cl.green(DISK, 0.3 + 0.2j) == 0.0
-    assert cl.green(DISK, 1.0) == 0.0
-    assert cl.green(DISK, 2.0) == pytest.approx(math.log(2), abs=1e-15)
+    assert DISK.green(0.3 + 0.2j) == 0.0
+    assert DISK.green(1.0) == 0.0
+    assert DISK.green(2.0) == pytest.approx(math.log(2), abs=1e-15)
 
 
 def _disk_green_masked(K, z):
@@ -83,10 +83,10 @@ def test_green_segment_inverse_joukowski():
     # oracle: w = (z + sqrt(z^2 - 4)) / 2 on the |w| >= 1 branch
     z = 3.0
     w = (z + math.sqrt(z * z - 4)) / 2
-    assert cl.green(SEGMENT, z) == pytest.approx(math.log(w), abs=1e-14)
-    assert cl.green(SEGMENT, 3.0) == pytest.approx(0.9624236501192069, abs=1e-12)
-    assert cl.green(SEGMENT, 0.7) == 0.0
-    assert cl.green(SEGMENT, -2.0) == 0.0
+    assert SEGMENT.green(z) == pytest.approx(math.log(w), abs=1e-14)
+    assert SEGMENT.green(3.0) == pytest.approx(0.9624236501192069, abs=1e-12)
+    assert SEGMENT.green(0.7) == 0.0
+    assert SEGMENT.green(-2.0) == 0.0
 
 
 def _quadratic_green_one_pass(z, c, cap, q):
@@ -130,7 +130,7 @@ def test_green_ellipse_matches_exterior_map():
     far = 1e8 * np.exp(1j * np.linspace(0, 2 * math.pi, 17))
     for z in (scattered, grid, boundary * (1 + 1e-10), boundary * (1 - 1e-10),
               boundary * (1 + 1e-6), far):
-        assert np.max(np.abs(cl.green(EXTMAP, z) - cl.green(ELLIPSE, z))) <= 1e-14
+        assert np.max(np.abs(EXTMAP.green(z) - ELLIPSE.green(z))) <= 1e-14
 
 
 def _distance_to_set(K, z):
@@ -188,11 +188,11 @@ def test_green_zero_on_boundary(K):
 # ---------------------------------------------------------------------------
 
 def test_capacities():
-    assert cl.capacity(DISK) == 1.0
-    assert cl.capacity(cl.Disk(1 + 1j, 0.5)) == 0.5
-    assert cl.capacity(SEGMENT) == 1.0
-    assert cl.capacity(ELLIPSE) == 1.5
-    assert cl.capacity(EXTMAP) == 1.5
+    assert DISK.capacity() == 1.0
+    assert cl.Disk(1 + 1j, 0.5).capacity() == 0.5
+    assert SEGMENT.capacity() == 1.0
+    assert ELLIPSE.capacity() == 1.5
+    assert EXTMAP.capacity() == 1.5
 
 
 def test_robin_energy():

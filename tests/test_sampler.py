@@ -206,6 +206,20 @@ def test_hard_wall_chain_stays_in_disk():
     assert np.all(np.abs(pts) <= 1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("K", [cl.Segment(-2.0, 2.0), cl.ExteriorMap(1.0, (0.0, 1.0))],
+                         ids=["segment", "exterior_map"])
+def test_hard_wall_refused_on_zero_area_set(K):
+    # s = inf confines the points to K, which has no area here: the ensemble
+    # has no density in the plane, and every Gaussian proposal leaves K
+    assert K.area() == 0.0
+    with pytest.raises(cl.InadmissibleParams, match="zero area"):
+        cl.run_chain(cl.EnsembleParams(8, math.inf, 2.0, 0.1), K,
+                     cl.ChainConfig(steps=2000, burn_in=500, thin=10), seed=11)
+    ch = cl.run_chain(cl.EnsembleParams(8, 16.0, 2.0, 0.1), K,
+                      cl.ChainConfig(steps=200, burn_in=0, thin=10), seed=11)
+    assert len(ch) == 20 and ch.acceptance_rate > 0
+
+
 def test_chain_save_load_resume(tmp_path, chain8):
     base = tmp_path / "chain"
     chain8.save(base)
@@ -226,19 +240,17 @@ def test_chain_save_load_resume(tmp_path, chain8):
 # ---------------------------------------------------------------------------
 
 def test_in_low_energy_set_examples():
-    p = cl.EnsembleParams(16, 32.0, 2.0, 0.1)
     roots = np.exp(2j * math.pi * np.arange(16) / 16)
-    assert cl.in_low_energy_set(p, DISK, roots, 0.01)
-    p2 = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
+    assert cl.in_low_energy_set(DISK, roots, 0.01)
     near = [0.5, 0.5 + 1e-9]
-    assert not cl.in_low_energy_set(p2, DISK, near, 0.1)
+    assert not cl.in_low_energy_set(DISK, near, 0.1)
     fek = cl.solve(DISK, 8, seed=3).configuration
-    assert cl.in_low_energy_set(cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK, fek, 1e-6)
+    assert cl.in_low_energy_set(DISK, fek, 1e-6)
 
 
 def _tail_mass_by_state(chain, eps):
     """tail_mass_estimate as one in_low_energy_set call per stored state."""
-    return sum(not cl.in_low_energy_set(chain.params, chain.K, s, eps)
+    return sum(not cl.in_low_energy_set(chain.K, s, eps)
                for s in chain.states) / len(chain)
 
 
