@@ -11,8 +11,11 @@ the disk (R; c), the segment [a, b] ((b - a)/4; mid, (b - a)/4), the
 ellipse ((a + b)/2; c, (a - b)/2) and an ExteriorMap its own coefficients.
 One shared base derives capacity, map, map_derivative, boundary_point,
 boundary_jet, area and field_integral from those numbers; each class keeps
-its own green (the disk's closed form, one quadratic inverse for the
-segment and the ellipse, companion-matrix roots for an ExteriorMap).
+its own green: the disk's closed form, and the larger root of
+w (psi(w) - z) = 0 for the rest, by the quadratic formula for the segment,
+the ellipse and an ExteriorMap with one negative power, and by
+companion-matrix eigenvalues for an ExteriorMap with more.  Every green is
++inf at an infinite z and 0 at a NaN one.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ MEMBERSHIP_TOL = 1e-12
 # report green == 0.0
 _GREEN_SNAP = 1e-15
 
-# ExteriorMap inversion: the largest root w of w^m (psi(w) - z) gets
-# _POLISH_STEPS Newton steps and must then satisfy
-# |psi(w) - z| <= _NEWTON_TOL max(1, |z|)
+# ExteriorMap inversion: the largest root w of w^m (psi(w) - z) must satisfy
+# |psi(w) - z| <= _NEWTON_TOL max(1, |z|); a companion-matrix root (m >= 2)
+# first gets _POLISH_STEPS Newton steps
 _POLISH_STEPS = 2
 _NEWTON_TOL = 1e-12
 
@@ -136,22 +139,47 @@ def _quadratic_green(z, c, cap, q):
 
     An array runs _QUADRATIC_CHUNK points at a time so that the complex
     temporaries stay in cache; every value is elementwise, so each one is
-    bit for bit what a single pass over all points gives."""
+    bit for bit what a single pass over all points gives.  Where u*u
+    overflows (|z - c| above about 1e154, or z infinite) the value is not
+    finite, and only those entries are recomputed by _far_log_root."""
     z = _as_complex(z)
-    if not z.ndim:  # numpy scalar arithmetic, which rounds apart from the array loops
-        return _snap(_quadratic_log_root(z - c, cap, q))
-    flat = z.ravel()
-    g = np.empty(flat.shape)
-    for lo in range(0, flat.size, _QUADRATIC_CHUNK):
-        g[lo:lo + _QUADRATIC_CHUNK] = _quadratic_log_root(flat[lo:lo + _QUADRATIC_CHUNK] - c,
-                                                          cap, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not z.ndim:  # numpy scalar arithmetic, which rounds apart from the array loops
+            g = _quadratic_log_root(z - c, cap, q)
+            return _snap(g if np.isfinite(g) else _far_log_root(z - c, cap))
+        flat = z.ravel()
+        g = np.empty(flat.shape)
+        for lo in range(0, flat.size, _QUADRATIC_CHUNK):
+            g[lo:lo + _QUADRATIC_CHUNK] = _quadratic_log_root(flat[lo:lo + _QUADRATIC_CHUNK] - c,
+                                                              cap, q)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        g[bad] = _far_log_root(flat[bad] - c, cap)
     return _snap(g.reshape(z.shape))
 
 
-def _quadratic_log_root(u, cap, q):
+def _quadratic_roots(u, cap, q):
+    """Both roots (u + sq)/(2 cap) and (u - sq)/(2 cap) of
+    cap*w^2 - u*w + q = 0, with sq = sqrt(u^2 - 4 cap q)."""
     sq = np.sqrt(u * u - 4.0 * cap * q)
-    w = np.maximum(np.abs((u + sq) / (2 * cap)), np.abs((u - sq) / (2 * cap)))
-    return np.log(np.maximum(w, 1.0))
+    return (u + sq) / (2 * cap), (u - sq) / (2 * cap)
+
+
+def _quadratic_log_root(u, cap, q):
+    w1, w2 = _quadratic_roots(u, cap, q)
+    return np.log(np.maximum(np.maximum(np.abs(w1), np.abs(w2)), 1.0))
+
+
+def _far_log_root(u, cap):
+    """log|u/cap|, the Green function of a set with psi(w) = c + cap*w + O(1/w)
+    at u = z - c where u*u overflows: there |w - u/cap| / |w| is
+    O((cap/u)^2), below 1e-300.  |u| is scaled by s = max(|Re u|, |Im u|)
+    so that it cannot overflow; an infinite u (one part NaN or not) gives
+    +inf, any other NaN one NaN."""
+    s = np.maximum(np.abs(u.real), np.abs(u.imag))
+    with np.errstate(invalid="ignore"):  # inf/inf, replaced below
+        g = np.log(s) + np.log(np.abs(u / s) / cap)
+    return np.where(np.isinf(u), np.inf, g)
 
 
 @dataclass(frozen=True)
@@ -252,10 +280,15 @@ class ExteriorMap(_LaurentSet):
     psi univalent there.  The preimages of z are then the roots of the
     degree m + 1 polynomial w^m (psi(w) - z), and by the argument principle
     exactly one of them has |w| > 1 when z is outside K and none does when z
-    is in K.  green(z) takes the largest root of each point's companion
-    matrix, returns 0 where its modulus is at most 1, and otherwise polishes
-    it by Newton steps to g = log|w|.  An outside point whose polished root
-    misses |psi(w) - z| <= 1e-12 max(1, |z|) raises InversionError.
+    is in K.  green(z) takes the largest root w and returns 0 where
+    |w| <= 1, else g = log|w|.  The root is (z - c0)/cap for m = 0, the
+    larger root of cap w^2 - (z - c0) w + c1 by the quadratic formula for
+    m = 1, and for m >= 2 the largest eigenvalue of each point's companion
+    matrix, polished by Newton steps.  Every outside point's root must meet
+    |psi(w) - z| <= 1e-12 max(1, |z|); a root that overflowed is replaced
+    by the linear part's (z - c0)/cap, which meets it that far out.  A miss,
+    a NaN residual included, raises InversionError.  An infinite z gives
+    +inf and a NaN one 0.
     """
 
     cap: float
@@ -271,36 +304,63 @@ class ExteriorMap(_LaurentSet):
 
     def _preimage(self, z):
         """Flat indices of the points of z outside K and their preimages w,
-        with |w| > 1 and psi(w) = z."""
+        with |w| > 1 and psi(w) = z; an infinite z has w = inf, a NaN z no
+        entry."""
         flat = _as_complex(z).ravel()
         m = len(self.coeffs) - 1
         c0 = self.coeffs[0] if self.coeffs else 0.0
-        if m < 1:  # psi is linear
-            w = (flat - c0) / self.cap
-            idx = np.flatnonzero(np.abs(w) > 1.0)
-            return idx, w[idx]
-        # companion matrices of w^m (psi(w) - z) / cap
-        #   = w^{m+1} + ((c0 - z)/cap) w^m + (c1/cap) w^{m-1} + ... + c_m/cap
-        comp = np.zeros((flat.size, m + 1, m + 1), dtype=complex)
-        comp[:, 0, 0] = (flat - c0) / self.cap
-        comp[:, 0, 1:] = np.asarray(self.coeffs[1:]) / -self.cap
-        comp[:, 1:, :-1] = np.eye(m)
-        roots = np.linalg.eigvals(comp)
-        w = roots[np.arange(flat.size), np.argmax(np.abs(roots), axis=1)]
-        idx = np.flatnonzero(np.abs(w) > 1.0)
-        w, target = w[idx], flat[idx]
-        for _ in range(_POLISH_STEPS):
-            # Newton on P(w) = w^m (psi(w) - z) by Horner, free of 1/w
-            p, dp = np.full_like(w, self.cap), np.zeros_like(w)
-            for c in (c0 - target,) + self.coeffs[1:]:
-                dp = dp * w + p
-                p = p * w + c
-            w = w - p / dp
-        miss = np.abs(self.map(w) - target) > _NEWTON_TOL * np.maximum(1.0, np.abs(target))
+        with np.errstate(over="ignore", invalid="ignore"):  # the residual test below sees both
+            u = flat - c0
+            if m < 1:  # psi is linear
+                w = u / self.cap
+            elif m == 1:  # the larger root of w (psi(w) - z) = cap w^2 - u w + c1
+                w1, w2 = _quadratic_roots(u, self.cap, self.coeffs[1])
+                w = np.where(np.abs(w1) >= np.abs(w2), w1, w2)
+            else:
+                w = self._companion_root(u, m)
+            idx = np.flatnonzero(~(np.abs(w) <= 1.0))
+            w, target = w[idx], flat[idx]
+            if m >= 2:
+                for _ in range(_POLISH_STEPS):
+                    # Newton on P(w) = w^m (psi(w) - z) by Horner, free of 1/w
+                    p, dp = np.full_like(w, self.cap), np.zeros_like(w)
+                    for c in (c0 - target,) + self.coeffs[1:]:
+                        dp = dp * w + p
+                        p = p * w + c
+                    w = w - p / dp
+            bound = _NEWTON_TOL * np.maximum(1.0, np.abs(target))
+            miss = ~(np.abs(self.map(w) - target) <= bound)
+            if miss.any():
+                # a root beyond the float range of the solve: that far out the
+                # linear part of psi inverts z to a relative
+                # |w - (z - c0)/cap| / |w| = O((cap/z)^2); an infinite z has
+                # w = inf and a NaN z is dropped
+                far = ~np.isfinite(w)
+                w[far] = (target[far] - c0) / self.cap
+                infinite = np.isinf(target)
+                w[infinite] = np.inf
+                keep = np.flatnonzero(infinite | ~np.isnan(target))
+                idx, w, target, bound = idx[keep], w[keep], target[keep], bound[keep]
+                miss = ~(np.abs(self.map(w) - target) <= bound) & np.isfinite(target)
         if miss.any():
             raise InversionError(f"{int(miss.sum())} of {target.size} points outside K have no "
                                  f"preimage with |psi(w) - z| <= {_NEWTON_TOL:g} max(1, |z|)")
         return idx, w
+
+    def _companion_root(self, u, m):
+        """The largest root of w^m (psi(w) - z) at each u = z - c0, as an
+        eigenvalue of its companion matrix; NaN where u is not finite."""
+        finite = np.isfinite(u)
+        # companion matrices of w^m (psi(w) - z) / cap
+        #   = w^{m+1} - (u/cap) w^m + (c1/cap) w^{m-1} + ... + c_m/cap
+        comp = np.zeros((u.size, m + 1, m + 1), dtype=complex)
+        comp[:, 0, 0] = np.where(finite, u, 0.0) / self.cap
+        comp[:, 0, 1:] = np.asarray(self.coeffs[1:]) / -self.cap
+        comp[:, 1:, :-1] = np.eye(m)
+        roots = np.linalg.eigvals(comp)
+        w = roots[np.arange(u.size), np.argmax(np.abs(roots), axis=1)]
+        w[~finite] = np.nan
+        return w
 
     def green(self, z):
         z = _as_complex(z)

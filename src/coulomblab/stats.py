@@ -185,12 +185,6 @@ class IntensityHistogram:
     def mass(self) -> float:
         return float(self.density.sum() * self.cell_area)
 
-    def mass_in(self, predicate: Callable) -> float:
-        """Probability mass of cells whose center satisfies the predicate."""
-        xc, yc = self.centers()
-        zz = xc[:, None] + 1j * yc[None, :]
-        return float(self.density[predicate(zz)].sum() * self.cell_area)
-
     def to_csv(self, path) -> None:
         xc, yc = self.centers()
         rows = [(x, y, self.density[i, j])

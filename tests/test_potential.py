@@ -133,6 +133,87 @@ def test_green_ellipse_matches_exterior_map():
         assert np.max(np.abs(EXTMAP.green(z) - ELLIPSE.green(z))) <= 1e-14
 
 
+def test_one_negative_power_map_equals_ellipse_bit_for_bit():
+    # the quadratic root of ExteriorMap(1.5, (0, 0.5)) is the Ellipse's, bit
+    # for bit, on the chain_exterior oracle grid and on 1e5 random points
+    x, y = np.linspace(-3.0, 3.0, 61), np.linspace(-2.0, 2.0, 41)
+    grid = (x[:, None] + 1j * y[None, :]).ravel()
+    rng = np.random.default_rng(26)
+    scattered = rng.uniform(-4, 4, 100_000) + 1j * rng.uniform(-3, 3, 100_000)
+    for z in (grid, scattered):
+        g = EXTMAP.green(z)
+        assert (g > 0).any() and (g == 0).any()
+        assert g.tobytes() == ELLIPSE.green(z).tobytes()
+
+
+@pytest.mark.parametrize("phi", [0.3, 1.0, 2.5])
+def test_rotated_ellipse_exterior_map(phi):
+    # psi(w) = 1.5 w + 0.5 e^{2i phi}/w is the ellipse (2, 1) turned by phi:
+    # psi(e^{i phi} v) = e^{i phi} (1.5 v + 0.5/v)
+    K = cl.ExteriorMap(1.5, (0.0, 0.5 * np.exp(2j * phi)))
+    rng = np.random.default_rng(7)
+    z = np.concatenate([rng.uniform(-4, 4, 4000) + 1j * rng.uniform(-3, 3, 4000),
+                        ELLIPSE.boundary_point(np.linspace(0, 2 * math.pi, 257)) * (1 + 1e-6)])
+    assert np.max(np.abs(K.green(np.exp(1j * phi) * z) - ELLIPSE.green(z))) <= 1e-14
+
+
+def _mp_green(K, z):
+    """log|w| for psi(w) = z by Newton steps at 40 digits from (z - c0)/cap,
+    which is already within (cap/z)^2 of w for these |z| >= 1e10."""
+    import mpmath as mp
+    cap, coeffs = K.laurent()
+    with mp.workdps(40):
+        z, cap, coeffs = mp.mpc(z), mp.mpf(cap), [mp.mpc(c) for c in coeffs]
+        w = (z - coeffs[0]) / cap
+        for _ in range(6):
+            f = cap * w + sum(c * w ** -k for k, c in enumerate(coeffs)) - z
+            df = cap - sum(k * c * w ** (-k - 1) for k, c in enumerate(coeffs))
+            w -= f / df
+        return float(mp.log(abs(w)))
+
+
+FAR_SETS = {"disk": cl.Disk(0.2 - 0.1j, 1.3), "segment": SEGMENT, "ellipse": ELLIPSE,
+            "map_m1": EXTMAP, "map_m2": cl.ExteriorMap(1.0, (0.0, 0.0, 0.15))}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_SETS))
+def test_green_far_field_against_mpmath(name):
+    # every set type and both inversion paths, past the float overflow of
+    # u*u (from 1e155) and of the m = 2 Newton polish (by 1e200): finite
+    # values, and no warning
+    K = FAR_SETS[name]
+    radii = [1e10, 1e155, 1e200, 1e300]
+    phases = np.exp(1j * np.array([0.0, 0.7, math.pi / 4, 2.0, math.pi, 4.5]))
+    z = (np.array(radii)[:, None] * phases[None, :]).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = K.green(z)
+        for i, point in enumerate(z):
+            want = _mp_green(K, point)
+            assert g[i] == pytest.approx(want, rel=1e-12), point
+            assert K.green(point) == pytest.approx(want, rel=1e-12), point
+
+
+@pytest.mark.parametrize("name", sorted(FAR_SETS))
+def test_green_at_infinite_and_nan_points(name):
+    # an infinite point gives +inf and a NaN point the snapped 0.0, alone or
+    # in a batch with finite points, and no root solve fails on either
+    K = FAR_SETS[name]
+    inf, nan = math.inf, math.nan
+    special = [complex(inf, 0.0), complex(-inf, 1.0), complex(0.0, -inf), complex(inf, inf),
+               complex(nan, 0.0), complex(0.0, nan), complex(nan, nan), complex(inf, nan)]
+    want = [inf, inf, inf, inf, 0.0, 0.0, 0.0, inf]
+    finite = np.array([0.0, 3.0 + 1.0j, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = K.green(np.concatenate([finite, special]))
+        assert list(g[finite.size:]) == want
+        assert g[2] == pytest.approx(_mp_green(K, 1e300), rel=1e-12)
+        assert g[1] == K.green(3.0 + 1.0j) > 0 and K.green(0.0) == 0.0
+        assert [K.green(p) for p in special] == want
+        assert not cl.contains(K, inf) and not cl.contains(K, 1e300)
+
+
 def _distance_to_set(K, z):
     """Euclidean distance to K (closed form for disk/segment, dense
     boundary sampling otherwise)."""
@@ -493,11 +574,21 @@ class _ShiftedMap(cl.ExteriorMap):
         return super().map(w) + 1e-6
 
 
+class _NaNMap(cl.ExteriorMap):
+    """A map whose psi is NaN everywhere, so every residual is NaN."""
+
+    def map(self, w):
+        return super().map(w) * math.nan
+
+
 def test_exterior_map_missed_residual_raises():
-    K = _ShiftedMap(1.5, (0.0, 0.5))
-    assert K.green(0.1 + 0.2j) == 0.0  # in K: no preimage is needed
-    with pytest.raises(cl.InversionError, match="2 of 2 points outside K"):
-        K.green(np.array([3.0, 0.1, 2.0j]))
+    # both root paths (m = 1 quadratic, m = 2 companion) check the residual,
+    # and a NaN residual counts as a miss
+    for K in (_ShiftedMap(1.5, (0.0, 0.5)), _ShiftedMap(1.0, (0.0, 0.0, 0.15)),
+              _NaNMap(1.5, (0.0, 0.5)), _NaNMap(1.0, (0.0, 0.0, 0.15))):
+        assert K.green(0.1 + 0.2j) == 0.0  # in K: no preimage is needed
+        with pytest.raises(cl.InversionError, match="2 of 2 points outside K"):
+            K.green(np.array([3.0, 0.1, 2.0j]))
     assert issubclass(cl.InversionError, ArithmeticError)
 
 

@@ -492,6 +492,9 @@ EXACT_CHAINS = {
                   cl.ChainConfig(steps=3_000, burn_in=600, thin=5), 8, None),
     "exterior_map": (cl.EnsembleParams(6, 12.0, 2.0, 0.1), cl.ExteriorMap(1.5, (0.0, 0.5)),
                      cl.ChainConfig(steps=2_000, burn_in=600, thin=2), 3, None),
+    "exterior_map_m2": (cl.EnsembleParams(6, 12.0, 2.0, 0.1),
+                        cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)),
+                        cl.ChainConfig(steps=2_000, burn_in=600, thin=2), 4, None),
     "init": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK,
              cl.ChainConfig(steps=3_000, burn_in=0, thin=3), 10, RING8),
     "fixed_scale": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK,
