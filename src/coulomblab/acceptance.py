@@ -235,10 +235,10 @@ def criterion_4(lab: AcceptanceLab) -> CriterionResult:
     diags.append(f"disk log_delta = {d:.9f}, exact optimum (N/2) log N = "
                  f"{30 * math.log(60):.9f}")
     for name, res in lab.fekete_60.items():
-        runs = ", ".join(f"{st['iterations']} {st['stop_reason']} {st['shifted_steps']}"
-                         for st in res.starts)
-        diags.append(f"{name} starts (iterations, stop reason, shifted steps; start "
-                     f"{res.start_index} returned): {runs}")
+        runs = ", ".join(f"{st['iterations']} {st['stop_reason']} {st['shifted_steps']} "
+                         f"{st['evaluations']}" for st in res.starts)
+        diags.append(f"{name} starts (iterations, stop reason, shifted steps, line-search "
+                     f"evaluations; start {res.start_index} returned): {runs}")
     return CriterionResult(4, "Fekete capacity estimates and containment",
                            clauses, diagnostics=diags)
 

@@ -8,13 +8,18 @@ the exterior map psi of every set type, and one boundary_jet call gives b
 and its first two angle derivatives.  One damped Newton ascent with the
 full angle Hessian serves every set type; each step solves with a
 Cholesky factor of the negated Hessian plus a multiple of the identity,
-raised tenfold until the factorization succeeds.  Each ascent starts from a
-stratified sample of the equilibrium measure, which is uniform in the
-uniformizing angle: one angle drawn uniformly in each of N equal arcs.
+raised tenfold until the factorization succeeds.  Each line-search
+candidate is evaluated once: one boundary jet and one N x N difference
+matrix give its pair log-distances for the gain and, when it is accepted,
+its gradient; the Hessian is built only where another step follows.  Each
+ascent starts from a stratified sample of the equilibrium measure, which is
+uniform in the uniformizing angle: one angle drawn uniformly in each of N
+equal arcs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .measures import _pair_distances, _pair_log_sum
+from .measures import _pair_index, _pair_log_sum
 from .potential import CompactSet, _log_distances
 
 
@@ -35,7 +40,7 @@ class FeketeResult:
     iterations: int = 0
     start_index: int = -1
     stop_reason: str = ""  # "gradient_tol", "line_search" or "max_iterations"
-    # per start: log_delta, iterations, stop_reason, shifted_steps
+    # per start: log_delta, iterations, stop_reason, shifted_steps, evaluations
     starts: list = field(default_factory=list)
 
     @property
@@ -60,6 +65,55 @@ def log_delta(K: CompactSet, c) -> float:
 _SHIFT_START = 1e-8  # first shift of the negated Hessian, relative to its largest row sum
 _SHIFT_GROWTH = 10.0  # factor by which each failed factorization raises the shift
 _FACTORIZATIONS = 10  # the last shift, 10 times the largest row sum, dominates every eigenvalue
+_EPS = float(np.finfo(float).eps)
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a square array whose rows are evenly
+    strided (a C-contiguous array or the .real of one)."""
+    return a.reshape(-1)[::a.shape[0] + 1]
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Read-only flat indices i n + j of the pairs i < j of an n x n matrix,
+    in _pair_index order."""
+    iu, ju = _pair_index(n)
+    flat = iu * n + ju
+    flat.flags.writeable = False
+    return flat
+
+
+def _candidate(K: CompactSet, theta: np.ndarray):
+    """Everything the ascent needs at the angles theta, from one boundary
+    jet: b, b', b'', the N x N difference matrix b_i - b_j with a unit
+    diagonal, and the pair log-distances log|b_i - b_j|, i < j, read from
+    its upper triangle in _pair_index order (bit for bit
+    _log_distances(_pair_distances(b)))."""
+    pts, vel, acc = K.boundary_jet(theta)
+    diff = pts[:, None] - pts[None, :]
+    _diagonal(diff)[:] = 1.0
+    logs = _log_distances(np.abs(diff.reshape(-1)[_upper_pairs(pts.size)]))
+    return pts, vel, acc, diff, logs
+
+
+def _gradient(vel: np.ndarray, diff: np.ndarray):
+    """The angle gradient Re(b'_i sum_j 1/d_ij) of sum_{i<j} log|d_ij|, with
+    the matrix 1/d_ij (zero diagonal) and its row sums that the Hessian
+    reuses."""
+    inv = 1.0 / diff
+    _diagonal(inv)[:] = 0.0
+    inv_sum = np.add.reduce(inv, axis=1)
+    return (vel * inv_sum).real, inv, inv_sum
+
+
+def _hessian(vel, acc, inv, inv_sum) -> np.ndarray:
+    """The N x N angle Hessian: Re(b'_i b'_j / d_ij^2) off the diagonal and
+    Re(b''_i sum_j 1/d_ij - b'_i^2 sum_j 1/d_ij^2) on it."""
+    inv2 = inv * inv
+    hess = (vel[:, None] * vel[None, :] * inv2).real
+    _diagonal(hess)[:] = (acc * inv_sum - vel**2 * np.add.reduce(inv2, axis=1)).real
+    return hess
 
 
 def _angle_derivatives(K: CompactSet, theta: np.ndarray):
@@ -70,17 +124,9 @@ def _angle_derivatives(K: CompactSet, theta: np.ndarray):
     Re(b'_i sum_j 1/d_ij), the off-diagonal Hessian Re(b'_i b'_j / d_ij^2)
     and the diagonal Re(b''_i sum_j 1/d_ij - b'_i^2 sum_j 1/d_ij^2).
     """
-    pts, vel, acc = K.boundary_jet(theta)
-    diff = pts[:, None] - pts[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    inv_sum = inv.sum(axis=1)
-    inv2 = inv * inv
-    grad = (vel * inv_sum).real
-    hess = (vel[:, None] * vel[None, :] * inv2).real
-    np.fill_diagonal(hess, (acc * inv_sum - vel**2 * inv2.sum(axis=1)).real)
-    return pts, grad, hess
+    pts, vel, acc, diff, _ = _candidate(K, theta)
+    grad, inv, inv_sum = _gradient(vel, diff)
+    return pts, grad, _hessian(vel, acc, inv, inv_sum)
 
 
 def _newton_step(hess: np.ndarray, grad: np.ndarray):
@@ -99,12 +145,13 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray):
     LAPACK passes NaN pivots.
     """
     shifted = -hess
-    diag = np.diagonal(shifted).copy()
-    tau = _SHIFT_START * float(np.max(np.sum(np.abs(hess), axis=1)))
+    shifted_diag = _diagonal(shifted)
+    diag = shifted_diag.copy()
+    tau = _SHIFT_START * float(np.add.reduce(np.abs(hess), axis=1).max())
     for shifts in range(_FACTORIZATIONS):
-        np.fill_diagonal(shifted, diag + tau)
+        shifted_diag[:] = diag + tau
         factor, info = dpotrf(shifted, lower=False, clean=False)
-        if info == 0 and np.all(np.isfinite(np.diagonal(factor))):
+        if info == 0 and np.isfinite(np.diagonal(factor)).all():
             return dpotrs(factor, grad)[0], shifts
         tau *= _SHIFT_GROWTH
     raise np.linalg.LinAlgError(f"no Cholesky factorization of the shifted negated Hessian "
@@ -129,41 +176,47 @@ def _ascend(K: CompactSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
     The stop reason is "gradient_tol" (converged), "line_search" (no step
     gained or, at the rounding level, lowered the gradient) or
     "max_iterations".
+
+    Each candidate is evaluated once by `_candidate`: its pair logs give the
+    gain, and an accepted candidate's gradient comes from the same jet and
+    difference matrix.  The Hessian is built only where a step follows.
+    The returned `evaluations` counts the candidates, halvings included.
     """
     theta = theta0.copy()
-    pts, grad, hess = _angle_derivatives(K, theta)
-    logs = _log_distances(_pair_distances(pts))
-    obj = float(np.sum(logs))
+    pts, vel, acc, diff, logs = _candidate(K, theta)
+    grad, inv, inv_sum = _gradient(vel, diff)
+    obj = float(np.add.reduce(logs))
     trace = [obj]
     reason = "max_iterations"
-    it = shifted = 0
+    it = shifted = evaluations = 0
     for it in range(1, max_iter + 1):
-        grad_max = float(np.max(np.abs(grad)))
+        grad_max = float(np.abs(grad).max())
         if grad_max <= grad_tol:
             reason = "gradient_tol"
             break
-        step, shifts = _newton_step(hess, grad)
+        step, shifts = _newton_step(_hessian(vel, acc, inv, inv_sum), grad)
         shifted += shifts > 0
-        rounding = np.finfo(float).eps * float(np.sum(np.abs(logs)))
         accepted = False
         for _ in range(60):
             cand = theta + step
-            cand_logs = _log_distances(_pair_distances(K.boundary_point(cand)))
-            gain = float(np.sum(cand_logs - logs))
-            if gain > 0 or abs(gain) <= rounding:
+            cand_pts, cand_vel, cand_acc, cand_diff, cand_logs = _candidate(K, cand)
+            evaluations += 1
+            gain = float(np.add.reduce(cand_logs - logs))
+            if gain > 0 or abs(gain) <= _EPS * float(np.add.reduce(np.abs(logs))):
                 accepted = True
                 break
             step *= 0.5
         if accepted:
-            cand_pts, cand_grad, cand_hess = _angle_derivatives(K, cand)
-            accepted = gain > 0 or float(np.max(np.abs(cand_grad))) < grad_max
+            cand_grad, cand_inv, cand_inv_sum = _gradient(cand_vel, cand_diff)
+            accepted = gain > 0 or float(np.abs(cand_grad).max()) < grad_max
         if not accepted:
             reason = "line_search"
             break
-        theta, pts, grad, hess, logs = cand, cand_pts, cand_grad, cand_hess, cand_logs
+        theta, pts, vel, acc, logs = cand, cand_pts, cand_vel, cand_acc, cand_logs
+        grad, inv, inv_sum = cand_grad, cand_inv, cand_inv_sum
         obj += gain
         trace.append(obj)
-    return pts, trace, it, reason, shifted
+    return pts, trace, it, reason, shifted, evaluations
 
 
 def _stratified_angles(rng: np.random.Generator, N: int) -> np.ndarray:
@@ -183,8 +236,9 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     log_delta is returned whether or not it converged; `converged` reports
     whether that start met the angle-gradient tolerance 1e-8 N,
     `stop_reason` why its ascent stopped, `start_index` which start it was,
-    and `starts` the log_delta, iterations, stop reason and shifted steps
-    (steps whose first Cholesky factorization failed) of every start.
+    and `starts` the log_delta, iterations, stop reason, shifted steps
+    (steps whose first Cholesky factorization failed) and evaluations
+    (line-search candidates, halvings included) of every start.
     All iterates lie on the boundary of K, so the containment diagnostic
     max_green_violation is at the rounding level.
     """
@@ -196,10 +250,11 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     records = []
     for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_starts)):
         theta0 = _stratified_angles(np.random.default_rng(child), N)
-        pts, trace, its, reason, shifted = _ascend(K, theta0, max_iterations, grad_tol)
+        pts, trace, its, reason, shifted, evaluations = _ascend(K, theta0, max_iterations,
+                                                                grad_tol)
         val = log_delta(K, pts)
         records.append({"log_delta": val, "iterations": its, "stop_reason": reason,
-                        "shifted_steps": shifted})
+                        "shifted_steps": shifted, "evaluations": evaluations})
         if best is None or val > best[0]:
             best = (val, pts, trace, its, reason, idx)
     val, pts, trace, its, reason, idx = best

@@ -97,13 +97,25 @@ class _LaurentSet:
         return cap * w + _power_sum(coeffs, w.conj(), 0)
 
     def boundary_jet(self, theta):
-        """b(theta), b'(theta) and b''(theta) together."""
+        """b(theta), b'(theta) and b''(theta) together.
+
+        The three sums are _power_sum's of orders 0, 1 and 2, added term by
+        term in its order, so each value is bit for bit what three
+        _power_sum calls give; u^k is taken once per k, and the k = 1 term
+        1^order c_1 u, the same product for every order, once."""
         cap, coeffs = self.laurent()
         w = np.exp(1j * np.asarray(theta, dtype=float))
         u = w.conj()
         lead = cap * w
-        return (lead + _power_sum(coeffs, u, 0), 1j * (lead - _power_sum(coeffs, u, 1)),
-                -(lead + _power_sum(coeffs, u, 2)))
+        sums = [coeffs[0], 0.0, 0.0]
+        for k, c in enumerate(coeffs[1:], 1):
+            uk = u**k
+            if k == 1:
+                term = 1 * c * uk
+                sums = [total + term for total in sums]
+            else:
+                sums = [total + k**order * c * uk for order, total in enumerate(sums)]
+        return lead + sums[0], 1j * (lead - sums[1]), -(lead + sums[2])
 
     def area(self) -> float:
         cap, coeffs = self.laurent()
@@ -175,7 +187,8 @@ def _far_log_root(u, cap):
     at u = z - c where u*u overflows: there |w - u/cap| / |w| is
     O((cap/u)^2), below 1e-300.  |u| is scaled by s = max(|Re u|, |Im u|)
     so that it cannot overflow; an infinite u (one part NaN or not) gives
-    +inf, any other NaN one NaN."""
+    +inf, any other NaN one NaN.  With cap = 1 it is log|u| for a u whose
+    modulus overflows."""
     s = np.maximum(np.abs(u.real), np.abs(u.imag))
     with np.errstate(invalid="ignore"):  # inf/inf, replaced below
         g = np.log(s) + np.log(np.abs(u / s) / cap)
@@ -288,7 +301,8 @@ class ExteriorMap(_LaurentSet):
     |psi(w) - z| <= 1e-12 max(1, |z|); a root that overflowed is replaced
     by the linear part's (z - c0)/cap, which meets it that far out.  A miss,
     a NaN residual included, raises InversionError.  An infinite z gives
-    +inf and a NaN one 0.
+    +inf and a NaN one 0; where |w| overflows at a finite z, log|w| comes
+    from a scaled modulus.
     """
 
     cap: float
@@ -366,7 +380,11 @@ class ExteriorMap(_LaurentSet):
         z = _as_complex(z)
         idx, w = self._preimage(z)
         g = np.zeros(z.size)
-        g[idx] = np.log(np.abs(w))
+        log_w = np.log(np.abs(w))
+        if np.isinf(log_w).any():  # |w| overflowed, or z is infinite
+            far = np.isinf(log_w)
+            log_w[far] = _far_log_root(w[far], 1.0)
+        g[idx] = log_w
         return _snap(g.reshape(z.shape))
 
     def inner_set(self, margin: float):
@@ -438,8 +456,10 @@ def robin_energy(K: CompactSet) -> float:
 
 
 def contains(K: CompactSet, z) -> bool:
-    """Membership test green(z) <= MEMBERSHIP_TOL, applied pointwise."""
-    return bool(np.all(np.asarray(K.green(z)) <= MEMBERSHIP_TOL))
+    """Membership test green(z) <= MEMBERSHIP_TOL, applied pointwise; a NaN
+    point is never in K (green gives it 0.0)."""
+    z = _as_complex(z)
+    return bool(np.all(np.asarray(K.green(z)) <= MEMBERSHIP_TOL)) and not np.isnan(z).any()
 
 
 def equilibrium_sample(K: CompactSet, n: int, seed=None):

@@ -328,11 +328,13 @@ def test_fekete_per_start_telemetry(tmp_path):
     record = json.loads(next(tmp_path.glob("fekete_*.json")).read_text())
     starts = record["starts"]
     assert len(starts) == 3
-    assert all(set(st) == {"log_delta", "iterations", "stop_reason", "shifted_steps"}
-               for st in starts)
+    assert all(set(st) == {"log_delta", "iterations", "stop_reason", "shifted_steps",
+                           "evaluations"} for st in starts)
     assert all(st["stop_reason"] == "gradient_tol" and st["iterations"] >= 1
                for st in starts)
     assert all(0 <= st["shifted_steps"] <= st["iterations"] for st in starts)
+    # every step taken evaluated at least one line-search candidate
+    assert all(st["iterations"] - 1 <= st["evaluations"] for st in starts)
     best = starts[record["start_index"]]
     assert best["log_delta"] == record["log_delta"] == max(st["log_delta"] for st in starts)
     assert best["iterations"] == record["iterations"]

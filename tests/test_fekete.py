@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import roots_jacobi
 
 import coulomblab as cl
 import coulomblab.fekete as fekete
 from coulomblab.fekete import _angle_derivatives, _ascend, _newton_step, _stratified_angles
-from coulomblab.measures import _pair_log_sum
+from coulomblab.measures import _pair_distances, _pair_log_sum
+from coulomblab.potential import _log_distances
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -259,7 +261,7 @@ def test_stop_reason_line_search():
     # gradient, well short of the iteration cap
     rng = np.random.default_rng(15)
     theta0 = rng.uniform(0.0, 2.0 * math.pi, 20)
-    _, trace, its, reason, _ = _ascend(cl.Ellipse(0.0, 2.0, 1.0), theta0, 200, 0.0)
+    _, trace, its, reason, _, _ = _ascend(cl.Ellipse(0.0, 2.0, 1.0), theta0, 200, 0.0)
     assert reason == "line_search"
     assert its < 50
     assert trace[-1] - trace[-4] == pytest.approx(0.0, abs=1e-12)
@@ -290,6 +292,131 @@ def test_trace_monotone():
     res = cl.solve(DISK, 15, seed=9)
     trace = np.asarray(res.trace)
     assert np.all(np.diff(trace) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# reference ascent
+# ---------------------------------------------------------------------------
+
+def _reference_angle_derivatives(K, theta):
+    """The former _angle_derivatives: its own jet and difference matrix."""
+    pts, vel, acc = K.boundary_jet(theta)
+    diff = pts[:, None] - pts[None, :]
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    inv_sum = inv.sum(axis=1)
+    inv2 = inv * inv
+    grad = (vel * inv_sum).real
+    hess = (vel[:, None] * vel[None, :] * inv2).real
+    np.fill_diagonal(hess, (acc * inv_sum - vel**2 * inv2.sum(axis=1)).real)
+    return pts, grad, hess
+
+
+def _reference_newton_step(hess, grad):
+    """The former _newton_step, with fill_diagonal and np.sum."""
+    shifted = -hess
+    diag = np.diagonal(shifted).copy()
+    tau = 1e-8 * float(np.max(np.sum(np.abs(hess), axis=1)))
+    for shifts in range(10):
+        np.fill_diagonal(shifted, diag + tau)
+        factor, info = dpotrf(shifted, lower=False, clean=False)
+        if info == 0 and np.all(np.isfinite(np.diagonal(factor))):
+            return dpotrs(factor, grad)[0], shifts
+        tau *= 10.0
+    raise np.linalg.LinAlgError("no factorization")
+
+
+def _reference_ascend(K, theta0, max_iter, grad_tol):
+    """The former _ascend, which evaluates an accepted candidate twice (its
+    pair logs from boundary_point, then its derivatives from a second jet)
+    and builds a Hessian at every iterate; it counts its candidates."""
+    theta = theta0.copy()
+    pts, grad, hess = _reference_angle_derivatives(K, theta)
+    logs = _log_distances(_pair_distances(pts))
+    obj = float(np.sum(logs))
+    trace = [obj]
+    reason = "max_iterations"
+    it = shifted = evaluations = 0
+    for it in range(1, max_iter + 1):
+        grad_max = float(np.max(np.abs(grad)))
+        if grad_max <= grad_tol:
+            reason = "gradient_tol"
+            break
+        step, shifts = _reference_newton_step(hess, grad)
+        shifted += shifts > 0
+        rounding = np.finfo(float).eps * float(np.sum(np.abs(logs)))
+        accepted = False
+        for _ in range(60):
+            cand = theta + step
+            cand_logs = _log_distances(_pair_distances(K.boundary_point(cand)))
+            evaluations += 1
+            gain = float(np.sum(cand_logs - logs))
+            if gain > 0 or abs(gain) <= rounding:
+                accepted = True
+                break
+            step *= 0.5
+        if accepted:
+            cand_pts, cand_grad, cand_hess = _reference_angle_derivatives(K, cand)
+            accepted = gain > 0 or float(np.max(np.abs(cand_grad))) < grad_max
+        if not accepted:
+            reason = "line_search"
+            break
+        theta, pts, grad, hess, logs = cand, cand_pts, cand_grad, cand_hess, cand_logs
+        obj += gain
+        trace.append(obj)
+    return pts, trace, it, reason, shifted, evaluations
+
+
+def _assert_same_ascent(K, theta0, max_iter, grad_tol):
+    got = _ascend(K, theta0, max_iter, grad_tol)
+    want = _reference_ascend(K, theta0, max_iter, grad_tol)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    its, evaluations = got[2], got[5]
+    assert its - 1 <= evaluations
+    return got
+
+
+# the seven solves of criteria 3 and 4, then four more sets and sizes
+ORACLE_SOLVES = [(DISK, n, 40 + n) for n in (8, 16, 32, 64)] + [
+    (DISK, 60, 81), (SEGMENT, 60, 82), (cl.Ellipse(0.0, 2.0, 1.0), 60, 83),
+    (cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)), 60, 0), (cl.ExteriorMap(1.0, (0.0, 0.2, 0.1)), 40, 0),
+    (cl.Ellipse(0.0, 20.0, 1.0), 60, 0), (SEGMENT, 12, 0)]
+
+
+@pytest.mark.parametrize("K, n, seed", ORACLE_SOLVES,
+                         ids=[f"{type(K).__name__}-{n}-{seed}" for K, n, seed in ORACLE_SOLVES])
+def test_ascent_matches_reference_bit_for_bit(K, n, seed):
+    # oracle: the former ascent, start by start: the same configuration
+    # bytes, trace, iterations, stop reason, shifted steps and candidate count
+    children = np.random.SeedSequence(seed).spawn(max(8, math.ceil(n / 8)))
+    runs = [_assert_same_ascent(K, _stratified_angles(np.random.default_rng(child), n),
+                                5000, 1e-8 * n) for child in children]
+    res = cl.solve(K, n, seed=seed)
+    assert [rec["evaluations"] for rec in res.starts] == [run[5] for run in runs]
+    best = runs[res.start_index]
+    assert res.configuration.tobytes() == best[0].tobytes()
+    assert (res.trace, res.iterations, res.stop_reason) == tuple(best[1:4])
+
+
+def test_ascent_matches_reference_at_other_stops():
+    # max_iterations after one and after three steps, and a line_search stop
+    for K in (DISK, SEGMENT, cl.ExteriorMap(1.0, (0.0, 0.0, 0.15))):
+        for max_iter in (1, 3):
+            run = _assert_same_ascent(K, _first_start(K, 12, 8), max_iter, 1e-8 * 12)
+            assert run[2:4] == (max_iter, "max_iterations")
+    theta0 = np.random.default_rng(15).uniform(0.0, 2.0 * math.pi, 20)
+    run = _assert_same_ascent(cl.Ellipse(0.0, 2.0, 1.0), theta0, 200, 0.0)
+    assert run[3] == "line_search"
+    assert run[5] > run[2]  # the last, failed search halved its step
+
+
+def test_angle_derivatives_match_reference_bit_for_bit():
+    for K, n, seed in ORACLE_SOLVES:
+        theta = _first_start(K, n, seed)
+        for got, want in zip(_angle_derivatives(K, theta), _reference_angle_derivatives(K, theta)):
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

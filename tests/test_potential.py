@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import coulomblab as cl
-from coulomblab.potential import MEMBERSHIP_TOL, _snap
+from coulomblab.potential import MEMBERSHIP_TOL, _power_sum, _snap
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -212,6 +212,36 @@ def test_green_at_infinite_and_nan_points(name):
         assert g[1] == K.green(3.0 + 1.0j) > 0 and K.green(0.0) == 0.0
         assert [K.green(p) for p in special] == want
         assert not cl.contains(K, inf) and not cl.contains(K, 1e300)
+
+
+@pytest.mark.parametrize("coeffs", [(0.3,), (0.0, 0.5), (0.0, 0.0, 0.15)], ids=["m0", "m1", "m2"])
+def test_exterior_map_green_past_float_max_modulus(coeffs):
+    # finite z whose preimage modulus |w| exceeds the float maximum, where
+    # log|w| ~ 709.9 is finite: a scaled modulus, no inf and no warning
+    K = cl.ExteriorMap(1.0, coeffs)
+    z = np.array([1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, -1.5e308 + 1.2e308j, 1.7e308j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = K.green(z)
+        for i, point in enumerate(z):
+            want = _mp_green(K, point)
+            assert g[i] == pytest.approx(want, rel=1e-12), point
+            assert K.green(point) == pytest.approx(want, rel=1e-12), point
+    assert np.all(g > 709.0)
+
+
+@pytest.mark.parametrize("K", ALL_SETS + [FAR_SETS["map_m2"]])
+def test_contains_is_false_at_nan_points(K):
+    # green keeps its snapped 0.0 at a NaN point, but the point is not in K,
+    # so a NaN atom counts as support meeting the complement
+    nan = math.nan
+    inside = K.boundary_point(0.3)
+    assert cl.contains(K, [inside, K.laurent()[1][0]])
+    for point in (complex(nan, 0.0), complex(0.0, nan), complex(nan, nan)):
+        assert K.green(point) == 0.0
+        assert not cl.contains(K, point)
+        assert not cl.contains(K, [inside, point])
+        assert cl.AtomicMeasure([inside, point]).support_meets_complement(K)
 
 
 def _distance_to_set(K, z):
@@ -444,6 +474,31 @@ def test_boundary_jet_matches_central_differences(K):
     scale = K.capacity()
     assert np.max(np.abs((plus - minus) / (2 * h) - db)) <= 1e-7 * scale
     assert np.max(np.abs((plus - 2 * b + minus) / h**2 - d2b)) <= 1e-5 * scale
+
+
+def _power_sum_jet(K, theta):
+    """The former boundary_jet: one _power_sum call for each order."""
+    cap, coeffs = K.laurent()
+    w = np.exp(1j * np.asarray(theta, dtype=float))
+    u = w.conj()
+    lead = cap * w
+    return (lead + _power_sum(coeffs, u, 0), 1j * (lead - _power_sum(coeffs, u, 1)),
+            -(lead + _power_sum(coeffs, u, 2)))
+
+
+@pytest.mark.parametrize("K", [DISK, cl.Disk(1 + 2j, 0.5), SEGMENT, ELLIPSE,
+                               cl.Ellipse(-1 + 0.5j, 3.0, 0.25), cl.ExteriorMap(1.3, (0.2 - 0.1j,)),
+                               EXTMAP, cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)),
+                               cl.ExteriorMap(1.2, (0.1j, 0.05, -0.03j, 0.04))],
+                         ids=["disk", "disk_off", "segment", "ellipse", "ellipse_off",
+                              "map_m0", "map_m1", "map_m2", "map_m3"])
+def test_boundary_jet_bit_for_bit_power_sums(K):
+    # the shared powers give every bit of the three _power_sum calls, signed
+    # zeros included
+    theta = np.concatenate([[0.0, math.pi / 2, math.pi], np.linspace(0.0, 2 * math.pi, 257),
+                            np.random.default_rng(7).uniform(-10.0, 10.0, 200)])
+    for got, want in zip(K.boundary_jet(theta), _power_sum_jet(K, theta)):
+        assert got.tobytes() == want.tobytes()
 
 
 def _closed_form_jet(K, t):
