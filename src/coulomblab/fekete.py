@@ -116,19 +116,6 @@ def _hessian(vel, acc, inv, inv_sum) -> np.ndarray:
     return hess
 
 
-def _angle_derivatives(K: CompactSet, theta: np.ndarray):
-    """Boundary points b(theta), and the exact gradient and N x N Hessian in
-    the angles of sum_{i<j} log|b(theta_i) - b(theta_j)|.
-
-    With d_ij = b_i - b_j, log|d_ij| = Re log d_ij, so the gradient is
-    Re(b'_i sum_j 1/d_ij), the off-diagonal Hessian Re(b'_i b'_j / d_ij^2)
-    and the diagonal Re(b''_i sum_j 1/d_ij - b'_i^2 sum_j 1/d_ij^2).
-    """
-    pts, vel, acc, diff, _ = _candidate(K, theta)
-    grad, inv, inv_sum = _gradient(vel, diff)
-    return pts, grad, _hessian(vel, acc, inv, inv_sum)
-
-
 def _newton_step(hess: np.ndarray, grad: np.ndarray):
     """Ascent step p solving (A + tau I) p = grad with A = -hess, and the
     number of times tau was raised (Cholesky with added multiple of the

@@ -11,11 +11,15 @@ the disk (R; c), the segment [a, b] ((b - a)/4; mid, (b - a)/4), the
 ellipse ((a + b)/2; c, (a - b)/2) and an ExteriorMap its own coefficients.
 One shared base derives capacity, map, map_derivative, boundary_point,
 boundary_jet, area and field_integral from those numbers; each class keeps
-its own green: the disk's closed form, and the larger root of
-w (psi(w) - z) = 0 for the rest, by the quadratic formula for the segment,
-the ellipse and an ExteriorMap with one negative power, and by
-companion-matrix eigenvalues for an ExteriorMap with more.  Every green is
-+inf at an infinite z and 0 at a NaN one.
+its own green, one inversion per Laurent degree: the disk's closed form;
+for the segment, the ellipse and an ExteriorMap with at most one negative
+power, the larger root of w (psi(w) - z) = 0 by the quadratic formula, with
+no run-time residual test; and for an ExteriorMap with more, companion-matrix
+eigenvalues, whose residual |psi(w) - z| is tested at run time.  Every
+exterior-map root beyond the float range takes the one far field
+log|(z - c0)/cap| from a scaled modulus.  Every green is +inf at an infinite
+z and 0 at a NaN one, and a scalar z gets bit for bit its value inside an
+array.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ MEMBERSHIP_TOL = 1e-12
 # report green == 0.0
 _GREEN_SNAP = 1e-15
 
-# ExteriorMap inversion: the largest root w of w^m (psi(w) - z) must satisfy
-# |psi(w) - z| <= _NEWTON_TOL max(1, |z|); a companion-matrix root (m >= 2)
-# first gets _POLISH_STEPS Newton steps
+# ExteriorMap inversion for m >= 2: the largest companion-matrix root w of
+# w^m (psi(w) - z) gets _POLISH_STEPS Newton steps and must then satisfy
+# |psi(w) - z| <= _NEWTON_TOL max(1, |z|)
 _POLISH_STEPS = 2
 _NEWTON_TOL = 1e-12
 
@@ -147,20 +151,19 @@ def _power_sum(coeffs, u, order: int):
 
 def _quadratic_green(z, c, cap, q):
     """Green function of the set with psi(w) = c + cap*w + q/w: log of the
-    larger root modulus of cap*w^2 - (z - c)*w + q = 0, floored at 0.
+    larger root modulus of cap*w^2 - (z - c)*w + q = 0, floored at 0.  It is
+    the one kernel of every exterior map of degree <= 1 (q = 0 for a line).
 
-    An array runs _QUADRATIC_CHUNK points at a time so that the complex
+    The points run _QUADRATIC_CHUNK at a time so that the complex
     temporaries stay in cache; every value is elementwise, so each one is
-    bit for bit what a single pass over all points gives.  Where u*u
-    overflows (|z - c| above about 1e154, or z infinite) the value is not
-    finite, and only those entries are recomputed by _far_log_root."""
+    bit for bit what a single pass over all points gives, and a scalar z
+    (run as one point) gets its value inside an array.  Where u*u overflows
+    (|z - c| above about 1e154, or z infinite) the value is not finite, and
+    only those entries are recomputed by _far_log_root."""
     z = _as_complex(z)
+    flat = z.ravel()
+    g = np.empty(flat.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not z.ndim:  # numpy scalar arithmetic, which rounds apart from the array loops
-            g = _quadratic_log_root(z - c, cap, q)
-            return _snap(g if np.isfinite(g) else _far_log_root(z - c, cap))
-        flat = z.ravel()
-        g = np.empty(flat.shape)
         for lo in range(0, flat.size, _QUADRATIC_CHUNK):
             g[lo:lo + _QUADRATIC_CHUNK] = _quadratic_log_root(flat[lo:lo + _QUADRATIC_CHUNK] - c,
                                                               cap, q)
@@ -170,25 +173,23 @@ def _quadratic_green(z, c, cap, q):
     return _snap(g.reshape(z.shape))
 
 
-def _quadratic_roots(u, cap, q):
-    """Both roots (u + sq)/(2 cap) and (u - sq)/(2 cap) of
+def _quadratic_log_root(u, cap, q):
+    """log max(1, |w1|, |w2|) over the roots w = (u +- sq)/(2 cap) of
     cap*w^2 - u*w + q = 0, with sq = sqrt(u^2 - 4 cap q)."""
     sq = np.sqrt(u * u - 4.0 * cap * q)
-    return (u + sq) / (2 * cap), (u - sq) / (2 * cap)
-
-
-def _quadratic_log_root(u, cap, q):
-    w1, w2 = _quadratic_roots(u, cap, q)
-    return np.log(np.maximum(np.maximum(np.abs(w1), np.abs(w2)), 1.0))
+    return np.log(np.maximum(np.maximum(np.abs((u + sq) / (2 * cap)),
+                                        np.abs((u - sq) / (2 * cap))), 1.0))
 
 
 def _far_log_root(u, cap):
     """log|u/cap|, the Green function of a set with psi(w) = c + cap*w + O(1/w)
-    at u = z - c where u*u overflows: there |w - u/cap| / |w| is
-    O((cap/u)^2), below 1e-300.  |u| is scaled by s = max(|Re u|, |Im u|)
-    so that it cannot overflow; an infinite u (one part NaN or not) gives
-    +inf, any other NaN one NaN.  With cap = 1 it is log|u| for a u whose
-    modulus overflows."""
+    at u = z - c where the root solve leaves the float range: there
+    |w - u/cap| / |w| is O((cap/u)^2), below 1e-300 where the quadratic
+    kernel's u*u overflows and bounded by the residual test where the
+    companion root's polish overflows.  |u| is scaled by
+    s = max(|Re u|, |Im u|) and u/cap is never formed, so that neither can
+    overflow; an infinite u (one part NaN or not) gives +inf, any other NaN
+    one NaN."""
     s = np.maximum(np.abs(u.real), np.abs(u.imag))
     with np.errstate(invalid="ignore"):  # inf/inf, replaced below
         g = np.log(s) + np.log(np.abs(u / s) / cap)
@@ -293,16 +294,17 @@ class ExteriorMap(_LaurentSet):
     psi univalent there.  The preimages of z are then the roots of the
     degree m + 1 polynomial w^m (psi(w) - z), and by the argument principle
     exactly one of them has |w| > 1 when z is outside K and none does when z
-    is in K.  green(z) takes the largest root w and returns 0 where
-    |w| <= 1, else g = log|w|.  The root is (z - c0)/cap for m = 0, the
-    larger root of cap w^2 - (z - c0) w + c1 by the quadratic formula for
-    m = 1, and for m >= 2 the largest eigenvalue of each point's companion
-    matrix, polished by Newton steps.  Every outside point's root must meet
-    |psi(w) - z| <= 1e-12 max(1, |z|); a root that overflowed is replaced
-    by the linear part's (z - c0)/cap, which meets it that far out.  A miss,
-    a NaN residual included, raises InversionError.  An infinite z gives
-    +inf and a NaN one 0; where |w| overflows at a finite z, log|w| comes
-    from a scaled modulus.
+    is in K.  green(z) is log|w| of the largest root, floored at 0.
+
+    For m <= 1 it is the ellipse's kernel, _quadratic_green (c1 = 0 for
+    m = 0), a closed form with no run-time residual test.  For m >= 2 the
+    root is the largest eigenvalue of each point's companion matrix,
+    polished by Newton steps, and every outside point's root must meet
+    |psi(w) - z| <= 1e-12 max(1, |z|); a miss, a NaN residual included,
+    raises InversionError.  A root beyond the float range (u/cap or |w|
+    overflows) counts as w = inf, with residual sum_k c_k (cap/u)^k of the
+    linear root u/cap, u = z - c0.  At every degree such a point, and an
+    infinite z, takes _far_log_root(z - c0, cap); a NaN z gives 0.
     """
 
     cap: float
@@ -317,58 +319,47 @@ class ExteriorMap(_LaurentSet):
         return self.cap, self.coeffs or (0j,)
 
     def _preimage(self, z):
-        """Flat indices of the points of z outside K and their preimages w,
-        with |w| > 1 and psi(w) = z; an infinite z has w = inf, a NaN z no
-        entry."""
+        """Flat indices of the points of z outside K and their preimages w
+        (m >= 2), with |w| > 1 and psi(w) = z; w = inf where the root lies
+        beyond the float range or z is infinite, and a NaN z has no entry."""
         flat = _as_complex(z).ravel()
-        m = len(self.coeffs) - 1
-        c0 = self.coeffs[0] if self.coeffs else 0.0
+        c0 = self.coeffs[0]
         with np.errstate(over="ignore", invalid="ignore"):  # the residual test below sees both
             u = flat - c0
-            if m < 1:  # psi is linear
-                w = u / self.cap
-            elif m == 1:  # the larger root of w (psi(w) - z) = cap w^2 - u w + c1
-                w1, w2 = _quadratic_roots(u, self.cap, self.coeffs[1])
-                w = np.where(np.abs(w1) >= np.abs(w2), w1, w2)
-            else:
-                w = self._companion_root(u, m)
-            idx = np.flatnonzero(~(np.abs(w) <= 1.0))
-            w, target = w[idx], flat[idx]
-            if m >= 2:
-                for _ in range(_POLISH_STEPS):
-                    # Newton on P(w) = w^m (psi(w) - z) by Horner, free of 1/w
-                    p, dp = np.full_like(w, self.cap), np.zeros_like(w)
-                    for c in (c0 - target,) + self.coeffs[1:]:
-                        dp = dp * w + p
-                        p = p * w + c
-                    w = w - p / dp
+            w = self._companion_root(u)
+            # outside K: |w| > 1 or not finite, except at a NaN (not infinite) z
+            idx = np.flatnonzero(~(np.abs(w) <= 1.0) & (np.isinf(flat) | ~np.isnan(flat)))
+            w, target, u = w[idx], flat[idx], u[idx]
+            for _ in range(_POLISH_STEPS):
+                # Newton on P(w) = w^m (psi(w) - z) by Horner, free of 1/w
+                p, dp = np.full_like(w, self.cap), np.zeros_like(w)
+                for c in (c0 - target,) + self.coeffs[1:]:
+                    dp = dp * w + p
+                    p = p * w + c
+                w = w - p / dp
+            far = ~(np.abs(w) < np.inf)
+            w[far] = np.inf
+            resid = np.empty(w.shape)
+            resid[~far] = np.abs(self.map(w[~far]) - target[~far])
+            # psi(u/cap) - z = sum_{k>=1} c_k (cap/u)^k
+            resid[far] = np.abs(_power_sum((0.0,) + self.coeffs[1:], self.cap / u[far], 0))
             bound = _NEWTON_TOL * np.maximum(1.0, np.abs(target))
-            miss = ~(np.abs(self.map(w) - target) <= bound)
-            if miss.any():
-                # a root beyond the float range of the solve: that far out the
-                # linear part of psi inverts z to a relative
-                # |w - (z - c0)/cap| / |w| = O((cap/z)^2); an infinite z has
-                # w = inf and a NaN z is dropped
-                far = ~np.isfinite(w)
-                w[far] = (target[far] - c0) / self.cap
-                infinite = np.isinf(target)
-                w[infinite] = np.inf
-                keep = np.flatnonzero(infinite | ~np.isnan(target))
-                idx, w, target, bound = idx[keep], w[keep], target[keep], bound[keep]
-                miss = ~(np.abs(self.map(w) - target) <= bound) & np.isfinite(target)
+            miss = ~(resid <= bound) & np.isfinite(target)
         if miss.any():
             raise InversionError(f"{int(miss.sum())} of {target.size} points outside K have no "
                                  f"preimage with |psi(w) - z| <= {_NEWTON_TOL:g} max(1, |z|)")
         return idx, w
 
-    def _companion_root(self, u, m):
+    def _companion_root(self, u):
         """The largest root of w^m (psi(w) - z) at each u = z - c0, as an
-        eigenvalue of its companion matrix; NaN where u is not finite."""
-        finite = np.isfinite(u)
+        eigenvalue of its companion matrix; NaN where u/cap is not finite."""
+        m = len(self.coeffs) - 1
+        lead = u / self.cap
+        finite = np.isfinite(lead)
         # companion matrices of w^m (psi(w) - z) / cap
         #   = w^{m+1} - (u/cap) w^m + (c1/cap) w^{m-1} + ... + c_m/cap
         comp = np.zeros((u.size, m + 1, m + 1), dtype=complex)
-        comp[:, 0, 0] = np.where(finite, u, 0.0) / self.cap
+        comp[:, 0, 0] = np.where(finite, lead, 0.0)
         comp[:, 0, 1:] = np.asarray(self.coeffs[1:]) / -self.cap
         comp[:, 1:, :-1] = np.eye(m)
         roots = np.linalg.eigvals(comp)
@@ -377,13 +368,15 @@ class ExteriorMap(_LaurentSet):
         return w
 
     def green(self, z):
+        cap, coeffs = self.laurent()
+        if len(coeffs) <= 2:
+            return _quadratic_green(z, coeffs[0], cap, coeffs[1] if len(coeffs) == 2 else 0.0)
         z = _as_complex(z)
         idx, w = self._preimage(z)
-        g = np.zeros(z.size)
         log_w = np.log(np.abs(w))
-        if np.isinf(log_w).any():  # |w| overflowed, or z is infinite
-            far = np.isinf(log_w)
-            log_w[far] = _far_log_root(w[far], 1.0)
+        far = np.isinf(w)
+        log_w[far] = _far_log_root(z.ravel()[idx[far]] - coeffs[0], cap)
+        g = np.zeros(z.size)
         g[idx] = log_w
         return _snap(g.reshape(z.shape))
 

@@ -11,11 +11,14 @@ window, so the scale is fixed inside a sub-block.  At the start of a
 sub-block it forms every proposal z = pts[k] + scale * move and evaluates
 green on all of them in one call.  A proposal whose particle was accepted
 earlier in the same sub-block is stale; it is re-formed from the current
-state and its green evaluated alone, as a length-1 array.  If the batched
-call raises InversionError, every proposal of that sub-block is evaluated
-alone in the same way, so only a point the chain really proposes can
-raise.  The chain is therefore the one-proposal-at-a-time chain step for
-step: same states, acceptance and step scale.
+state and its green evaluated alone, as a length-1 array.  Only an
+ExteriorMap with two or more negative powers tests its root's residual at
+run time; if the batched call raises InversionError, every proposal of that
+sub-block is evaluated alone in the same way, so only a point the chain
+really proposes can raise.  Every green gives a point, alone or as a
+scalar, bit for bit its value inside a batch (one kernel per Laurent
+degree, one far field), so the chain is the one-proposal-at-a-time chain
+step for step: same states, log densities, acceptance and step scale.
 
 Every log of a distance goes through potential._log_distances except in
 the step loop, which computes each O(N) pair delta inline, as the two

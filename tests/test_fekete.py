@@ -9,7 +9,8 @@ from scipy.special import roots_jacobi
 
 import coulomblab as cl
 import coulomblab.fekete as fekete
-from coulomblab.fekete import _angle_derivatives, _ascend, _newton_step, _stratified_angles
+from coulomblab.fekete import (_ascend, _candidate, _gradient, _hessian, _newton_step,
+                               _stratified_angles)
 from coulomblab.measures import _pair_distances, _pair_log_sum
 from coulomblab.potential import _log_distances
 
@@ -81,6 +82,20 @@ def _eigen_floor_step(hess, grad):
     lam = np.abs(lam)
     lam = np.maximum(lam, 1e-8 * lam.max())
     return vecs @ ((vecs.T @ grad) / lam)
+
+
+def _angle_derivatives(K, theta):
+    """Boundary points b(theta), and the exact gradient and N x N Hessian in
+    the angles of sum_{i<j} log|b(theta_i) - b(theta_j)|, from the ascent's
+    own candidate, gradient and Hessian kernels.
+
+    With d_ij = b_i - b_j, log|d_ij| = Re log d_ij, so the gradient is
+    Re(b'_i sum_j 1/d_ij), the off-diagonal Hessian Re(b'_i b'_j / d_ij^2)
+    and the diagonal Re(b''_i sum_j 1/d_ij - b'_i^2 sum_j 1/d_ij^2).
+    """
+    pts, vel, acc, diff, _ = _candidate(K, theta)
+    grad, inv, inv_sum = _gradient(vel, diff)
+    return pts, grad, _hessian(vel, acc, inv, inv_sum)
 
 
 def _first_start(K, n, seed):

@@ -116,8 +116,8 @@ def test_quadratic_green_chunks_bit_for_bit(K):
     strided = z.reshape(256, 512)[:, ::3]  # shape kept, non-contiguous input
     assert K.green(strided).tobytes() == want.reshape(256, 512)[:, ::3].tobytes()
     assert K.green(z[:0]).shape == (0,)
-    for point in z[:: n // 64]:
-        assert repr(K.green(point)) == repr(_quadratic_green_one_pass(point, c, cap, q))
+    for i in range(0, n, n // 64):  # a scalar runs the array loop
+        assert repr(K.green(z[i])) == repr(float(want[i]))
 
 
 def test_green_ellipse_matches_exterior_map():
@@ -214,11 +214,14 @@ def test_green_at_infinite_and_nan_points(name):
         assert not cl.contains(K, inf) and not cl.contains(K, 1e300)
 
 
-@pytest.mark.parametrize("coeffs", [(0.3,), (0.0, 0.5), (0.0, 0.0, 0.15)], ids=["m0", "m1", "m2"])
-def test_exterior_map_green_past_float_max_modulus(coeffs):
+@pytest.mark.parametrize("cap,coeffs", [(1.0, (0.3,)), (1.0, (0.0, 0.5)), (1.0, (0.0, 0.0, 0.15)),
+                                        (0.5, (0.1,)), (0.5, (0.1, 0.2)), (0.5, (0.1, 0.0, 0.05))],
+                         ids=["m0", "m1", "m2", "cap_m0", "cap_m1", "cap_m2"])
+def test_exterior_map_green_past_float_max_modulus(cap, coeffs):
     # finite z whose preimage modulus |w| exceeds the float maximum, where
-    # log|w| ~ 709.9 is finite: a scaled modulus, no inf and no warning
-    K = cl.ExteriorMap(1.0, coeffs)
+    # log|w| ~ 709.9 (710.6 at cap 0.5, where (z - c0)/cap itself overflows)
+    # is finite: the one far field, no inf, no error and no warning
+    K = cl.ExteriorMap(cap, coeffs)
     z = np.array([1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, -1.5e308 + 1.2e308j, 1.7e308j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -227,7 +230,37 @@ def test_exterior_map_green_past_float_max_modulus(coeffs):
             want = _mp_green(K, point)
             assert g[i] == pytest.approx(want, rel=1e-12), point
             assert K.green(point) == pytest.approx(want, rel=1e-12), point
+        if len(coeffs) > 2:
+            # the far root's residual comes from the coefficients, but a
+            # genuine miss at a moderate z in the same batch still raises
+            shifted = _ShiftedMap(cap, coeffs)
+            assert shifted.green(z).tobytes() == g.tobytes()
+            with pytest.raises(cl.InversionError, match="1 of 5 points outside K"):
+                shifted.green(np.append(z, 3.0))
     assert np.all(g > 709.0)
+
+
+SCALAR_SETS = {"disk": cl.Disk(0.2 - 0.1j, 1.3), "segment": SEGMENT,
+               "ellipse": cl.Ellipse(0.3 - 0.2j, 2.0, 1.0), "map_m0": cl.ExteriorMap(0.5, (0.2,)),
+               "map_m1": cl.ExteriorMap(1.5, (0.1j, 0.5 * np.exp(0.6j))),
+               "map_m2": cl.ExteriorMap(1.0, (0.0, 0.0, 0.15))}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_SETS))
+def test_scalar_green_equals_array_value(name):
+    # every set type: green of one point is bit for bit its value inside an
+    # array, on a grid through K and on random points near and far
+    K = SCALAR_SETS[name]
+    x, y = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21)
+    grid = (x[:, None] + 1j * y[None, :]).ravel()
+    rng = np.random.default_rng(28)
+    scattered = rng.uniform(-4, 4, 1500) + 1j * rng.uniform(-3, 3, 1500)
+    far = 10.0 ** rng.uniform(0, 300, 100) * np.exp(2j * math.pi * rng.random(100))
+    assert (K.green(grid) == 0).any() and (K.green(far) > 0).all()
+    for z in (grid, scattered, far):
+        scalars = [K.green(point) for point in z]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == K.green(z).tobytes()
 
 
 @pytest.mark.parametrize("K", ALL_SETS + [FAR_SETS["map_m2"]])
@@ -637,14 +670,33 @@ class _NaNMap(cl.ExteriorMap):
 
 
 def test_exterior_map_missed_residual_raises():
-    # both root paths (m = 1 quadratic, m = 2 companion) check the residual,
-    # and a NaN residual counts as a miss
-    for K in (_ShiftedMap(1.5, (0.0, 0.5)), _ShiftedMap(1.0, (0.0, 0.0, 0.15)),
-              _NaNMap(1.5, (0.0, 0.5)), _NaNMap(1.0, (0.0, 0.0, 0.15))):
+    # the companion root (m >= 2) checks its residual at run time, and a NaN
+    # residual counts as a miss
+    for K in (_ShiftedMap(1.0, (0.0, 0.0, 0.15)), _NaNMap(1.0, (0.0, 0.0, 0.15))):
         assert K.green(0.1 + 0.2j) == 0.0  # in K: no preimage is needed
         with pytest.raises(cl.InversionError, match="2 of 2 points outside K"):
             K.green(np.array([3.0, 0.1, 2.0j]))
     assert issubclass(cl.InversionError, ArithmeticError)
+
+
+@pytest.mark.parametrize("K", [SEGMENT, cl.Ellipse(0.3 - 0.2j, 2.0, 1.0), EXTMAP,
+                               cl.ExteriorMap(1.2, (0.2 + 0.1j, 0.4 * np.exp(1.1j)))],
+                         ids=["segment", "ellipse", "map_m1", "map_m1_turned"])
+def test_quadratic_root_residual(K):
+    # the closed form runs no residual test: here its larger root meets the
+    # companion path's run-time bound |psi(w) - z| <= 1e-12 max(1, |z|) at
+    # every grid point outside K, and its snapped log is green bit for bit
+    x, y = np.linspace(-4.0, 4.0, 161), np.linspace(-3.0, 3.0, 121)
+    z = (x[:, None] + 1j * y[None, :]).ravel()
+    cap, (c, q) = K.laurent()
+    u = z - c
+    sq = np.sqrt(u * u - 4.0 * cap * q)
+    w1, w2 = (u + sq) / (2 * cap), (u - sq) / (2 * cap)
+    w = np.where(np.abs(w1) >= np.abs(w2), w1, w2)
+    out = np.abs(w) > 1.0
+    assert 0 < out.sum() < z.size
+    assert np.all(np.abs(K.map(w[out]) - z[out]) <= 1e-12 * np.maximum(1.0, np.abs(z[out])))
+    assert K.green(z).tobytes() == _snap(np.log(np.maximum(np.abs(w), 1.0))).tobytes()
 
 
 def test_exterior_map_field_integral_vs_cubature():

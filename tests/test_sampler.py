@@ -492,6 +492,10 @@ EXACT_CHAINS = {
                   cl.ChainConfig(steps=3_000, burn_in=600, thin=5), 8, None),
     "exterior_map": (cl.EnsembleParams(6, 12.0, 2.0, 0.1), cl.ExteriorMap(1.5, (0.0, 0.5)),
                      cl.ChainConfig(steps=2_000, burn_in=600, thin=2), 3, None),
+    "segment": (cl.EnsembleParams(6, 12.0, 2.0, 0.1), cl.Segment(-2.0, 2.0),
+                cl.ChainConfig(steps=2_000, burn_in=600, thin=2), 5, None),
+    "ellipse": (cl.EnsembleParams(6, 12.0, 2.0, 0.1), cl.Ellipse(0.3 - 0.2j, 2.0, 1.0),
+                cl.ChainConfig(steps=2_000, burn_in=600, thin=2), 6, None),
     "exterior_map_m2": (cl.EnsembleParams(6, 12.0, 2.0, 0.1),
                         cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)),
                         cl.ChainConfig(steps=2_000, burn_in=600, thin=2), 4, None),
