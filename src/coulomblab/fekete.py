@@ -8,7 +8,9 @@ the exterior map psi of every set type, and one boundary_jet call gives b
 and its first two angle derivatives.  One damped Newton ascent with the
 full angle Hessian serves every set type; each step solves with a
 Cholesky factor of the negated Hessian plus a multiple of the identity,
-raised tenfold until the factorization succeeds.  Each line-search
+raised tenfold until the factorization succeeds.  The factorization is
+LAPACK's dpotrf and dpotrs, which _newton_step loads from scipy.linalg at
+its first call; importing this module loads no scipy.  Each line-search
 candidate is evaluated once: one boundary jet and one N x N difference
 matrix give its pair log-distances for the gain and, when it is accepted,
 its gradient; the Hessian is built only where another step follows.  Each
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .measures import _pair_index, _pair_log_sum
 from .potential import CompactSet, _log_distances
@@ -131,6 +132,7 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray):
     otherwise.  A factor with a non-finite diagonal counts as failed, since
     LAPACK passes NaN pivots.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
     shifted = -hess
     shifted_diag = _diagonal(shifted)
     diag = shifted_diag.copy()

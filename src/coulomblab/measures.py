@@ -7,6 +7,10 @@ combine them.
 The smoothed measure of an atomic base is an exact mixture of uniform disk
 blocks, so pair energies reduce to the closed uniform-disk potential plus,
 for overlapping blocks, one radial lens integral.
+
+scipy loads at first use only: the BL assignment and transport LP import
+scipy.optimize and scipy.sparse, the lens integral scipy.special (xlogy);
+everything else here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ from typing import Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
-from scipy.special import xlogy
 
 from .potential import Disk, _log_distances, _midpoint_angles, contains, equilibrium_integral
 
@@ -310,6 +311,7 @@ def _disk_pair_energy(d, eps: float):
     out = -_log_distances(flat)
     near = flat < 2 * eps
     if near.any():
+        from scipy.special import xlogy
         dn = flat[near]
         a = np.abs(eps - dn)
         inside = np.where(dn < eps, a, 0.0)
@@ -400,6 +402,8 @@ def _bl_transport(x, wx, y, wy) -> float:
     they are feasible for the bounded-Lipschitz supremum; the two optimal
     values coincide.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
     n1, n2 = x.size, y.size
     cost = np.minimum(np.abs(x[:, None] - y[None, :]), 2.0).ravel()
     # plan entry (i, j) is variable i n2 + j: row i of A sums the range
@@ -443,6 +447,7 @@ def _bl_assignment(x, y) -> float:
     on strip discretizations at L = 1024 and 2048, for the same optimal
     value.
     """
+    from scipy.optimize import linear_sum_assignment
     cost = _bl_assignment_cost(x, y)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / cost.shape[0])

@@ -250,13 +250,14 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
 
     The initial state is an equilibrium sample unless `init`, array-like
     complex points, is given (`init=chain.states[-1]` resumes a stored
-    chain; `init` itself is not modified); an `init` with coincident
-    or non-finite points raises ValueError, since its density is -inf or
-    nan.  The hard-wall ensemble s = inf on a set of zero area (a segment)
-    has no density in the plane, and raises InadmissibleParams.  Proposals are isotropic Gaussian single-particle moves.  The
-    step loop does not report numpy divide-by-zero: a proposal that lands
-    exactly on another particle has log-distance -inf, and the move is
-    rejected.
+    chain; `init` itself is not modified); an `init` with coincident or
+    non-finite points raises ValueError, since its density is -inf or nan.
+    The hard-wall ensemble s = inf on a set of zero area (a segment) has
+    no density in the plane, and raises InadmissibleParams.
+
+    Proposals are isotropic Gaussian single-particle moves.  The step loop
+    does not report numpy divide-by-zero: a proposal that lands exactly on
+    another particle has log-distance -inf, and the move is rejected.
     """
     if params.s == math.inf and K.area() == 0.0:
         raise InadmissibleParams("inadmissible parameters: s = inf confines the points to "
@@ -410,9 +411,9 @@ def tail_mass_estimate(chain: Chain, eps: float) -> float:
     Each block of stored states gets one row-wise _pair_log_sum, bitwise the
     sum of in_low_energy_set on each state, so the two classify every state
     alike; a state with coincident points has objective -inf and counts as
-    outside.  The
-    green term reads chain.green_sums, recorded by run_chain bitwise equal
-    to green on the stored states, so such a chain costs no green call."""
+    outside.  The green term reads chain.green_sums, recorded by run_chain
+    bitwise equal to green on the stored states, so such a chain costs no
+    green call."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
     n = chain.params.N

@@ -118,7 +118,8 @@ def linear_statistic(chain: Chain, f: Callable, n: int = 1, label: str = "") -> 
     return _batch_report(series, target, n, label)
 
 
-def moment_statistic(chain: Chain, f: Callable, k: int, m: int, label: str = "") -> LinearStatReport:
+def moment_statistic(chain: Chain, f: Callable, k: int, m: int,
+                     label: str = "") -> LinearStatReport:
     """Monte Carlo estimate of (int f d omega)^k (int conj(f) d omega)^m
     against the product of equilibrium averages."""
     if len(chain) < 1000:

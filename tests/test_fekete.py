@@ -8,7 +8,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import roots_jacobi
 
 import coulomblab as cl
-import coulomblab.fekete as fekete
 from coulomblab.fekete import (_ascend, _candidate, _gradient, _hessian, _newton_step,
                                _stratified_angles)
 from coulomblab.measures import _pair_distances, _pair_log_sum
@@ -178,8 +177,8 @@ def test_newton_step_rejects_nan_hessian(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    real = fekete.dpotrf
-    monkeypatch.setattr(fekete, "dpotrf", counting)
+    real = dpotrf
+    monkeypatch.setattr("scipy.linalg.lapack.dpotrf", counting)
     _, grad, hess = _angle_derivatives(SEGMENT, _first_start(SEGMENT, 12, 82))
     for i, j in ((3, 3), (2, 5)):
         bad = hess.copy()

@@ -419,7 +419,7 @@ def test_bl_pairwise_equals_transport(monkeypatch):
     for solver, cases in (("linprog", assignment_cases),
                           ("linear_sum_assignment", lp_cases)):
         with monkeypatch.context() as m:
-            m.setattr(measures, solver, unused)
+            m.setattr(f"scipy.optimize.{solver}", unused)
             for mu, nu in cases:
                 oracle = _bl_pairwise(mu, nu)
                 assert bl_distance(mu, nu) == pytest.approx(oracle, abs=1e-9)
