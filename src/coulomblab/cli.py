@@ -341,7 +341,7 @@ def _cmd_discretize(cfg, args) -> int:
                "continuous_energy": cont,
                "bl_distance": bl, "points_discarded": res.points_discarded}
     telemetry = {"discretize": res.inversion_record(), "bl": bl_record,
-                 "phase_seconds": {"discretize": t1 - t0, "bl": t2 - t1,
+                 "phase_seconds": {"discretize": t1 - t0, "bl": bl_record["seconds"],
                                    "continuous_energy": t3 - t2}}
     _write_json(base.with_suffix(".json"), {**payload, "telemetry": telemetry}, cfg)
     for k, v in payload.items():

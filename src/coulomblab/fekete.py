@@ -28,8 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import _pair_index, _pair_log_sum
-from .potential import CompactSet, _log_distances
+from .potential import CompactSet, _log_distances, _pair_index, _pair_log_sum
 
 
 @dataclass

@@ -15,7 +15,6 @@ everything else here runs on numpy alone.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ from typing import Union
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .potential import Disk, _log_distances, _midpoint_angles, contains, equilibrium_integral
+from .potential import (Disk, _log_distances, _log_sum, _midpoint_angles, _pair_distances,
+                        _pair_index, _pair_log_sum, contains, equilibrium_integral)
 
 _PROB_TOL = 1e-12
 
@@ -233,40 +233,6 @@ def uniform_disk_potential(d, eps: float):
 # energies
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _pair_index(n: int):
-    """Read-only index arrays (i, j) of the pairs i < j of n points, in
-    row-major order of the upper triangle."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
-
-
-def _pair_distances(pts: np.ndarray) -> np.ndarray:
-    """|z_i - z_j| over the pairs i < j of the last axis, in _pair_index order.
-
-    A (k, N) block gives a C-contiguous (k, pairs) array, so a sum over its
-    rows takes each row's pairs in the order of one configuration's call
-    (fancy indexing would give a column-major block, summed in another order).
-    """
-    iu, ju = _pair_index(pts.shape[-1])
-    return np.abs(np.take(pts, iu, axis=-1) - np.take(pts, ju, axis=-1))
-
-
-def _log_sum(d: np.ndarray):
-    """sum log d over the last axis: a float for one configuration's pair
-    distances, an array for a (..., pairs) block; -inf on a zero, 0.0 for none."""
-    total = np.add.reduce(_log_distances(d), axis=-1)
-    return total if total.ndim else float(total)
-
-
-def _pair_log_sum(pts: np.ndarray):
-    """sum_{i<j} log|z_i - z_j| over the last axis (row by row for a block):
-    -inf on coincident points, 0.0 for one point."""
-    return _log_sum(_pair_distances(pts))
-
-
 def discrete_energy(c) -> float:
     """Off-diagonal pairwise energy N^-2 sum_{n != m} log 1/|z_n - z_m| of
     array-like complex points.
@@ -456,7 +422,8 @@ def _bl_assignment(x, y) -> float:
 def _bl_solve(mu: AtomicMeasure, nu: AtomicMeasure) -> tuple[float, dict]:
     """bl_distance together with a record of its solve: the `path`
     ("assignment" with its `rows` and `cols`, or "transport" with its
-    `lp_vars`), the solver `status` and the solve `seconds`.
+    `lp_vars`), the solver `status` and the solve `seconds`, which leave out
+    the one-time import of scipy.
 
     The status is always "optimal": both solvers raise rather than return
     a value that is not optimal.
@@ -467,6 +434,9 @@ def _bl_solve(mu: AtomicMeasure, nu: AtomicMeasure) -> tuple[float, dict]:
     mu, nu = mu.merged(), nu.merged()
     n1, n2 = len(mu), len(nu)
     uniform = all(np.all(m.weights == m.weights[0]) for m in (mu, nu))
+    # a process's first solve imports the solvers (scipy.sparse with them)
+    # before the clock starts, so `seconds` is the solve alone
+    import scipy.optimize  # noqa: F401
     t0 = time.perf_counter()
     if uniform and max(n1, n2) % min(n1, n2) == 0:
         value = _bl_assignment(mu.points, nu.points)

@@ -24,6 +24,7 @@ array.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -546,3 +547,37 @@ def _log_distances(d):
     where a coincidence (the density vanishes) gives log 0 = -inf silently."""
     with np.errstate(divide="ignore"):
         return np.log(d)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(n: int):
+    """Read-only index arrays (i, j) of the pairs i < j of n points, in
+    row-major order of the upper triangle."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
+def _pair_distances(pts: np.ndarray) -> np.ndarray:
+    """|z_i - z_j| over the pairs i < j of the last axis, in _pair_index order.
+
+    A (k, N) block gives a C-contiguous (k, pairs) array, so a sum over its
+    rows takes each row's pairs in the order of one configuration's call
+    (fancy indexing would give a column-major block, summed in another order).
+    """
+    iu, ju = _pair_index(pts.shape[-1])
+    return np.abs(np.take(pts, iu, axis=-1) - np.take(pts, ju, axis=-1))
+
+
+def _log_sum(d: np.ndarray):
+    """sum log d over the last axis: a float for one configuration's pair
+    distances, an array for a (..., pairs) block; -inf on a zero, 0.0 for none."""
+    total = np.add.reduce(_log_distances(d), axis=-1)
+    return total if total.ndim else float(total)
+
+
+def _pair_log_sum(pts: np.ndarray):
+    """sum_{i<j} log|z_i - z_j| over the last axis (row by row for a block):
+    -inf on coincident points, 0.0 for one point."""
+    return _log_sum(_pair_distances(pts))

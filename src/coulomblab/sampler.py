@@ -46,9 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import _pair_log_sum
-from .potential import (CompactSet, InversionError, MEMBERSHIP_TOL, compact_set_from_dict,
-                        equilibrium_sample, robin_energy)
+from .potential import (CompactSet, InversionError, MEMBERSHIP_TOL, _pair_log_sum,
+                        compact_set_from_dict, equilibrium_sample, robin_energy)
 from . import fekete
 
 _FULL_RECOMPUTE_EVERY = 10_000

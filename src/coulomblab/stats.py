@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import Measure, weighted_energy
+from . import measures
 from .potential import CompactSet, _grid_values, _tensor_mean, equilibrium_integral, robin_energy
 from .sampler import Chain, _state_blocks
 
@@ -149,14 +149,15 @@ class RateReport:
                 "rate": self.rate}
 
 
-def _rate(nu: Measure, K: CompactSet, ell: float, beta: float, label: str) -> RateReport:
-    w = weighted_energy(nu, K, ell)
+def _rate(nu: measures.Measure, K: CompactSet, ell: float, beta: float,
+          label: str) -> RateReport:
+    w = measures.weighted_energy(nu, K, ell)
     r = robin_energy(K)
     rate = (beta / 2.0) * (w - r) if math.isfinite(w) else math.inf
     return RateReport(label or repr(nu), ell, w, r, rate)
 
 
-def positivity_scan(K: CompactSet, family: Sequence[tuple[str, Measure]],
+def positivity_scan(K: CompactSet, family: Sequence[tuple[str, measures.Measure]],
                     ells: Sequence[float], beta: float = 2.0) -> list[RateReport]:
     """Large-deviation rates of the empirical measure near each test measure
     of a family, over an ell grid."""

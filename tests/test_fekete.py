@@ -10,8 +10,7 @@ from scipy.special import roots_jacobi
 import coulomblab as cl
 from coulomblab.fekete import (_ascend, _candidate, _gradient, _hessian, _newton_step,
                                _stratified_angles)
-from coulomblab.measures import _pair_distances, _pair_log_sum
-from coulomblab.potential import _log_distances
+from coulomblab.potential import _log_distances, _pair_distances, _pair_log_sum
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import coulomblab as cl
-from coulomblab.measures import _pair_log_sum
-from coulomblab.potential import MEMBERSHIP_TOL
+from coulomblab.potential import MEMBERSHIP_TOL, _pair_log_sum
 from coulomblab.sampler import _TUNE_WINDOW, _log_density, _low_energy_bound, _others_index
 
 DISK = cl.Disk(0.0, 1.0)
@@ -579,6 +578,34 @@ def test_chain_falls_back_to_single_points():
     # the tail mass reads the recorded sums, so no batch of stored states raises
     on_disk = cl.Chain(params, DISK, cfg, 12, ch.states, ch.log_densities, acc, scale)
     assert cl.tail_mass_estimate(ch, 0.2) == cl.tail_mass_estimate(on_disk, 0.2)
+
+
+class _NanGreenDisk(cl.Disk):
+    """A disk whose green is NaN beyond radius 1.3, counting those points."""
+
+    def green(self, z):
+        g = super().green(z)
+        far = np.abs(np.asarray(z) - self.center) > 1.3 * self.radius
+        _NanGreenDisk.nan_points += int(np.count_nonzero(far))
+        if np.ndim(g):
+            return np.where(far, np.nan, g)
+        return math.nan if far else g
+
+
+def test_chain_rejects_a_proposal_with_nan_green():
+    # a NaN log-density change compares false against every log u, so the
+    # proposal is rejected, as in the sequential loop
+    _NanGreenDisk.nan_points = 0
+    params = cl.EnsembleParams(6, 7.5, 2.0, 0.1)
+    cfg = cl.ChainConfig(steps=4_000, burn_in=1_000, thin=4, step_scale=0.5)
+    ch = cl.run_chain(params, _NanGreenDisk(0.0, 1.0), cfg, seed=13)
+    assert _NanGreenDisk.nan_points > 0
+    assert np.abs(ch.state_array()).max() <= 1.3
+    assert np.all(np.isfinite(ch.log_densities))
+    states, log_dens, acc, scale = _sequential_chain(params, _NanGreenDisk(0.0, 1.0), cfg, 13)
+    assert ch.state_array().tobytes() == states.tobytes()
+    assert ch.log_densities.tobytes() == log_dens.tobytes()
+    assert ch.acceptance_rate == acc and ch.step_scale == scale
 
 
 def test_chain_telemetry(chain8, tmp_path):
