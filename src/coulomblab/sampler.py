@@ -5,34 +5,38 @@ update; the proposal scale is tuned toward 0.35 acceptance during burn-in
 by stochastic approximation and frozen afterwards, so the post-burn-in
 kernel is exactly stationary for the target density.
 
-run_chain draws its proposals _DRAW_BLOCK at a time and walks each block
-in sub-blocks of at most _SUB_BLOCK steps that never cross a tuning
-window, so the scale is fixed inside a sub-block.  At the start of a
-sub-block it forms every proposal z = pts[k] + scale * move and evaluates
-green on all of them in one call.  A proposal whose particle was accepted
-earlier in the same sub-block is stale; it is re-formed from the current
-state and its green evaluated alone, as a length-1 array.  Only an
-ExteriorMap with two or more negative powers tests its root's residual at
-run time; if the batched call raises InversionError, every proposal of that
-sub-block is evaluated alone in the same way, so only a point the chain
-really proposes can raise.  Every green gives a point, alone or as a
-scalar, bit for bit its value inside a batch (one kernel per Laurent
-degree, one far field), so the chain is the one-proposal-at-a-time chain
-step for step: same states, log densities, acceptance and step scale.
+run_chain draws its proposals _DRAW_BLOCK at a time and evaluates green on
+them in batches.  A batch starts at the current step and holds at most
+_BATCH proposals z = pts[k] + scale * move, all formed from the current
+state; it ends at the end of the draw block or of the 200-step tuning
+window, so the scale is fixed inside it, and one green call evaluates it
+whole.  The loop reads its values until it reaches a stale proposal, one
+whose particle was accepted since the batch was formed; a new batch then
+starts at that proposal, and the rest of the old one is never used.  Only
+an ExteriorMap with two or more negative powers tests its root's residual
+at run time; if a batch's call raises InversionError, each of its
+proposals is formed from the current state and evaluated alone, as a
+length-1 array, so only a point the chain really proposes can raise.
+Every green gives a point, alone or as a scalar, bit for bit its value
+inside a batch (one kernel per Laurent degree, one far field), so the
+chain is the one-proposal-at-a-time chain step for step: same states,
+log densities, acceptance and step scale.
 
 Every log of a distance goes through potential._log_distances except in
 the step loop, which computes each O(N) pair delta inline, as the two
 log-distance sums of the proposal and of the point it moves against the
 other particles, and runs whole with numpy's divide-by-zero report off
-(a per-step zero scan or a per-sub-block error state measured slower).
+(a per-step zero scan or a per-batch error state measured slower).
 A proposal that lands exactly on another particle gives log 0 = -inf, so
 its delta is -inf and the move is rejected.  The error state changes only
 whether a divide-by-zero is reported, never a value; green reports its
 failures as InversionError or snapped values, and its invalid-value
 warnings still surface.
 
-Stored state j is row j of one (steps // thin, N) array; its green sum,
-from the chain's own green values, spares tail_mass_estimate a green call.
+Stored state j is row j of one (steps // thin, N) array.  The loop also
+records its green values and running pair sum; after the loop one
+vectorized _log_density pass turns them into the log densities and the
+green sums, which spare tail_mass_estimate a green call.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from . import fekete
 _FULL_RECOMPUTE_EVERY = 10_000
 _DRAW_BLOCK = 4096   # proposals drawn from the generator at once
 _TUNE_WINDOW = 200   # burn-in steps per step-scale update
-_SUB_BLOCK = 10      # proposals per batched green call; divides _TUNE_WINDOW
+_BATCH = 16          # proposals per batched green call at most
 _CHUNK_ELEMENTS = 1 << 14  # values per state chunk of a chain statistic (~256 KB)
 
 
@@ -124,16 +128,15 @@ class ChainConfig:
         return asdict(self)
 
 
-def _log_density(params: EnsembleParams, g: np.ndarray,
-                 pair_sum: float) -> tuple[float, float]:
-    """(-beta s sum(g) + beta pair_sum, sum(g)); in the hard-wall limit
-    s = inf the density is -inf when a point lies off K and beta pair_sum
-    otherwise."""
-    green_sum = float(np.add.reduce(g))
+def _log_density(params: EnsembleParams, g: np.ndarray, pair_sum) -> tuple:
+    """(-beta s sum(g) + beta pair_sum, sum(g)), the sum over g's last axis,
+    so one call serves one state or a (states, N) table with its pair sums;
+    in the hard-wall limit s = inf the density is -inf where a point lies
+    off K and beta pair_sum otherwise."""
+    green_sum = np.add.reduce(g, axis=-1)
     if params.s == math.inf:
-        if np.any(g > MEMBERSHIP_TOL):
-            return -math.inf, green_sum
-        return params.beta * pair_sum, green_sum
+        off_k = np.any(g > MEMBERSHIP_TOL, axis=-1)
+        return np.where(off_k, -math.inf, params.beta * pair_sum), green_sum
     return -params.beta * params.s * green_sum + params.beta * pair_sum, green_sum
 
 
@@ -144,7 +147,7 @@ def log_density_unnormalized(params: EnsembleParams, K: CompactSet, c) -> float:
     pts = np.asarray(c, dtype=complex)
     if pts.size != params.N:
         raise ValueError(f"configuration has {pts.size} points, params expect {params.N}")
-    return _log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))[0]
+    return float(_log_density(params, np.atleast_1d(K.green(pts)), _pair_log_sum(pts))[0])
 
 
 def _others_index(n: int) -> np.ndarray:
@@ -164,11 +167,13 @@ class Chain:
 
     `telemetry` records what run_chain did: `window_acceptance` and
     `scale_trace`, the acceptance of each 200-step burn-in window and the
-    step scale after it; `batched_points`, the proposals evaluated by a
-    sub-block's batched green call; `stale_points`, the proposals
-    evaluated alone (stale ones, and every one of a sub-block whose batched
-    call raised InversionError); and `inversion_errors`, the sub-blocks
-    whose batched call raised InversionError."""
+    step scale after it; `batches`, the batched green calls;
+    `batched_points`, the proposals whose green came from a batch (every
+    step when no batch raised); `stale_points`, the stale proposals that
+    started a new batch; `lookahead_points`, the proposals a batch
+    evaluated that were never used; and `inversion_errors`, the batches
+    whose call raised InversionError (their proposals are evaluated
+    alone)."""
 
     def __init__(self, params: EnsembleParams, K: CompactSet, cfg: ChainConfig,
                  seed, states, log_densities, acceptance_rate: float,
@@ -194,11 +199,17 @@ class Chain:
 
     @property
     def green_sums(self) -> np.ndarray:
-        """sum_n green(z_n) of each stored state, shape (n_states,)."""
+        """sum_n green(z_n) of each stored state, shape (n_states,); a
+        state on which green is NaN raises ValueError."""
         if self._green_sums is None:
             sums = [np.add.reduce(self.K.green(block), axis=1)
                     for block in _state_blocks(self, self.params.N)]
-            self._green_sums = np.concatenate(sums) if sums else np.empty(0)
+            sums = np.concatenate(sums) if sums else np.empty(0)
+            nan = np.flatnonzero(np.isnan(sums))
+            if nan.size:
+                raise ValueError(f"green is NaN on stored state {nan[0]} "
+                                 f"({nan.size} such states)")
+            self._green_sums = sums
         return self._green_sums
 
     def __len__(self) -> int:
@@ -280,20 +291,20 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     scale_lo, scale_hi = 1e-4 * K.capacity(), 10.0 * K.capacity()
     g = np.atleast_1d(K.green(pts)).astype(float)
     others = list(_others_index(n))
-    moved_in = [-1] * n  # first step of the sub-block in which k last moved
+    moved_in = [-1] * n  # first step of the batch in which k last moved
     moved = np.empty((2, 1), dtype=complex)  # a proposal above the point it moves
-    single = np.empty(1, dtype=complex)  # a stale proposal
     beta, beta_s = params.beta, params.beta * params.s
     hard_wall, paired = params.s == math.inf, n > 1
     burn_in, thin = cfg.burn_in, cfg.thin
     log, absolute, add_reduce = np.log, np.absolute, np.add.reduce
 
     states = np.empty((cfg.steps // thin, n), dtype=complex)
-    log_dens, green_sums = np.empty(len(states)), np.empty(len(states))
+    g_table, pair_sums = np.empty(states.shape), np.empty(len(states))
     stored = 0
     window_acceptance: list[float] = []
     scale_trace: list[float] = []
-    batched_points = stale_points = inversion_errors = 0
+    batches = stale_points = inversion_errors = 0
+    evaluated = alone = 0  # points of the batches that returned and that raised
     accepted_post = 0
     accepted_window = 0
     burn_accepts = 0
@@ -304,80 +315,87 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
             b = min(_DRAW_BLOCK, total - first)
             idxs = rng.integers(0, n, size=b)
             unit_moves = rng.standard_normal(b) + 1j * rng.standard_normal(b)
-            logu = np.log(rng.random(b))
-            lo = 0
-            while lo < b:
-                # one sub-block: fixed scale, one batched green on its proposals
-                sub = first + lo
-                hi = min(b, lo + _SUB_BLOCK - sub % _SUB_BLOCK)
-                ks = idxs[lo:hi]
-                z_batch = pts[ks] + scale * unit_moves[lo:hi]
-                try:
-                    g_batch = K.green(z_batch).tolist()
-                    batched_points += hi - lo
-                except InversionError:
-                    g_batch = None  # evaluate every proposal on its own below
-                    inversion_errors += 1
-                z_batch, ks, us = z_batch.tolist(), ks.tolist(), logu[lo:hi].tolist()
-                for i in range(hi - lo):
-                    step_index = sub + i
-                    k = ks[i]
-                    if g_batch is None or moved_in[k] == sub:
-                        z_new = single[0] = pts[k] + scale * unit_moves[lo + i]
-                        g_new = K.green(single).item()
+            logu = np.log(rng.random(b)).tolist()
+            ks = idxs.tolist()
+            lo = hi = 0  # the batch holds the block's proposals lo..hi-1
+            for i in range(b):
+                k = ks[i]
+                if i == hi or (moved_in[k] == sub and g_batch is not None):
+                    # a new batch from the current state, at fixed scale
+                    if i < hi:
                         stale_points += 1
+                    lo, sub = i, first + i
+                    hi = min(b, i + _BATCH, (sub // _TUNE_WINDOW + 1) * _TUNE_WINDOW - first)
+                    z_batch = pts[idxs[lo:hi]] + scale * unit_moves[lo:hi]
+                    batches += 1
+                    try:
+                        g_batch = K.green(z_batch).tolist()
+                    except InversionError:
+                        g_batch = None  # evaluate each proposal on its own below
+                        inversion_errors += 1
+                        alone += hi - lo
                     else:
-                        z_new, g_new = z_batch[i], g_batch[i]
-                    # O(N) change of the log density; -inf when the proposal
-                    # meets another particle or, for s = inf, leaves K
-                    if paired:
-                        moved[0, 0], moved[1, 0] = z_new, pts[k]
-                        log_new, log_old = add_reduce(
-                            log(absolute(moved - pts[others[k]])), axis=1).tolist()
-                        delta_pair = log_new - log_old
+                        z_batch = z_batch.tolist()
+                        evaluated += hi - lo
+                if g_batch is None:
+                    z_one = pts[k:k + 1] + scale * unit_moves[i:i + 1]
+                    z_new, g_new = z_one.item(), K.green(z_one).item()
+                else:
+                    z_new, g_new = z_batch[i - lo], g_batch[i - lo]
+                step_index = first + i
+                # O(N) change of the log density; -inf when the proposal
+                # meets another particle or, for s = inf, leaves K
+                if paired:
+                    moved[0, 0], moved[1, 0] = z_new, pts[k]
+                    log_new, log_old = add_reduce(
+                        log(absolute(moved - pts[others[k]])), axis=1).tolist()
+                    delta_pair = log_new - log_old
+                else:
+                    delta_pair = 0.0  # a lone particle has no pairs
+                if not hard_wall:
+                    delta = beta * delta_pair - beta_s * (g_new - g[k])
+                elif g_new > MEMBERSHIP_TOL:
+                    delta = -math.inf
+                else:
+                    delta = beta * delta_pair
+                if delta > logu[i]:
+                    pts[k] = z_new
+                    g[k] = g_new
+                    pair_sum += delta_pair
+                    moved_in[k] = sub
+                    if step_index < burn_in:
+                        burn_accepts += 1
+                        accepted_window += 1
                     else:
-                        delta_pair = 0.0  # a lone particle has no pairs
-                    if not hard_wall:
-                        delta = beta * delta_pair - beta_s * (g_new - g[k])
-                    elif g_new > MEMBERSHIP_TOL:
-                        delta = -math.inf
-                    else:
-                        delta = beta * delta_pair
-                    if delta > us[i]:
-                        pts[k] = z_new
-                        g[k] = g_new
-                        pair_sum += delta_pair
-                        moved_in[k] = sub
-                        if step_index < burn_in:
-                            burn_accepts += 1
-                            accepted_window += 1
-                        else:
-                            accepted_post += 1
-                    if step_index >= burn_in:
-                        if (step_index - burn_in + 1) % thin == 0:
-                            states[stored] = pts
-                            log_dens[stored], green_sums[stored] = _log_density(params, g, pair_sum)
-                            stored += 1
-                    elif (step_index + 1) % _TUNE_WINDOW == 0:
-                        rate = accepted_window / _TUNE_WINDOW
-                        if cfg.step_scale is None:
-                            scale *= math.exp(0.7 * (rate - 0.35))
-                            scale = min(max(scale, scale_lo), scale_hi)
-                        window_acceptance.append(rate)
-                        scale_trace.append(scale)
-                        accepted_window = 0
-                    if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
-                        pair_sum = _pair_log_sum(pts)
-                        g = np.atleast_1d(K.green(pts)).astype(float)
-                lo = hi
+                        accepted_post += 1
+                if step_index >= burn_in:
+                    if (step_index - burn_in + 1) % thin == 0:
+                        states[stored] = pts
+                        g_table[stored] = g
+                        pair_sums[stored] = pair_sum
+                        stored += 1
+                elif (step_index + 1) % _TUNE_WINDOW == 0:
+                    rate = accepted_window / _TUNE_WINDOW
+                    if cfg.step_scale is None:
+                        scale *= math.exp(0.7 * (rate - 0.35))
+                        scale = min(max(scale, scale_lo), scale_hi)
+                    window_acceptance.append(rate)
+                    scale_trace.append(scale)
+                    accepted_window = 0
+                if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
+                    pair_sum = _pair_log_sum(pts)
+                    g = np.atleast_1d(K.green(pts)).astype(float)
 
+    log_dens, green_sums = _log_density(params, g_table, pair_sums)
     zero_acc = burn_in > 0 and burn_accepts == 0
     if zero_acc:
         warnings.warn("no proposal was accepted during burn-in; "
                       "the chain is almost surely mis-tuned")
     acc_rate = accepted_post / cfg.steps if cfg.steps else 0.0
+    batched_points = total - alone
     telemetry = {"scale_trace": scale_trace, "window_acceptance": window_acceptance,
-                 "batched_points": batched_points, "stale_points": stale_points,
+                 "batches": batches, "batched_points": batched_points,
+                 "stale_points": stale_points, "lookahead_points": evaluated - batched_points,
                  "inversion_errors": inversion_errors}
     return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc, telemetry,
                  green_sums)

@@ -8,7 +8,9 @@ import pytest
 
 import coulomblab as cl
 from coulomblab.potential import MEMBERSHIP_TOL, _pair_log_sum
-from coulomblab.sampler import _TUNE_WINDOW, _log_density, _low_energy_bound, _others_index
+from coulomblab import sampler
+from coulomblab.sampler import (_BATCH, _TUNE_WINDOW, _log_density, _low_energy_bound,
+                                _others_index)
 
 DISK = cl.Disk(0.0, 1.0)
 
@@ -474,10 +476,28 @@ def _sequential_chain(params, K, cfg, seed, init=None):
     return np.asarray(states), np.asarray(log_dens, dtype=float), acc, scale
 
 
+class _BatchRaisingDisk(cl.Disk):
+    """A disk whose green raises InversionError on an array holding two or
+    more points beyond radius 1.05: a batch of proposals can raise, a
+    single proposal never does."""
+
+    raised = 0
+
+    def green(self, z):
+        if np.count_nonzero(np.abs(np.asarray(z) - self.center) > 1.05 * self.radius) > 1:
+            _BatchRaisingDisk.raised += 1
+            raise cl.InversionError("two or more points beyond radius 1.05")
+        return super().green(z)
+
+
 RING8 = 0.9 * np.exp(2j * math.pi * np.arange(8) / 8)
 
 # (params, set, config, seed, init); the N = 16 chain crosses two draw
-# blocks and the periodic full recomputation at step 10000
+# blocks and the periodic full recomputation at step 10000, the N = 2 one
+# three draw blocks with a stale proposal about every third step; burn_in_730
+# ends its burn-in inside a tuning window; in raising_batches about one
+# batch in four raises InversionError, and over a thousand of the proposals
+# evaluated alone belong to a particle accepted earlier in the same batch
 EXACT_CHAINS = {
     "disk_N1": (cl.EnsembleParams(1, 4.0, 2.0, 0.1), DISK,
                 cl.ChainConfig(steps=6_000, burn_in=1_000, thin=4), 71, None),
@@ -502,6 +522,13 @@ EXACT_CHAINS = {
              cl.ChainConfig(steps=3_000, burn_in=0, thin=3), 10, RING8),
     "fixed_scale": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), DISK,
                     cl.ChainConfig(steps=3_000, burn_in=600, thin=3, step_scale=0.3), 9, None),
+    "three_blocks_N2": (cl.EnsembleParams(2, 8.0, 2.0, 0.1), DISK,
+                        cl.ChainConfig(steps=9_000, burn_in=1_000, thin=3), 73, None),
+    "burn_in_730": (cl.EnsembleParams(4, 8.0, 2.0, 0.1), cl.ExteriorMap(1.5, (0.0, 0.5)),
+                    cl.ChainConfig(steps=2_500, burn_in=730, thin=3), 74, None),
+    "raising_batches": (cl.EnsembleParams(4, 16.0, 2.0, 0.1), _BatchRaisingDisk(0.0, 1.0),
+                        cl.ChainConfig(steps=3_000, burn_in=500, thin=3, step_scale=0.1), 15,
+                        None),
 }
 
 
@@ -514,6 +541,51 @@ def test_chain_equals_sequential_loop(name):
     assert ch.log_densities.tobytes() == log_dens.tobytes()
     assert ch.acceptance_rate == acc and ch.step_scale == scale
     assert 0 < ch.telemetry["stale_points"] < cfg.burn_in + cfg.steps
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CHAINS))
+def test_chain_bytes_do_not_depend_on_batch_size(name, monkeypatch):
+    # from one proposal a batch to a whole tuning window, every batch size
+    # gives the same chain
+    params, K, cfg, seed, init = EXACT_CHAINS[name]
+    ref = cl.run_chain(params, K, cfg, seed=seed, init=init)
+    for batch in (1, 7, 200):
+        monkeypatch.setattr(sampler, "_BATCH", batch)
+        ch = cl.run_chain(params, K, cfg, seed=seed, init=init)
+        assert ch.states.tobytes() == ref.states.tobytes(), batch
+        assert ch.log_densities.tobytes() == ref.log_densities.tobytes(), batch
+        assert ch.green_sums.tobytes() == ref.green_sums.tobytes(), batch
+        assert (ch.acceptance_rate, ch.step_scale) == (ref.acceptance_rate, ref.step_scale)
+
+
+HARD_WALL_OFF_K = (cl.EnsembleParams(6, math.inf, 2.0, 0.1), DISK,
+                   cl.ChainConfig(steps=600, burn_in=0, thin=1), 8,
+                   [1.05, 0.2, -0.3, 0.4j, -0.5j, 0.1 + 0.1j])
+
+
+@pytest.mark.parametrize("case", [EXACT_CHAINS["disk_N16"], EXACT_CHAINS["hard_wall"],
+                                  HARD_WALL_OFF_K, EXACT_CHAINS["ellipse"]],
+                         ids=["disk", "hard_wall", "hard_wall_off_k", "ellipse"])
+def test_stored_densities_are_log_density_of_each_state(case, monkeypatch):
+    # run_chain's one pass over its (states, N) green table gives each
+    # stored state bit for bit what _log_density gives that state alone
+    params, K, cfg, seed, init = case
+    tables = []
+
+    def recording(params, g, pair_sum):
+        tables.append((g.copy(), pair_sum.copy()))
+        return _log_density(params, g, pair_sum)
+
+    monkeypatch.setattr(sampler, "_log_density", recording)
+    ch = cl.run_chain(params, K, cfg, seed=seed, init=init)
+    (g_table, pair_sums), = tables
+    assert g_table.tobytes() == K.green(ch.states).tobytes()
+    for j in range(len(ch)):
+        log_density, green_sum = _log_density(params, g_table[j], pair_sums[j])
+        assert np.float64(log_density).tobytes() == ch.log_densities[j].tobytes()
+        assert np.float64(green_sum).tobytes() == ch.green_sums[j].tobytes()
+    if init is not None:  # the point off K takes a while to move in
+        assert 0 < np.count_nonzero(ch.log_densities == -math.inf) < len(ch)
 
 
 def test_chain_rejects_a_proposal_onto_another_particle():
@@ -550,18 +622,6 @@ def test_chain_matches_sequential_loop_to_rounding(K):
     assert ch.acceptance_rate == acc and ch.step_scale == scale
 
 
-class _BatchRaisingDisk(cl.Disk):
-    """A disk whose green raises InversionError on an array holding two or
-    more points beyond radius 1.05: a batch of proposals can raise, a
-    single proposal never does."""
-
-    def green(self, z):
-        if np.count_nonzero(np.abs(np.asarray(z) - self.center) > 1.05 * self.radius) > 1:
-            _BatchRaisingDisk.raised += 1
-            raise cl.InversionError("two or more points beyond radius 1.05")
-        return super().green(z)
-
-
 def test_chain_falls_back_to_single_points():
     _BatchRaisingDisk.raised = 0
     params, cfg = cl.EnsembleParams(4, 8.0, 2.0, 0.1), cl.ChainConfig(4_000, 1_000, 4)
@@ -571,10 +631,12 @@ def test_chain_falls_back_to_single_points():
     assert ch.state_array().tobytes() == states.tobytes()
     assert ch.log_densities.tobytes() == log_dens.tobytes()
     assert ch.acceptance_rate == acc and ch.step_scale == scale
-    # every proposal of a sub-block whose batch raised was evaluated alone
-    unbatched = cfg.burn_in + cfg.steps - ch.telemetry["batched_points"]
-    assert 0 < unbatched <= ch.telemetry["stale_points"]
-    assert ch.telemetry["inversion_errors"] == _BatchRaisingDisk.raised
+    # the proposals of a batch whose call raised were evaluated alone
+    tel = ch.telemetry
+    unbatched = cfg.burn_in + cfg.steps - tel["batched_points"]
+    assert 0 < unbatched <= _BATCH * tel["inversion_errors"]
+    assert tel["stale_points"] <= tel["batches"]
+    assert tel["inversion_errors"] == _BatchRaisingDisk.raised
     # the tail mass reads the recorded sums, so no batch of stored states raises
     on_disk = cl.Chain(params, DISK, cfg, 12, ch.states, ch.log_densities, acc, scale)
     assert cl.tail_mass_estimate(ch, 0.2) == cl.tail_mass_estimate(on_disk, 0.2)
@@ -582,6 +644,8 @@ def test_chain_falls_back_to_single_points():
 
 class _NanGreenDisk(cl.Disk):
     """A disk whose green is NaN beyond radius 1.3, counting those points."""
+
+    nan_points = 0
 
     def green(self, z):
         g = super().green(z)
@@ -608,6 +672,22 @@ def test_chain_rejects_a_proposal_with_nan_green():
     assert ch.acceptance_rate == acc and ch.step_scale == scale
 
 
+def test_green_sums_reject_a_nan_green():
+    # a hand-built chain computes its green sums; a NaN one is an error that
+    # names the state, not a state the tail mass counts as outside
+    params, K = cl.EnsembleParams(8, 16.0, 2.0, 0.1), _NanGreenDisk(0.0, 1.0)
+    states = np.tile(RING8, (1000, 1))
+    ring = cl.Chain(params, K, cl.ChainConfig(), 0, states, np.zeros(1000), 0.5, 1.0)
+    assert cl.tail_mass_estimate(ring, 0.2) == 0.0
+    states = states.copy()
+    states[17, 3] = states[400, 0] = 1.5
+    ch = cl.Chain(params, K, cl.ChainConfig(), 0, states, np.zeros(1000), 0.5, 1.0)
+    with pytest.raises(ValueError, match=r"green is NaN on stored state 17 \(2 such"):
+        ch.green_sums
+    with pytest.raises(ValueError, match="stored state 17"):
+        cl.tail_mass_estimate(ch, 0.2)
+
+
 def test_chain_telemetry(chain8, tmp_path):
     tel = chain8.telemetry
     windows = chain8.cfg.burn_in // _TUNE_WINDOW
@@ -616,6 +696,9 @@ def test_chain_telemetry(chain8, tmp_path):
     assert all(0.0 <= a <= 1.0 for a in tel["window_acceptance"])
     assert tel["batched_points"] == chain8.cfg.burn_in + chain8.cfg.steps
     assert tel["inversion_errors"] == 0
+    # every batch starts at a block or window start or at a stale proposal
+    assert 0 < tel["stale_points"] <= tel["batches"] <= tel["batched_points"]
+    assert 0 <= tel["lookahead_points"] <= (_BATCH - 1) * tel["batches"]
     fixed = cl.run_chain(chain8.params, DISK, cl.ChainConfig(1_000, 450, 5, step_scale=0.2),
                          seed=2).telemetry
     assert fixed["scale_trace"] == [0.2, 0.2] and len(fixed["window_acceptance"]) == 2
