@@ -19,7 +19,7 @@ _EXPORTS = {
                  "bl_distance", "continuous_energy", "discrete_energy", "discretize",
                  "equilibrium_discretization", "load_points", "perturbation_ball",
                  "save_points", "smooth", "weighted_energy"),
-    "fekete": ("FeketeResult", "capacity_estimate", "log_delta", "solve"),
+    "fekete": ("FeketeResult", "capacity_estimate", "log_delta", "max_log_delta", "solve"),
     "sampler": ("Chain", "ChainConfig", "EnsembleParams", "InadmissibleParams",
                 "in_low_energy_set", "log_density_unnormalized", "potential_scale_reduction",
                 "run_chain", "tail_mass_estimate"),

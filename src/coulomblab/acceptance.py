@@ -76,7 +76,8 @@ class CriterionResult:
 
 
 class AcceptanceLab:
-    """Cache of the heavy shared artifacts used by several criteria."""
+    """Cache of the heavy shared artifacts used by several criteria; criterion
+    3's disk bounds take the exact Fekete optimum from fekete.max_log_delta."""
 
     DISK = Disk(0.0, 1.0)
     SEGMENT = Segment(-2.0, 2.0)
@@ -109,14 +110,6 @@ class AcceptanceLab:
         return sampler.run_chain(p, self.DISK,
                                  ChainConfig(steps=1_000_000, burn_in=50_000, thin=5),
                                  seed=72)
-
-    def fekete_disk(self, n: int):
-        if not hasattr(self, "_fk"):
-            self._fk = {}
-        key = ("disk", n)
-        if key not in self._fk:
-            self._fk[key] = fekete.solve(self.DISK, n, seed=40 + n)
-        return self._fk[key]
 
     @cached_property
     def fekete_60(self):
@@ -192,7 +185,7 @@ def criterion_3(lab: AcceptanceLab) -> CriterionResult:
     uppers = {}
     for n in (16, 32, 64):
         p = EnsembleParams(n, 2.0 * n, 2.0, 0.1)
-        b = partition.partition_bounds(lab.DISK, p, lab.fekete_disk(n))
+        b = partition.partition_bounds(lab.DISK, p, fekete.max_log_delta(lab.DISK, n))
         uppers[n] = b.upper / n**2
     decreasing = abs(uppers[16]) > abs(uppers[32]) > abs(uppers[64])
     clauses = [
@@ -204,7 +197,7 @@ def criterion_3(lab: AcceptanceLab) -> CriterionResult:
                f"values {uppers[16]:.4f} > {uppers[32]:.4f} > {uppers[64]:.4f}"),
     ]
     p8 = EnsembleParams(8, 16.0, 2.0, 0.1)
-    b8 = partition.partition_bounds(lab.DISK, p8, lab.fekete_disk(8))
+    b8 = partition.partition_bounds(lab.DISK, p8, fekete.max_log_delta(lab.DISK, 8))
     exact8 = partition.log_partition_disk_exact(8, 16.0)
     clauses.append(Clause("sandwich at N=8", b8.lower <= exact8 <= b8.upper,
                           f"{b8.lower:.3f} <= {exact8:.3f} <= {b8.upper:.3f}"))
@@ -233,7 +226,7 @@ def criterion_4(lab: AcceptanceLab) -> CriterionResult:
     # solver-quality diagnostics against provable optima
     d = lab.fekete_60["disk"].log_delta
     diags.append(f"disk log_delta = {d:.9f}, exact optimum (N/2) log N = "
-                 f"{30 * math.log(60):.9f}")
+                 f"{fekete.max_log_delta(lab.DISK, 60):.9f}")
     for name, res in lab.fekete_60.items():
         runs = ", ".join(f"{st['iterations']} {st['stop_reason']} {st['shifted_steps']} "
                          f"{st['evaluations']}" for st in res.starts)

@@ -250,10 +250,10 @@ def _cmd_partition(cfg, args) -> int:
     out = _outdir(cfg, args)
     rows, reports = [], []
     for n, row_params in grid:
-        fr = fekete.solve(K, n, seed=cfg["seed"]) if with_bounds and n >= 2 else None
+        log_delta = fekete.max_log_delta(K, n, seed=cfg["seed"]) if with_bounds and n >= 2 else None
         for p in row_params:
             try:
-                rep = partition.build_report(K, p, fekete_result=fr,
+                rep = partition.build_report(K, p, log_delta=log_delta,
                                              with_cubature=with_cubature and n <= 3)
             except NotImplementedError as e:  # no cubature for this set at this N
                 raise SchemaError(f"partition.with_cubature: {e}") from e

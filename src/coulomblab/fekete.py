@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .potential import CompactSet, _log_distances, _pair_index, _pair_log_sum
+from .potential import CompactSet, Disk, _log_distances, _pair_index, _pair_log_sum
 
 
 @dataclass
@@ -251,6 +251,18 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
                         max_green_violation=violation, trace=trace,
                         iterations=its, start_index=idx, stop_reason=reason,
                         starts=records)
+
+
+def max_log_delta(K: CompactSet, N: int, seed=None) -> float:
+    """Maximum of log_delta over N points, N >= 2: on a Disk of radius R
+    exactly (N/2) log N + N(N-1)/2 log R, at N equally spaced boundary points
+    (Saff and Totik, Logarithmic Potentials with External Fields, 1997), and
+    solve(K, N, seed=seed).log_delta on every other set."""
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if isinstance(K, Disk):
+        return 0.5 * N * math.log(N) + 0.5 * N * (N - 1) * math.log(K.radius)
+    return solve(K, N, seed=seed).log_delta
 
 
 def capacity_estimate(result: FeketeResult) -> float:

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .fekete import FeketeResult
 from .measures import (SmoothedMeasure, _gauss, continuous_energy, equilibrium_discretization,
                        smooth)
 from .potential import (_BLOCK_VALUES, CompactSet, Disk, _midpoint_angles, _row_blocks,
@@ -157,11 +156,13 @@ def _smoothed_terms(K: CompactSet) -> tuple:
 
 
 def partition_bounds(K: CompactSet, params: EnsembleParams,
-                     fekete_result: FeketeResult) -> PartitionBounds:
+                     log_delta: float) -> PartitionBounds:
     """Sandwich for log Z: extremal-configuration upper bound and Jensen
     lower bound.
 
-    upper = beta * log_delta + N log int exp(-(s+1-N) beta green) dA.
+    upper = beta * log_delta + N log int exp(-(s+1-N) beta green) dA, with
+    log_delta the maximum of the weighted Fekete objective over N points
+    (fekete.max_log_delta: exact on a disk, a Newton solve elsewhere).
     lower uses the smoothed equilibrium measure of the inner set at margin
     1/8 with mollification radius 0.05; the field term -beta s N int green
     vanishes when its support stays in K (always for filled sets, never
@@ -171,7 +172,7 @@ def partition_bounds(K: CompactSet, params: EnsembleParams,
     exponent = (s + 1 - N) * beta if s != math.inf else math.inf
     fi = K.field_integral(exponent)
     log_fi = math.log(fi) if fi > 0 else -math.inf
-    upper = beta * fekete_result.log_delta + N * log_fi
+    upper = beta * log_delta + N * log_fi
 
     energy, loga, gavg = _smoothed_terms(K)
     if s == math.inf:
@@ -381,9 +382,10 @@ class PartitionReport:
 
 
 def build_report(K: CompactSet, params: EnsembleParams,
-                 fekete_result: Optional[FeketeResult] = None,
+                 log_delta: Optional[float] = None,
                  with_cubature: bool = False) -> PartitionReport:
-    """Assemble every partition quantity available for the given setting."""
+    """Assemble every partition quantity available for the given setting, the
+    bounds from log_delta = fekete.max_log_delta(K, N) (exact on a disk)."""
     N, s, beta = params.N, params.s, params.beta
     rep = PartitionReport(N=N, s=s, beta=beta)
     is_unit_disk = isinstance(K, Disk) and abs(K.radius - 1.0) < 1e-15
@@ -392,8 +394,8 @@ def build_report(K: CompactSet, params: EnsembleParams,
     rep.asymptote = -N * (N + 1) * robin_energy(K) + theta(params.ell()) * N
     if rep.exact is not None:
         rep.residual = rep.exact - rep.asymptote
-    if fekete_result is not None:
-        rep = replace(rep, **asdict(partition_bounds(K, params, fekete_result)))
+    if log_delta is not None:
+        rep = replace(rep, **asdict(partition_bounds(K, params, log_delta)))
     if with_cubature and N <= 3:
         z = partition_cubature(K, params)  # 0.0 on a zero-area set with a hard wall
         rep.cubature = -math.inf if z == 0.0 else math.log(z)

@@ -261,7 +261,8 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     The initial state is an equilibrium sample unless `init`, array-like
     complex points, is given (`init=chain.states[-1]` resumes a stored
     chain; `init` itself is not modified); an `init` with coincident or
-    non-finite points raises ValueError, since its density is -inf or nan.
+    non-finite points, or under the hard wall s = inf with a point off K,
+    raises ValueError, since its density is -inf or nan.
     The hard-wall ensemble s = inf on a set of zero area (a segment) has
     no density in the plane, and raises InadmissibleParams.
 
@@ -290,6 +291,8 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     scale = cfg.step_scale if cfg.step_scale is not None else 0.5 * K.capacity()
     scale_lo, scale_hi = 1e-4 * K.capacity(), 10.0 * K.capacity()
     g = np.atleast_1d(K.green(pts)).astype(float)
+    if init is not None and params.s == math.inf and np.any(g > MEMBERSHIP_TOL):
+        raise ValueError("init has points off K, where the hard wall s = inf gives density 0")
     others = list(_others_index(n))
     moved_in = [-1] * n  # first step of the batch in which k last moved
     moved = np.empty((2, 1), dtype=complex)  # a proposal above the point it moves

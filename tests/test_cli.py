@@ -287,7 +287,9 @@ def test_json_outputs_reject_non_json_values(tmp_path, value):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_partition_one_fekete_solve_per_n(tmp_path, monkeypatch):
+def _partition_with_bounds(tmp_path, monkeypatch, set_dict):
+    """The N of each Fekete solve, the JSON reports and the CSV rows of a
+    partition --with-bounds run over N in {2, 4} and s in {8, 16, 32}."""
     solve, solved = cli.fekete.solve, []
 
     def counting_solve(K, n, **kwargs):
@@ -295,19 +297,38 @@ def test_partition_one_fekete_solve_per_n(tmp_path, monkeypatch):
         return solve(K, n, **kwargs)
 
     monkeypatch.setattr(cli.fekete, "solve", counting_solve)
-    cfg = _write_config(tmp_path, {"schema_version": 1, "seed": 3,
+    cfg = _write_config(tmp_path, {"schema_version": 1, "seed": 3, "set": set_dict,
                                    "partition": {"N_values": [2, 4], "s_values": [8, 16, 32]}})
     assert run(["--config", cfg, "--out", str(tmp_path), "partition", "--with-bounds"]) == 0
+    reports = json.loads(next(tmp_path.glob("partition_*.json")).read_text())["reports"]
+    lines = next(tmp_path.glob("partition_*.csv")).read_text().splitlines()
+    monkeypatch.undo()
+    return solved, reports, lines[1:]
+
+
+def test_partition_one_fekete_solve_per_n(tmp_path, monkeypatch):
+    solved, reports, rows = _partition_with_bounds(tmp_path, monkeypatch, ELLIPSE)
     assert solved == [2, 4]
     # each row equals a report built from its own solve
-    reports = json.loads(next(tmp_path.glob("partition_*.json")).read_text())["reports"]
-    K = cli.potential.Disk(0.0, 1.0)
+    K = cli.potential.Ellipse(0.0, 2.0, 1.0)
     expected = [cli.partition.build_report(K, cli.sampler.EnsembleParams(n, s, 2.0, 0.1),
-                                           fekete_result=solve(K, n, seed=3))
+                                           log_delta=cli.fekete.solve(K, n, seed=3).log_delta)
                 for n in (2, 4) for s in (8.0, 16.0, 32.0)]
     assert reports == [rep.to_dict() for rep in expected]
-    lines = next(tmp_path.glob("partition_*.csv")).read_text().splitlines()
-    assert lines[1:] == [rep.csv_row() for rep in expected]
+    assert rows == [rep.csv_row() for rep in expected]
+
+
+def test_partition_disk_bounds_take_the_closed_form(tmp_path, monkeypatch):
+    # the disk's Fekete maximum is exact: no Newton solve runs
+    solved, reports, rows = _partition_with_bounds(
+        tmp_path, monkeypatch, {"type": "disk", "center": [0, 0], "radius": 1})
+    assert solved == []
+    K = cli.potential.Disk(0.0, 1.0)
+    expected = [cli.partition.build_report(K, cli.sampler.EnsembleParams(n, s, 2.0, 0.1),
+                                           log_delta=cli.fekete.max_log_delta(K, n))
+                for n in (2, 4) for s in (8.0, 16.0, 32.0)]
+    assert reports == [rep.to_dict() for rep in expected]
+    assert rows == [rep.csv_row() for rep in expected]
 
 
 def test_fekete_pair_log_delta(tmp_path):

@@ -52,10 +52,12 @@ def test_stratified_angles_one_per_arc(n):
 
 
 def test_verify_solves_converge_from_stratified_starts():
-    # the seven solves of criteria 3 and 4: every start reaches the gradient
-    # tolerance at the same optimum, in at most 470 Newton iterations in all
-    # (420 measured, the same per solve with the eigen-step of
-    # _eigen_floor_step as with the shifted Cholesky step)
+    # criterion 4's three solves, and the four disk solves criterion 3 made
+    # before it took the closed form of max_log_delta, kept here as that
+    # closed form's oracle on every disk job: every start reaches the
+    # gradient tolerance at the same optimum, in at most 470 Newton
+    # iterations in all (420 measured, the same per solve with the
+    # eigen-step of _eigen_floor_step as with the shifted Cholesky step)
     jobs = [(DISK, n, 40 + n) for n in (8, 16, 32, 64)]
     jobs += [(DISK, 60, 81), (SEGMENT, 60, 82), (cl.Ellipse(0.0, 2.0, 1.0), 60, 83)]
     sums = []
@@ -64,6 +66,9 @@ def test_verify_solves_converge_from_stratified_starts():
         assert {rec["stop_reason"] for rec in res.starts} == {"gradient_tol"}
         values = np.array([rec["log_delta"] for rec in res.starts])
         assert np.ptp(values) <= 1e-12 * abs(res.log_delta)
+        if K is DISK:
+            exact = cl.max_log_delta(K, n)
+            assert abs(res.log_delta - exact) <= 1e-12 * abs(exact)
         sums.append(sum(rec["iterations"] for rec in res.starts))
     assert sums == [44, 51, 57, 61, 60, 89, 58]
     assert sum(sums) <= 470
@@ -209,6 +214,20 @@ def test_solve_disk_matches_roots_of_unity():
         res = cl.solve(DISK, n, seed=seed)
         assert abs(res.log_delta - (n / 2) * math.log(n)) <= 1e-13
         assert res.max_green_violation <= 1e-8
+
+
+def test_max_log_delta_closed_form_on_disk_solve_elsewhere():
+    # oracle on a shifted, scaled disk: the solver and the product over the
+    # scaled roots of unity, (N/2) log N + N(N-1)/2 log R
+    K, n = cl.Disk(0.3 - 0.2j, 0.5), 12
+    exact = cl.max_log_delta(K, n)
+    assert abs(cl.solve(K, n, seed=2).log_delta - exact) <= 1e-12 * abs(exact)
+    roots = K.center + K.radius * np.exp(2j * math.pi * np.arange(n) / n)
+    assert abs(cl.log_delta(K, roots) - exact) <= 1e-12 * abs(exact)
+    # every other set takes the solve's value, bit for bit
+    assert cl.max_log_delta(SEGMENT, 8, seed=3) == cl.solve(SEGMENT, 8, seed=3).log_delta
+    with pytest.raises(ValueError, match="N >= 2"):
+        cl.max_log_delta(K, 1)
 
 
 def test_solve_segment_three_points():
@@ -391,7 +410,8 @@ def _assert_same_ascent(K, theta0, max_iter, grad_tol):
     return got
 
 
-# the seven solves of criteria 3 and 4, then four more sets and sizes
+# criterion 4's three solves and criterion 3's four former disk solves, then
+# four more sets and sizes
 ORACLE_SOLVES = [(DISK, n, 40 + n) for n in (8, 16, 32, 64)] + [
     (DISK, 60, 81), (SEGMENT, 60, 82), (cl.Ellipse(0.0, 2.0, 1.0), 60, 83),
     (cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)), 60, 0), (cl.ExteriorMap(1.0, (0.0, 0.2, 0.1)), 40, 0),

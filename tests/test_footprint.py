@@ -165,7 +165,9 @@ COMMAND_MODULES = {
         ["cli", "potential", "sampler", "stats"],
     "rate": ["cli", "measures", "potential", "sampler", "stats"],
     "fekete --N 8": ["cli", "fekete", "measures", "potential"],
-    "partition --N 4 --s 16": ["cli", "fekete", "measures", "partition", "potential", "sampler"],
+    "partition --N 4 --s 16": ["cli", "measures", "partition", "potential", "sampler"],
+    "partition --N 4 --s 16 --with-bounds":
+        ["cli", "fekete", "measures", "partition", "potential", "sampler"],
     "discretize --N 16": ["cli", "measures", "potential"],
     "verify --criteria 11": ["acceptance", "cli", "measures", "potential", "sampler", "stats"],
 }
@@ -179,7 +181,9 @@ def test_import_executes_cli_alone():
     assert out["after_vars"] == ["cli", "fekete", "potential"]
 
 
-@pytest.mark.parametrize("command", list(COMMAND_MODULES), ids=lambda c: c.split()[0])
+@pytest.mark.parametrize("command", list(COMMAND_MODULES),
+                         ids=lambda c: c.split()[0] + ("-with-bounds" if "--with-bounds" in c
+                                                       else ""))
 def test_each_command_executes_its_modules(command, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"schema_version": 1, "set": {
@@ -204,7 +208,7 @@ def test_cli_runs_as_main_without_warning():
 
 def test_every_export_is_its_module_object():
     listed = dir(cl)
-    assert len(cl.__all__) == len(set(cl.__all__)) == 56
+    assert len(cl.__all__) == len(set(cl.__all__)) == 57
     library = [getattr(cl, m) for m in MODULES if m != "cli"]
     for name in cl.__all__:
         value = getattr(cl, name)

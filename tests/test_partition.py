@@ -404,7 +404,7 @@ def test_log_density_skips_empty_row_bands():
 def test_bounds_sandwich_disk():
     p = cl.EnsembleParams(8, 16.0, 2.0, 0.1)
     fr = cl.solve(DISK, 8, seed=4)
-    b = cl.partition_bounds(DISK, p, fr)
+    b = cl.partition_bounds(DISK, p, fr.log_delta)
     exact = cl.log_partition_disk_exact(8, 16.0)
     assert b.lower <= exact <= b.upper
 
@@ -412,7 +412,7 @@ def test_bounds_sandwich_disk():
 def test_bounds_sandwich_segment_cubature():
     p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
     fr = cl.solve(SEGMENT, 2, seed=5)
-    b = cl.partition_bounds(SEGMENT, p, fr)
+    b = cl.partition_bounds(SEGMENT, p, fr.log_delta)
     z = cl.partition_cubature(SEGMENT, p)
     assert b.lower <= math.log(z) <= b.upper
     assert b.green_average > 0  # smoothed segment measure spills off K
@@ -426,7 +426,7 @@ def test_bounds_smoothed_terms_shared_across_ensembles():
         fresh = (cl.continuous_energy(nu), _log_density_self_average(nu), nu.green_average(K))
         for n in (8, 16):
             b = cl.partition_bounds(K, cl.EnsembleParams(n, 2.0 * n, 2.0, 0.1),
-                                    cl.solve(K, n, seed=4))
+                                    cl.solve(K, n, seed=4).log_delta)
             assert (b.nu_energy, b.log_density_average, b.green_average) == fresh
 
 
@@ -435,7 +435,7 @@ def test_bounds_trend():
     for n in (16, 32, 64):
         p = cl.EnsembleParams(n, 2.0 * n, 2.0, 0.1)
         fr = cl.solve(DISK, n, seed=6)
-        vals.append(cl.partition_bounds(DISK, p, fr).upper / n**2)
+        vals.append(cl.partition_bounds(DISK, p, fr.log_delta).upper / n**2)
     assert vals[0] > vals[1] > vals[2] > 0
 
 
@@ -445,7 +445,7 @@ def test_bounds_trend():
 
 def test_report_fields_and_invariant():
     p = cl.EnsembleParams(2, 8.0, 2.0, 0.1)
-    rep = build_report(DISK, p, fekete_result=cl.solve(DISK, 2, seed=7),
+    rep = build_report(DISK, p, log_delta=cl.solve(DISK, 2, seed=7).log_delta,
                        with_cubature=True)
     assert rep.exact == pytest.approx(math.log(math.pi**2 * 64 / 42))
     assert rep.lower <= rep.cubature <= rep.upper
@@ -467,8 +467,8 @@ def test_report_s_inf():
 def test_report_lower_bound_terms():
     p = cl.EnsembleParams(8, 16.0, 2.0, 0.1)
     fr = cl.solve(DISK, 8, seed=4)
-    rep = build_report(DISK, p, fekete_result=fr)
-    b = cl.partition_bounds(DISK, p, fr)
+    rep = build_report(DISK, p, log_delta=fr.log_delta)
+    b = cl.partition_bounds(DISK, p, fr.log_delta)
     d = rep.to_dict()
     for k in ("nu_energy", "log_density_average", "green_average", "field_log_integral"):
         assert d[k] == getattr(b, k)
