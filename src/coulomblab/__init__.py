@@ -24,7 +24,7 @@ _EXPORTS = {
                 "in_low_energy_set", "log_density_unnormalized", "potential_scale_reduction",
                 "run_chain", "tail_mass_estimate"),
     "partition": ("PartitionBounds", "PartitionReport", "asymptotic_residual", "build_report",
-                  "kappa_disk", "log_partition_disk_exact", "partition_bounds",
+                  "disk_mode_mass", "log_partition_disk_exact", "partition_bounds",
                   "partition_cubature", "theta"),
     "stats": ("IntensityHistogram", "LinearStatReport", "RateReport", "intensity_histogram",
               "linear_statistic", "moment_statistic", "positivity_scan", "symmetrize",

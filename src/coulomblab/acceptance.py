@@ -258,10 +258,6 @@ def criterion_5(lab: AcceptanceLab) -> CriterionResult:
     return CriterionResult(5, "large-deviation rate function", clauses)
 
 
-def _finite_n_mode_ratios(N: int, s: float) -> list:
-    return [(n + 1) * (s - n - 1) / ((n + 2) * (s - n - 2)) for n in range(N)]
-
-
 def criterion_6(lab: AcceptanceLab) -> CriterionResult:
     """Linear statistics of the N = 16 disk chain against weak-star targets."""
     ch = lab.chain_16
@@ -287,8 +283,10 @@ def criterion_6(lab: AcceptanceLab) -> CriterionResult:
                "carries the same finite-N bias", expected_to_fail=True),
     ]
     # correctness cross-check: the chain must match the *exact finite-N*
-    # determinantal expectations within Monte Carlo error
-    rho = _finite_n_mode_ratios(16, 32.0)
+    # determinantal expectations within Monte Carlo error; mode k has
+    # E|z|^2 = h_{k+1}/h_k, a ratio of monomial norms
+    k = np.arange(16)
+    rho = (partition.disk_mode_mass(k + 1, 32.0) / partition.disk_mode_mass(k, 32.0)).tolist()
     e_abs2 = sum(rho) / 16
     e_pair = -sum(rho[:-1]) / (16 * 15)
     d1 = abs(r_abs2.estimate.real - e_abs2)
@@ -301,16 +299,6 @@ def criterion_6(lab: AcceptanceLab) -> CriterionResult:
     diags = [f"acceptance rate {ch.acceptance_rate:.3f}, "
              f"PSR {sampler.potential_scale_reduction(ch):.4f}, states {len(ch)}"]
     return CriterionResult(6, "linear statistics z-scores", clauses, diagnostics=diags)
-
-
-def _radial_cdf(r, s: float, beta: float):
-    """Exact CDF of the single-particle radial law on the unit disk, density
-    ~ r exp(-beta s green) = r min(1, r^-beta s): with p = beta s > 2,
-    F(r) = [min(r, 1)^2/2 + 1{r > 1}(1 - r^(2-p))/(p - 2)] / [1/2 + 1/(p - 2)]."""
-    r, p = np.asarray(r, dtype=float), beta * s
-    inner = 0.5 * np.minimum(r, 1.0) ** 2
-    outer = (1.0 - np.maximum(r, 1.0) ** (2.0 - p)) / (p - 2.0)
-    return (inner + outer) / (0.5 + 1.0 / (p - 2.0))
 
 
 def _pair_distance_cdf(params: EnsembleParams, levels: np.ndarray) -> np.ndarray:
@@ -336,7 +324,10 @@ def criterion_7(lab: AcceptanceLab) -> CriterionResult:
     samples = np.abs(ch1.states.ravel())[:100_000]
     sorted_r = np.sort(samples)
     emp = np.arange(1, sorted_r.size + 1) / sorted_r.size
-    ks = float(np.max(np.abs(_radial_cdf(sorted_r, 4.0, 2.0) - emp)))
+    # the weight exp(-beta s green) is the k = 0 mode's exp(-2 s' green)
+    s = ch1.params.beta * ch1.params.s / 2
+    cdf = partition.disk_mode_mass(0, s, sorted_r) / partition.disk_mode_mass(0, s)
+    ks = float(np.max(np.abs(cdf - emp)))
     clauses = [Clause("N=1 radial Kolmogorov-Smirnov", ks <= 0.02,
                       f"KS = {ks:.4f} <= 0.02 at {sorted_r.size} samples")]
     ch2 = lab.chain_2

@@ -138,6 +138,8 @@ class SmoothedMeasure:
     def to_atomic(self, nodes_per_block: int = 32) -> AtomicMeasure:
         """Deterministic sunflower quantization of each disk block."""
         q = nodes_per_block
+        if q < 1:
+            raise ValueError(f"need nodes_per_block >= 1, got {q}")
         j = np.arange(q)
         golden = math.pi * (3.0 - math.sqrt(5.0))
         r = self.epsilon * np.sqrt((j + 0.5) / q)
@@ -205,6 +207,8 @@ Measure = Union[AtomicMeasure, SmoothedMeasure, CircleMeasure]
 
 def equilibrium_discretization(K, n: int) -> AtomicMeasure:
     """n equal-weight atoms at midpoint angles of the boundary map of K."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 atoms, got {n}")
     return AtomicMeasure(K.boundary_point(_midpoint_angles(n)), np.full(n, 1.0 / n))
 
 

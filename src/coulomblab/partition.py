@@ -1,5 +1,5 @@
 """Partition-function machinery: exact beta = 2 disk values through
-orthonormal-monomial norms, the theta(ell) asymptote, Fekete/Jensen
+the monomial mode masses, the theta(ell) asymptote, Fekete/Jensen
 sandwich bounds, and small-N cubature oracles.
 
 The cubature oracles never touch the orthogonal-polynomial identity:
@@ -24,28 +24,29 @@ from .potential import (_BLOCK_VALUES, CompactSet, Disk, _midpoint_angles, _row_
 from .sampler import EnsembleParams
 
 
-def kappa_disk(n: int, s: float) -> float:
-    """Leading coefficient of the n-th orthonormal monomial on the unit
-    disk for the weight exp(-2 s green).
-
-    The norm integral splits at |z| = 1 into pi/(n+1) + pi/(s-n-1), so
-    kappa = sqrt((n+1)(s-n-1)/(pi s)); the s = inf branch is
-    sqrt((n+1)/pi).  Requires s > n+1.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def disk_mode_mass(k, s: float, r=math.inf):
+    """int_{|z|<r} |z|^2k exp(-2 s green) dA on the unit disk, vectorized
+    over k and r: pi min(r, 1)^(2k+2)/(k+1), plus pi (1 - r^(2k+2-2s))/(s-k-1)
+    for r > 1.  At r = inf, the norm h_k of the k-th monomial, the k-th mode
+    of the determinantal beta = 2 ensemble.  Requires k >= 0 and s > k+1
+    (or s = inf)."""
+    k, r = np.asarray(k, dtype=float), np.asarray(r, dtype=float)
+    if np.any(k < 0):
+        raise ValueError("k must be nonnegative")
+    if not np.all(s > k + 1):
+        raise ValueError(f"norm diverges: need s > k+1, got s={s}, k={np.max(k):g}")
+    mass = math.pi * np.minimum(r, 1.0) ** (2 * k + 2) / (k + 1)
     if s == math.inf:
-        return math.sqrt((n + 1) / math.pi)
-    if not s > n + 1:
-        raise ValueError(f"norm diverges: need s > n+1, got s={s}, n={n}")
-    return math.sqrt((n + 1) * (s - n - 1) / (math.pi * s))
+        return mass
+    # the r-power is 1 inside the disk and 0 at r = inf
+    return mass + math.pi * (1.0 - np.maximum(r, 1.0) ** (2 * k + 2 - 2 * s)) / (s - k - 1)
 
 
 def log_partition_disk_exact(N: int, s: float) -> float:
     """Exact beta = 2 partition value on the unit disk.
 
-    log N! - 2 sum_{n<N} log kappa(n, s), in which log N! cancels against
-    the (n+1) factors of kappa^2:
+    log N! + sum_{k<N} log disk_mode_mass(k, s), in which log N! cancels
+    against the 1/(k+1) factors of the masses:
       log Z = N log(pi s) - sum_{k=1..N} log(s - k)
             = N log pi + sum_{k=1..N} log(s / (s - k)),
     the second form as one vectorized log and a compensated sum (every term
@@ -352,7 +353,7 @@ class PartitionReport:
     N: int
     s: float
     beta: float
-    exact: Optional[float] = None       # log Z, beta = 2 disk only
+    exact: Optional[float] = None       # log Z, beta = 2 disks only
     lower: Optional[float] = None
     upper: Optional[float] = None
     cubature: Optional[float] = None    # log of the cubature value
@@ -384,15 +385,15 @@ class PartitionReport:
 def build_report(K: CompactSet, params: EnsembleParams,
                  log_delta: Optional[float] = None,
                  with_cubature: bool = False) -> PartitionReport:
-    """Assemble every partition quantity available for the given setting, the
-    bounds from log_delta = fekete.max_log_delta(K, N) (exact on a disk)."""
+    """Assemble every partition quantity available for the given setting: the
+    exact value at beta = 2 on every disk, the bounds from
+    log_delta = fekete.max_log_delta(K, N) (exact on a disk)."""
     N, s, beta = params.N, params.s, params.beta
     rep = PartitionReport(N=N, s=s, beta=beta)
-    is_unit_disk = isinstance(K, Disk) and abs(K.radius - 1.0) < 1e-15
-    if is_unit_disk and beta == 2.0:
-        rep.exact = log_partition_disk_exact(N, s)
     rep.asymptote = -N * (N + 1) * robin_energy(K) + theta(params.ell()) * N
-    if rep.exact is not None:
+    if isinstance(K, Disk) and beta == 2.0:
+        # z = c + R w scales dA by R^2 per particle and |z_i - z_j|^2 by R^2 per pair
+        rep.exact = log_partition_disk_exact(N, s) + N * (N + 1) * math.log(K.radius)
         rep.residual = rep.exact - rep.asymptote
     if log_delta is not None:
         rep = replace(rep, **asdict(partition_bounds(K, params, log_delta)))

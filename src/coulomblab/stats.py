@@ -122,6 +122,8 @@ def moment_statistic(chain: Chain, f: Callable, k: int, m: int,
                      label: str = "") -> LinearStatReport:
     """Monte Carlo estimate of (int f d omega)^k (int conj(f) d omega)^m
     against the product of equilibrium averages."""
+    if not (k >= 0 and m >= 0 and k + m >= 1):
+        raise ValueError(f"need k, m >= 0 and k + m >= 1, got k={k}, m={m}")
     if len(chain) < 1000:
         raise ValueError("need at least 1000 stored post-burn-in states")
     u = _chain_series(chain, f, 1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coulomblab import acceptance, stats
+from coulomblab import acceptance, partition, stats
 
 
 @pytest.fixture(scope="session")
@@ -128,6 +128,8 @@ def test_criterion_5(lab):
 def test_criterion_6_unbiased_statistic_and_finite_n_check(lab):
     result = _criterion(6, lab)
     _assert_attainable_clauses(result)
+    # the exact finite-N mean of |z|^2, from the mode-mass ratios
+    assert " - 0.887775| = " in _clause(result, "chain matches exact finite-N values").detail
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -143,8 +145,8 @@ def test_criterion_6_abs2_zscore(lab):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the exact finite-N expectation of the two-point product statistic is "
-    "-sum_{n<N-1} kappa_n^2/kappa_{n+1}^2/(N(N-1)) = -0.0550, hundreds of "
-    "standard errors from the weak-star target 0"))
+    "-sum_{n<N-1} h_{n+1}/h_n/(N(N-1)) = -0.0550, with h_n the n-th "
+    "monomial norm, hundreds of standard errors from the weak-star target 0"))
 def test_criterion_6_pair_zscore(lab):
     assert _clause(_criterion(6, lab), "n=2 product z-score").ok
 
@@ -169,6 +171,21 @@ def test_criterion_6_moment_matches_exact_finite_n(lab):
     assert round(exact, 6) == 0.789538
     rep = stats.moment_statistic(lab.chain_16, lambda z: np.abs(z) ** 2, 1, 1)
     assert abs(rep.estimate.real - exact) <= 4 * rep.stderr
+
+
+def test_criterion_6_mode_ratios_match_exact_fractions():
+    # criterion 6's exact values take E|z_k|^2 = h_{k+1}/h_k from the mode
+    # masses h_k = disk_mode_mass(k, s) = 2 pi M(k), M as above
+    N, s = 16, 32
+    M = lambda a: Fraction(1, 2 * a + 2) + Fraction(1, 2 * s - 2 * a - 2)
+    k = np.arange(N)
+    rho = partition.disk_mode_mass(k + 1, float(s)) / partition.disk_mode_mass(k, float(s))
+    exact = [M(a + 1) / M(a) for a in range(N)]
+    for r, e in zip(rho.tolist(), exact):
+        assert abs(Fraction(r) - e) <= Fraction(1, 10**15) * e
+    # the printed values of the documented failures and the finite-N clause
+    assert round(float(sum(exact) / N), 6) == 0.887775
+    assert round(float(-sum(exact[:-1]) / (N * (N - 1))), 4) == -0.0550
 
 
 # -- criteria 7-11 -------------------------------------------------------------
@@ -243,9 +260,11 @@ def test_intensity_concentrates_near_boundary(lab):
     assert ann >= 0.9
 
 
-def test_radial_cdf_matches_quadrature():
-    # criterion 7's N = 1 oracle against adaptive quadrature of its density
-    # r min(1, r^-beta s), normalized over [0, inf)
+def test_radial_law_matches_quadrature():
+    # criterion 7's N = 1 CDF, the k = 0 mode mass within r over its norm,
+    # against adaptive quadrature of the density r min(1, r^-beta s),
+    # normalized over [0, inf); the weight exp(-beta s green) is the mode
+    # masses' exp(-2 s' green) at s' = beta s / 2
     import math
 
     from scipy.integrate import quad
@@ -257,6 +276,7 @@ def test_radial_cdf_matches_quadrature():
             return r * min(1.0, r ** -p)
 
         total = quad(density, 0, 1)[0] + quad(density, 1, math.inf)[0]
+        norm = partition.disk_mode_mass(0, p / 2)
         for r in (0.0, 0.3, 1.0, 1.2, 2.5, 6.0, 40.0):
             mass = quad(density, 0, min(r, 1.0))[0] + (quad(density, 1, r)[0] if r > 1 else 0.0)
-            assert abs(acceptance._radial_cdf(r, s, beta) - mass / total) <= 1e-12
+            assert abs(partition.disk_mode_mass(0, p / 2, r) / norm - mass / total) <= 1e-12

@@ -166,8 +166,16 @@ EXTERIOR = {"type": "exterior_map", "cap": 1, "coeffs": [[0, 0], [0, 0], [0.15, 
      "partition.with_cubature:"),
     ({"set": EXTERIOR}, ["partition", "--N", "3", "--s", "8", "--with-cubature"],
      "partition.with_cubature:"),
+    ({"fekete": {"starts": 0}}, ["fekete", "--N", "4"], "starts >= 1"),
+    ({"fekete": {"starts": -1}}, ["fekete", "--N", "4"], "starts >= 1"),
+    ({"discretize": {"base_atoms": 0}}, ["discretize", "--N", "16"], "n >= 1"),
+    ({"discretize": {"base_atoms": 64, "bl_nodes_per_block": 0}},
+     ["discretize", "--N", "16"], "nodes_per_block >= 1"),
+    ({"sample": {"steps": 11000, "burn_in": 500, "thin": 10},
+      "linstat": {"statistics": [], "moments": [[-1, 1]]}}, ["linstat"], "k, m >= 0"),
 ], ids=["seed", "criteria_string", "criteria_99", "criteria_flag_0", "cubature_ellipse_n3",
-        "cubature_exterior_map_n3"])
+        "cubature_exterior_map_n3", "fekete_starts_0", "fekete_starts_negative",
+        "discretize_base_atoms_0", "discretize_nodes_per_block_0", "linstat_moment_negative"])
 def test_config_error_exits_2(tmp_path, capsys, config, argv, field):
     # each of these used to escape main with a traceback and exit 1
     cfg = _write_config(tmp_path, {"schema_version": 1, **config})

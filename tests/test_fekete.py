@@ -306,6 +306,15 @@ def test_stop_reason_max_iterations():
         assert (res.stop_reason, res.iterations) == ("max_iterations", 1)
 
 
+def test_solve_rejects_fewer_than_one_start():
+    # zero starts left nothing to return, and a negative count reached
+    # SeedSequence.spawn
+    for starts in (0, -1):
+        with pytest.raises(ValueError, match="starts >= 1"):
+            cl.solve(DISK, 8, starts=starts)
+    assert len(cl.solve(DISK, 8, starts=1, seed=3).starts) == 1
+
+
 def test_scaling_covariance():
     base = cl.solve(cl.Disk(0.0, 1.0), 12, seed=7)
     for r in (0.5, 2.0):

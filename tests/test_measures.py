@@ -353,6 +353,17 @@ def test_smoothed_measure_mass_and_atomization():
     assert np.all(np.abs(atoms.points[:32] - nu.base.points[0]) < 0.3)
 
 
+def test_zero_counts_rejected():
+    # zero atoms divided by zero, and zero nodes a block warned on the way
+    # to an empty measure
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            cl.equilibrium_discretization(DISK, n)
+        with pytest.raises(ValueError, match="nodes_per_block >= 1"):
+            cl.smooth(cl.AtomicMeasure([0.0]), 0.1).to_atomic(n)
+    assert len(cl.equilibrium_discretization(DISK, 1)) == 1
+
+
 # ---------------------------------------------------------------------------
 # bounded-Lipschitz distance
 # ---------------------------------------------------------------------------

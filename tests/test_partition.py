@@ -20,42 +20,72 @@ SEGMENT = cl.Segment(-2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# orthonormal-monomial coefficients
+# monomial mode masses
 # ---------------------------------------------------------------------------
 
-def _kappa_oracle(n, s):
-    # radial quadrature of the weighted monomial norm, split at |z| = 1
-    inner = quad(lambda r: r ** (2 * n) * 2 * math.pi * r, 0, 1)[0]
-    outer = quad(lambda r: r ** (2 * n - 2 * s) * 2 * math.pi * r, 1, np.inf)[0]
-    return 1.0 / math.sqrt(inner + outer)
+def _mode_mass_oracle(k, s, r):
+    # radial quadrature of |z|^2k exp(-2 s green) over |z| < r, split at |z| = 1
+    inner = quad(lambda t: t ** (2 * k) * 2 * math.pi * t, 0, min(r, 1.0))[0]
+    if r <= 1.0:
+        return inner
+    return inner + quad(lambda t: t ** (2 * k - 2 * s) * 2 * math.pi * t, 1, r)[0]
 
 
 @pytest.mark.parametrize("n,s", [(0, 2.0), (0, 8.0), (1, 4.0), (3, 16.0), (5, 64.0)])
-def test_kappa_disk_radial_oracle(n, s):
-    # resolves the norm split: pi/(n+1) + pi/(s-n-1) = pi s/((n+1)(s-n-1))
-    assert cl.kappa_disk(n, s) == pytest.approx(_kappa_oracle(n, s), rel=1e-10)
+def test_disk_mode_mass_radial_oracle(n, s):
+    # inside the disk, across its edge, and the full norm pi/(n+1) + pi/(s-n-1)
+    for r in (0.3, 1.7, math.inf):
+        assert cl.disk_mode_mass(n, s, r) == pytest.approx(_mode_mass_oracle(n, s, r),
+                                                           rel=1e-10)
 
 
-def test_kappa_disk_values():
-    assert cl.kappa_disk(0, 2.0) == pytest.approx(math.sqrt(1 / (2 * math.pi)))
-    # n=1, s=4: both half-integrals equal pi/2, so kappa = 1/sqrt(pi)
-    assert cl.kappa_disk(1, 4.0) == pytest.approx(math.sqrt(1 / math.pi))
-    assert cl.kappa_disk(0, math.inf) == pytest.approx(1 / math.sqrt(math.pi))
+def test_disk_mode_mass_values():
+    assert cl.disk_mode_mass(0, 2.0) == pytest.approx(2 * math.pi)
+    # n=1, s=4: both half-integrals equal pi/2
+    assert cl.disk_mode_mass(1, 4.0) == pytest.approx(math.pi)
+    assert cl.disk_mode_mass(0, math.inf) == pytest.approx(math.pi)
+    # the hard wall puts no mass beyond the disk; r = 0 has none at all
+    assert cl.disk_mode_mass(2, math.inf, 5.0) == cl.disk_mode_mass(2, math.inf, 1.0)
+    assert cl.disk_mode_mass(2, 8.0, 0.0) == 0.0
+    # vectorized over k and r, with numpy broadcasting
+    k, r = np.arange(4), np.array([[0.5], [1.0], [2.0], [math.inf]])
+    grid = cl.disk_mode_mass(k, 16.0, r)
+    assert grid.shape == (4, 4)
+    for i, ri in enumerate(r.ravel()):
+        for j, kj in enumerate(k):
+            assert grid[i, j] == cl.disk_mode_mass(int(kj), 16.0, ri)
+    np.testing.assert_array_less(grid[:-1], grid[1:])  # increasing in r
 
 
 def test_kappa_matches_capacity_form():
-    # kappa = cp^-(n+1) sqrt((n+1)/pi (1 - (n+1)/s)) with cp = 1
+    # the orthonormal leading coefficient kappa = h^(-1/2) of each mass
+    # h = disk_mode_mass(n, s) is cp^-(n+1) sqrt((n+1)/pi (1 - (n+1)/s)), cp = 1
     for n in range(6):
         for s in (8.0, 16.0, 64.0):
             form = math.sqrt((n + 1) / math.pi * (1 - (n + 1) / s))
-            assert cl.kappa_disk(n, s) == pytest.approx(form, rel=1e-14)
+            assert cl.disk_mode_mass(n, s) ** -0.5 == pytest.approx(form, rel=1e-14)
 
 
 def test_kappa_rejects_divergent():
-    with pytest.raises(ValueError):
-        cl.kappa_disk(3, 4.0)
-    with pytest.raises(ValueError):
-        cl.kappa_disk(-1, 8.0)
+    # the norm diverges at s <= n+1 or n < 0: no mass and no kappa, at any r
+    with pytest.raises(ValueError, match="norm diverges"):
+        cl.disk_mode_mass(3, 4.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cl.disk_mode_mass(-1, 8.0)
+    with pytest.raises(ValueError, match="norm diverges"):
+        cl.disk_mode_mass(np.arange(8), 8.0, 0.5)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 200, 1024])
+@pytest.mark.parametrize("ratio", [None, 2.0, 16.0, math.inf])
+def test_log_partition_is_log_n_factorial_plus_mode_masses(N, ratio):
+    # log Z = log N! + sum_{k<N} log h_k, against the compensated closed form;
+    # s = N + 1/2 (ratio None), 2N, 16N and inf
+    s = N + 0.5 if ratio is None else ratio * N
+    masses = cl.disk_mode_mass(np.arange(N), s)
+    value = math.lgamma(N + 1) + math.fsum(np.log(masses).tolist())
+    exact = cl.log_partition_disk_exact(N, s)
+    assert abs(value - exact) <= 1e-13 * abs(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +492,20 @@ def test_report_s_inf():
     rep = build_report(DISK, p)
     assert rep.exact == pytest.approx(4 * math.log(math.pi))
     assert rep.residual == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("s", [8.0, math.inf])
+def test_report_exact_on_every_disk(N, s):
+    # z = c + R w adds N(N+1) log R to log Z and to the asymptote alike
+    K = cl.Disk(0.3 + 0.2j, 1.5)
+    p = cl.EnsembleParams(N, s, 2.0, 0.1)
+    rep = build_report(K, p, with_cubature=True)
+    assert rep.exact == cl.log_partition_disk_exact(N, s) + N * (N + 1) * math.log(1.5)
+    assert abs(rep.exact - rep.cubature) <= 1e-8
+    assert abs(rep.residual - build_report(DISK, p).residual) <= 1e-12
+    # only beta = 2 is determinantal
+    assert build_report(K, cl.EnsembleParams(N, s, 1.0, 0.1)).exact is None
 
 
 def test_report_lower_bound_terms():

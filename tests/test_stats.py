@@ -171,6 +171,13 @@ def test_linear_statistic_matches_per_state_loop(chain8, monkeypatch, chunk_elem
     _assert_reports_match(rep, _batch_report(u**2 * np.conj(u), rep.target, 3, ""))
 
 
+@pytest.mark.parametrize("k,m", [(-1, 1), (1, -1), (0, 0)])
+def test_moment_statistic_rejects_exponents(chain8, k, m):
+    # a negative exponent reported a moment of 1/u, and k = m = 0 one of 1
+    with pytest.raises(ValueError, match="k, m >= 0 and k [+] m >= 1"):
+        cl.moment_statistic(chain8, lambda z: np.abs(z) ** 2, k, m)
+
+
 def test_moment_statistic_exact_cases(chain8):
     rep = cl.moment_statistic(chain8, lambda z: np.ones(np.shape(z)), 2, 1)
     assert rep.estimate == pytest.approx(1.0)
