@@ -129,8 +129,18 @@ def _statistic(name) -> str:
 
 
 def _int_pair(value):
-    k, m = value
-    return int(k), int(m)
+    """A moment exponent pair [k, m]: k, m >= 0 and k + m >= 1."""
+    k, m = (int(v) for v in value)
+    if not (k >= 0 and m >= 0 and k + m >= 1):
+        raise ValueError(f"need k, m >= 0 and k + m >= 1, got k={k}, m={m}")
+    return k, m
+
+
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
 
 
 def _criterion(value) -> int:
@@ -254,7 +264,7 @@ def _cmd_partition(cfg, args) -> int:
         for p in row_params:
             try:
                 rep = partition.build_report(K, p, log_delta=log_delta,
-                                             with_cubature=with_cubature and n <= 3)
+                                             with_cubature=with_cubature)
             except NotImplementedError as e:  # no cubature for this set at this N
                 raise SchemaError(f"partition.with_cubature: {e}") from e
             rows.append(rep.csv_row())
@@ -298,7 +308,7 @@ _STAT_LIBRARY = {
 def _cmd_linstat(cfg, args) -> int:
     K, params = _build(cfg)
     names, moments, bins = _fields(cfg, "linstat", statistics=_list_of(_statistic),
-                                   moments=_list_of(_int_pair), bins=int)
+                                   moments=_list_of(_int_pair), bins=_positive_int)
     chain = sampler.run_chain(params, K, _chain_config(cfg), seed=cfg["seed"])
     reports = []
     for name in names:
@@ -324,11 +334,11 @@ def _cmd_discretize(cfg, args) -> int:
                                             base_atoms=int, bl_nodes_per_block=int)
     base_measure = measures.equilibrium_discretization(K, base_atoms)
     nu = measures.smooth(base_measure, epsilon)
+    nu_atomic = _convert("discretize.bl_nodes_per_block", nu.to_atomic, nodes)
     t0 = time.perf_counter()
     res = measures.discretize(nu, n)
     t1 = time.perf_counter()
-    bl, bl_record = measures._bl_solve(measures.AtomicMeasure(res.configuration),
-                                       nu.to_atomic(nodes))
+    bl, bl_record = measures._bl_solve(measures.AtomicMeasure(res.configuration), nu_atomic)
     t2 = time.perf_counter()
     cont = measures.continuous_energy(nu)
     t3 = time.perf_counter()

@@ -3,8 +3,8 @@ the monomial mode masses, the theta(ell) asymptote, Fekete/Jensen
 sandwich bounds, and small-N cubature oracles.
 
 The cubature oracles never touch the orthogonal-polynomial identity:
-the disk route reduces Eq-level integrals by rotational symmetry and the
-non-disk route integrates in exterior-map coordinates, so exact values
+every set integrates on one node set in exterior-map coordinates, and the
+disk only adds its rotational reduction of one particle, so exact values
 and cubature stay independent checks of each other.
 """
 
@@ -227,52 +227,6 @@ def _disk_angles(N: int, beta: float) -> int:
     return default
 
 
-def _pair_angular_factor(r, beta: float, n_theta: int):
-    """int_0^{2pi} |r_i - r_j e^{i theta}|^beta d theta on a midpoint grid.
-
-    The integrand is a trigonometric polynomial of degree beta/2 for an
-    even integer beta, so beta/2 + 1 midpoints are exact (_disk_angles);
-    other beta take the midpoint rule's spectral accuracy.
-
-    Row blocks of the (r_i, r_j, theta) tensor: every element and every
-    mean over theta is computed as on the whole tensor."""
-    th = _midpoint_angles(n_theta)
-    cos = np.cos(th)[None, None, :]
-    rr = np.outer(r, r)
-    out = np.empty((r.size, r.size))
-    for rows in _row_blocks(r.size, r.size * n_theta):
-        d2 = (r[rows, None, None] ** 2 + r[None, :, None] ** 2
-              - 2.0 * rr[rows, :, None] * cos)
-        out[rows] = np.mean(d2 ** (beta / 2.0), axis=-1)
-    return out * 2 * math.pi
-
-
-def _cubature_disk(K: Disk, params: EnsembleParams, order: int, n_theta: int) -> float:
-    N, beta = params.N, params.beta
-    # by translation invariance only the radius R enters: r = R rho, weights R^2 u
-    rho, u = _radial_rule(params, order)
-    r, u = K.radius * rho, K.radius * K.radius * u
-    if N == 1:
-        return 2 * math.pi * float(np.sum(u))
-    if N == 2:
-        T = _pair_angular_factor(r, beta, n_theta)
-        return 2 * math.pi * float(u @ T @ u)
-    # N == 3: z1 sits on the positive axis, particles 2 and 3 carry the
-    # two relative angles; their shared node vector is v with weights
-    # already folded into per-z1 coefficient rows of A.
-    th = _midpoint_angles(n_theta)
-    dtheta = 2 * math.pi / n_theta
-    v = np.outer(r, np.exp(1j * th)).ravel()        # (nv,) particle-2/3 nodes
-    uv = np.repeat(u, n_theta) * dtheta             # node weights incl. angle
-    A = (np.abs(r[:, None] - v[None, :]) ** beta) * uv[None, :]  # (nr, nv)
-    total = 0.0
-    for rows in _row_blocks(v.size, v.size):
-        D = np.abs(v[rows, None] - v[None, :]) ** beta  # (c, nv)
-        X = D @ A.T                                     # (c, nr)
-        total += float(np.einsum("ir,ri,i->", A[:, rows], X, u))
-    return 2 * math.pi * total
-
-
 def _laurent_nodes(K: CompactSet, params: EnsembleParams, order: int, n_phi: int):
     """Nodes z and weights w of exp(-beta s green) dA from K's Laurent data:
     _radial_rule's radii on n_phi midpoint angles, as (z, w) inside K and
@@ -300,48 +254,59 @@ def _laurent_nodes(K: CompactSet, params: EnsembleParams, order: int, n_phi: int
     return (z_in.ravel(), w_in.ravel()), (K.map(w).ravel(), w_out.ravel())
 
 
-def _pair_sum(z, w, beta: float) -> float:
-    """sum_ij w_i w_j |z_i - z_j|^beta, over row blocks of the pair matrix."""
+def _pair_sum(x, wx, y, wy, beta: float) -> float:
+    """sum_ij wx_i wy_j |x_i - y_j|^beta, over row blocks of the pair matrix."""
     total = 0.0
-    for rows in _row_blocks(z.size, z.size):
-        d = np.abs(z[rows, None] - z[None, :]) ** beta
-        total += float(w[rows] @ d @ w)
+    for rows in _row_blocks(x.size, y.size):
+        d = np.abs(x[rows, None] - y[None, :]) ** beta
+        total += float(wx[rows] @ d @ wy)
     return total
 
 
 def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
     """Numerical value of the 2N-dimensional partition integral, N <= 3.
 
-    The disk uses the exact rotational reduction (one radial variable per
-    particle, N-1 relative angles); other sets integrate over exterior-map
-    coordinates plus interior area nodes.  Every route uses 36 Gauss nodes
-    per panel (21 for the disk at N = 3) and 96 angles.  The disk's angle
-    count follows from (N, beta) by _disk_angles: for an even integer beta
-    the angular integrand is a trigonometric polynomial of degree
-    (N-1) beta/2 in each angle, so (N-1) beta/2 + 1 midpoints are exact
-    (2 at N = 2, beta = 2); every other beta keeps 96 angles (42 at N = 3).
+    Every set takes its nodes from _laurent_nodes: 36 Gauss radii a panel
+    (21 at N = 3) on 96 midpoint angles, or on _disk_angles(N, beta) for a
+    disk.  The disk differs only in its rotational reduction: particle 1
+    sits on the ray at angle 0 (radii of _radial_rule, weights 2 pi R^2 u),
+    the others on the nodes of Disk(0, R), since only R enters.  Angle 0 is
+    no node angle, so the |z_i - z_j|^beta kink never falls on a node.
 
     Supported: disks at N <= 3 and every other set at N <= 2.  Other sets
     at N = 3 raise NotImplementedError, and N > 3 raises ValueError.
 
     Each pair kernel runs in row blocks of at most _BLOCK_VALUES = 2^18
-    values (a few MB of temporaries, whatever the grid).  The block size
-    changes only how sums are grouped, so it moves values at rounding
-    level only; the disk N <= 2 values do not depend on it at all.
+    values (a few MB of temporaries, whatever the grid); the block size
+    moves values at rounding level only.
     """
-    N = params.N
+    N, beta = params.N, params.beta
     if N > 3:
         raise ValueError("cubature supports N <= 3 only")
-    order = 21 if N == 3 else 36
-    if isinstance(K, Disk):
-        return _cubature_disk(K, params, order, _disk_angles(N, params.beta))
-    if N == 3:
+    disk = isinstance(K, Disk)
+    if N == 3 and not disk:
         raise NotImplementedError("N = 3 cubature is available for disks only")
-    (zi, wi), (ze, we) = _laurent_nodes(K, params, order, _ANGLES)
+    order = 21 if N == 3 else 36
+    K = Disk(0.0, K.radius) if disk else K
+    (zi, wi), (ze, we) = _laurent_nodes(K, params, order,
+                                        _disk_angles(N, beta) if disk else _ANGLES)
     if N == 1:
         # the field weight is one on K, so the interior part is the area
         return K.area() + float(np.sum(we))
-    return _pair_sum(np.concatenate([zi, ze]), np.concatenate([wi, we]), params.beta)
+    z, w = np.concatenate([zi, ze]), np.concatenate([wi, we])
+    if not disk:
+        return _pair_sum(z, w, z, w, beta)
+    rho, u = _radial_rule(params, order)
+    r, ur = K.radius * rho, 2 * math.pi * K.radius ** 2 * u
+    if N == 2:
+        return _pair_sum(r, ur, z, w, beta)
+    # N == 3: particles 2 and 3 on the shared nodes, weighted in the rows of A
+    A = np.abs(r[:, None] - z[None, :]) ** beta * w[None, :]  # (nr, nz)
+    total = 0.0
+    for rows in _row_blocks(z.size, z.size):
+        D = np.abs(z[rows, None] - z[None, :]) ** beta        # (c, nz)
+        total += float(np.einsum("ir,ri,i->", A[:, rows], D @ A.T, ur))
+    return total
 
 
 # ---------------------------------------------------------------------------

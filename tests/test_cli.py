@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomblab import cli
+from coulomblab import cli, measures, sampler
 
 
 def run(args):
@@ -170,14 +170,24 @@ EXTERIOR = {"type": "exterior_map", "cap": 1, "coeffs": [[0, 0], [0, 0], [0.15, 
     ({"fekete": {"starts": -1}}, ["fekete", "--N", "4"], "starts >= 1"),
     ({"discretize": {"base_atoms": 0}}, ["discretize", "--N", "16"], "n >= 1"),
     ({"discretize": {"base_atoms": 64, "bl_nodes_per_block": 0}},
-     ["discretize", "--N", "16"], "nodes_per_block >= 1"),
+     ["discretize", "--N", "16"], "discretize.bl_nodes_per_block: need nodes_per_block >= 1"),
     ({"sample": {"steps": 11000, "burn_in": 500, "thin": 10},
-      "linstat": {"statistics": [], "moments": [[-1, 1]]}}, ["linstat"], "k, m >= 0"),
+      "linstat": {"statistics": [], "moments": [[-1, 1]]}}, ["linstat"],
+     "linstat.moments: need k, m >= 0"),
+    ({"linstat": {"moments": [[0, 0]]}}, ["linstat"], "linstat.moments: need k, m >= 0"),
+    ({"linstat": {"bins": 0}}, ["linstat"], "linstat.bins:"),
 ], ids=["seed", "criteria_string", "criteria_99", "criteria_flag_0", "cubature_ellipse_n3",
         "cubature_exterior_map_n3", "fekete_starts_0", "fekete_starts_negative",
-        "discretize_base_atoms_0", "discretize_nodes_per_block_0", "linstat_moment_negative"])
-def test_config_error_exits_2(tmp_path, capsys, config, argv, field):
-    # each of these used to escape main with a traceback and exit 1
+        "discretize_base_atoms_0", "discretize_nodes_per_block_0", "linstat_moment_negative",
+        "linstat_moment_zero", "linstat_bins_0"])
+def test_config_error_exits_2(tmp_path, capsys, monkeypatch, config, argv, field):
+    # each of these used to escape main with a traceback and exit 1, or to
+    # exit 2 only after the chain or the strip discretization had run
+    def fail(*args, **kwargs):
+        raise AssertionError("the work ran before the config was checked")
+
+    monkeypatch.setattr(sampler, "run_chain", fail)
+    monkeypatch.setattr(measures, "discretize", fail)
     cfg = _write_config(tmp_path, {"schema_version": 1, **config})
     assert run(["--config", cfg, "--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err

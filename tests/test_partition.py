@@ -10,10 +10,10 @@ from scipy.integrate import quad
 
 import coulomblab as cl
 from coulomblab.measures import equilibrium_discretization, smooth
-from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _cubature_disk,
-                                  _disk_angles, _laurent_nodes,
-                                  _log_density_self_average, _pair_angular_factor, _pair_sum,
-                                  _radial_rule, build_report)
+from coulomblab import partition
+from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _disk_angles, _laurent_nodes,
+                                  _log_density_self_average, _pair_sum, _radial_rule,
+                                  build_report)
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -217,22 +217,41 @@ def test_disk_angle_rule():
 
 
 @pytest.mark.parametrize("beta", [2.0, 4.0, 6.0])
-def test_disk_angle_grid_matches_former_grid(beta):
-    # reference: the former 96-angle grid at N = 2 with the full radial rule;
-    # at N = 3 the former 42 angles on a 12-node radial rule, since the
-    # angle rule is exact at any radial nodes
-    p2 = cl.EnsembleParams(2, 8.0, beta, 0.1)
-    assert cl.partition_cubature(DISK, p2) == pytest.approx(
-        _cubature_disk(DISK, p2, 36, 96), rel=1e-13, abs=0)
-    p3 = cl.EnsembleParams(3, 8.0, beta, 0.1)
-    assert _cubature_disk(DISK, p3, 12, _disk_angles(3, beta)) == pytest.approx(
-        _cubature_disk(DISK, p3, 12, 42), rel=1e-13, abs=0)
+def test_disk_angle_grid_matches_former_grid(beta, monkeypatch):
+    # reference: the former grid of 96 angles (42 at N = 3)
+    cases = [cl.EnsembleParams(N, 8.0, beta, 0.1) for N in (2, 3)]
+    exact = [cl.partition_cubature(DISK, p) for p in cases]
+    monkeypatch.setattr(partition, "_disk_angles", lambda N, beta: 42 if N == 3 else 96)
+    former = [cl.partition_cubature(DISK, p) for p in cases]
+    assert exact == pytest.approx(former, rel=1e-13, abs=0)
 
 
 def test_disk_cubature_odd_beta_keeps_former_grid():
-    p = cl.EnsembleParams(2, 8.0, 3.0, 0.1)
-    former = _cubature_disk(DISK, p, 36, 96)
-    assert cl.partition_cubature(DISK, p).hex() == former.hex()
+    # the values of the former disk route, whose particle 1 also sat at
+    # angle 0, off the 96 (42 at N = 3) node angles
+    for N, beta, former in ((2, 3.0, 16.849954887364103), (3, 1.0, 104.13856643061938)):
+        value = cl.partition_cubature(DISK, cl.EnsembleParams(N, 8.0, beta, 0.1))
+        assert value == pytest.approx(former, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("beta", [2.0, 4.0])
+@pytest.mark.parametrize("s", [8.0, math.inf])
+def test_disk_reduction_equals_general_route(s, beta):
+    # psi(w) = R w + c is the same disk taken through the general route,
+    # with no rotational reduction and 96 angles
+    p = cl.EnsembleParams(2, s, beta, 0.1)
+    reduced = cl.partition_cubature(cl.Disk(0.5 - 0.25j, 1.5), p)
+    general = cl.partition_cubature(cl.ExteriorMap(1.5, (0.5 - 0.25j,)), p)
+    assert reduced == pytest.approx(general, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_far_disk_cubature_is_the_centred_value(N):
+    # only the radius enters: nodes built about c = 1e6 + 1e6 i round each
+    # z_i - z_j to about 1e-10 and moved the value by 2e-12 relative
+    p = cl.EnsembleParams(N, 8.0, 2.0, 0.1)
+    far = cl.partition_cubature(cl.Disk(1e6 + 1e6j, 2.0), p)
+    assert far.hex() == cl.partition_cubature(cl.Disk(0.0, 2.0), p).hex()
 
 
 def test_cubature_segment_n1():
@@ -285,21 +304,17 @@ def test_segment_has_no_interior_nodes():
     assert ze.size == we.size == 3 * 24 * 64
 
 
-def _angular_factor_one_shot(r, beta, n_theta):
-    # oracle: the whole (r_i, r_j, theta) tensor in one temporary
-    th = (np.arange(n_theta) + 0.5) * (2 * math.pi / n_theta)
-    d2 = (r[:, None, None] ** 2 + r[None, :, None] ** 2
-          - 2.0 * np.outer(r, r)[:, :, None] * np.cos(th)[None, None, :])
-    return np.mean(d2 ** (beta / 2.0), axis=-1) * 2 * math.pi
-
-
 @pytest.mark.parametrize("beta", [2.0, 3.0])
-def test_blocked_angular_factor_is_bit_identical(beta):
-    # the refined grid of criterion 1's cubature: (144, 144, 96) values
-    r, _ = _radial_rule(cl.EnsembleParams(2, 8.0, beta, 0.1), 36)
-    assert r.size ** 2 * 96 > 4 * _BLOCK_VALUES
-    blocked = _pair_angular_factor(r, beta, 96)
-    assert blocked.tobytes() == _angular_factor_one_shot(r, beta, 96).tobytes()
+def test_blocked_cross_pair_sum_matches_one_shot(beta):
+    # the disk's N = 2 kernel on criterion 1's refined grid: 144 ray radii
+    # against the 144 x 96 shared nodes, in more than 4 blocks
+    p = cl.EnsembleParams(2, 8.0, beta, 0.1)
+    rho, u = _radial_rule(p, 36)
+    (zi, wi), (ze, we) = _laurent_nodes(DISK, p, 36, 96)
+    z, w = np.concatenate([zi, ze]), np.concatenate([wi, we])
+    assert rho.size * z.size == 144 * 13824 > 4 * _BLOCK_VALUES
+    one_shot = float(u @ (np.abs(rho[:, None] - z[None, :]) ** beta) @ w)
+    assert _pair_sum(rho, u, z, w, beta) == pytest.approx(one_shot, rel=1e-13, abs=0)
 
 
 def test_blocked_pair_sum_matches_one_shot():
@@ -307,19 +322,21 @@ def test_blocked_pair_sum_matches_one_shot():
     z, w = np.concatenate([zi, ze]), np.concatenate([wi, we])
     assert z.size ** 2 > 4 * _BLOCK_VALUES
     one_shot = float(w @ (np.abs(z[:, None] - z[None, :]) ** 2.0) @ w)
-    assert _pair_sum(z, w, 2.0) == pytest.approx(one_shot, rel=1e-13)
+    assert _pair_sum(z, w, z, w, 2.0) == pytest.approx(one_shot, rel=1e-13)
 
 
 def test_pair_cubature_peak_memory_is_bounded():
     # the refined segment grid has 10368 nodes: one unblocked row chunk of
-    # the pair matrix alone took about 340 MB
-    tracemalloc.start()
-    try:
-        cl.partition_cubature(SEGMENT, cl.EnsembleParams(2, 8.0, 2.0, 0.1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    # the pair matrix alone took about 340 MB; the disk at beta = 3 crosses
+    # its 144 ray radii with 13824 nodes
+    for K, beta in ((SEGMENT, 2.0), (DISK, 3.0)):
+        tracemalloc.start()
+        try:
+            cl.partition_cubature(K, cl.EnsembleParams(2, 8.0, beta, 0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, K
 
 
 def test_cubature_segment_hard_wall_is_zero():

@@ -531,6 +531,10 @@ EXACT_CHAINS = {
     "raising_batches": (cl.EnsembleParams(4, 16.0, 2.0, 0.1), _BatchRaisingDisk(0.0, 1.0),
                         cl.ChainConfig(steps=3_000, burn_in=500, thin=3, step_scale=0.1), 15,
                         None),
+    "ellipse_N8": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), cl.Ellipse(0.0, 2.0, 1.0),
+                   cl.ChainConfig(6_000, 1_000, 3), 5, None),
+    "segment_N8": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), cl.Segment(-2.0, 2.0),
+                   cl.ChainConfig(6_000, 1_000, 3), 5, None),
 }
 
 
@@ -601,19 +605,6 @@ def test_chain_rejects_a_proposal_onto_another_particle():
     assert ch.states[0].tobytes() == pts.tobytes()
     assert ch.state_array().tobytes() == states.tobytes()
     assert ch.log_densities.tobytes() == log_dens.tobytes()
-    assert ch.acceptance_rate == acc and ch.step_scale == scale
-
-
-@pytest.mark.parametrize("K", [cl.Ellipse(0.0, 2.0, 1.0), cl.Segment(-2.0, 2.0)])
-def test_chain_matches_sequential_loop_to_rounding(K):
-    # these green formulas round differently on a numpy scalar than on an
-    # array by a few ulp, which moves the stored densities, not the states
-    params, cfg = cl.EnsembleParams(8, 16.0, 2.0, 0.1), cl.ChainConfig(6_000, 1_000, 3)
-    states, log_dens, acc, scale = _sequential_chain(params, K, cfg, 5)
-    ch = cl.run_chain(params, K, cfg, seed=5)
-    assert ch.state_array().tobytes() == states.tobytes()
-    rel = np.abs(ch.log_densities - log_dens) / np.maximum(1.0, np.abs(log_dens))
-    assert rel.max() <= 1e-13
     assert ch.acceptance_rate == acc and ch.step_scale == scale
 
 
