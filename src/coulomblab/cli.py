@@ -309,7 +309,11 @@ def _cmd_linstat(cfg, args) -> int:
     K, params = _build(cfg)
     names, moments, bins = _fields(cfg, "linstat", statistics=_list_of(_statistic),
                                    moments=_list_of(_int_pair), bins=_positive_int)
-    chain = sampler.run_chain(params, K, _chain_config(cfg), seed=cfg["seed"])
+    chain_cfg = _chain_config(cfg)
+    if (names or moments) and chain_cfg.steps // chain_cfg.thin < sampler._MIN_STATES:
+        raise SchemaError(f"sample.steps: linstat.statistics and linstat.moments need "
+                          f"steps // thin >= {sampler._MIN_STATES} stored states")
+    chain = sampler.run_chain(params, K, chain_cfg, seed=cfg["seed"])
     reports = []
     for name in names:
         f, n = _STAT_LIBRARY[name]

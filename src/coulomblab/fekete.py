@@ -230,8 +230,9 @@ def solve(K: CompactSet, N: int, starts: Optional[int] = None,
     All iterates lie on the boundary of K, so the containment diagnostic
     max_green_violation is at the rounding level.
     """
-    if N < 2 or (starts is not None and starts < 1):
-        raise ValueError(f"need N >= 2 and starts >= 1, got N={N}, starts={starts}")
+    if N < 2 or (starts is not None and starts < 1) or max_iterations < 0:
+        raise ValueError(f"need N >= 2, starts >= 1 and max_iterations >= 0, got N={N}, "
+                         f"starts={starts}, max_iterations={max_iterations}")
     n_starts = starts if starts is not None else max(8, math.ceil(N / 8))
     grad_tol = 1e-8 * N
     best = None

@@ -102,8 +102,8 @@ class SmoothedMeasure:
     """
 
     def __init__(self, base: AtomicMeasure, epsilon: float):
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         self.base = base
         self.epsilon = float(epsilon)
 
@@ -161,8 +161,8 @@ class CircleMeasure:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def boundary_points(self, n: int):
         return _ring(self.center, self.radius, n)

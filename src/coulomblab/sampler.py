@@ -14,13 +14,13 @@ whole.  The loop reads its values until it reaches a stale proposal, one
 whose particle was accepted since the batch was formed; a new batch then
 starts at that proposal, and the rest of the old one is never used.  Only
 an ExteriorMap with two or more negative powers tests its root's residual
-at run time; if a batch's call raises InversionError, each of its
-proposals is formed from the current state and evaluated alone, as a
-length-1 array, so only a point the chain really proposes can raise.
-Every green gives a point, alone or as a scalar, bit for bit its value
-inside a batch (one kernel per Laurent degree, one far field), so the
-chain is the one-proposal-at-a-time chain step for step: same states,
-log densities, acceptance and step scale.
+at run time; if a batch's call raises InversionError, the batch is
+re-formed as the proposal at hand, a length-1 array, so only a point the
+chain really proposes can raise.  Every green gives a point, alone or as a
+scalar, bit for bit its value inside any array (one kernel per Laurent
+degree, one far field), so the chain is the one-proposal-at-a-time chain
+step for step (same states, log densities, acceptance and step scale) and
+the green values it holds are always green's values on the current state.
 
 Every log of a distance goes through potential._log_distances except in
 the step loop, which computes each O(N) pair delta inline, as the two
@@ -59,6 +59,7 @@ _DRAW_BLOCK = 4096   # proposals drawn from the generator at once
 _TUNE_WINDOW = 200   # burn-in steps per step-scale update
 _BATCH = 16          # proposals per batched green call at most
 _CHUNK_ELEMENTS = 1 << 14  # values per state chunk of a chain statistic (~256 KB)
+_MIN_STATES = 1000   # stored states a tail mass or a chain statistic needs
 
 
 class InadmissibleParams(ValueError):
@@ -82,8 +83,9 @@ class EnsembleParams:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.beta <= 0 or self.c0 <= 0:
-            raise ValueError("beta and c0 must be positive")
+        if not (0 < self.beta < math.inf and 0 < self.c0 < math.inf):
+            raise ValueError(f"beta and c0 must be finite and positive, "
+                             f"got beta = {self.beta:g}, c0 = {self.c0:g}")
         if not self.s > self.N:
             raise InadmissibleParams(f"inadmissible parameters: require s > N, "
                                      f"got s = {self.s:g}, N = {self.N}")
@@ -167,13 +169,11 @@ class Chain:
 
     `telemetry` records what run_chain did: `window_acceptance` and
     `scale_trace`, the acceptance of each 200-step burn-in window and the
-    step scale after it; `batches`, the batched green calls;
-    `batched_points`, the proposals whose green came from a batch (every
-    step when no batch raised); `stale_points`, the stale proposals that
-    started a new batch; `lookahead_points`, the proposals a batch
-    evaluated that were never used; and `inversion_errors`, the batches
-    whose call raised InversionError (their proposals are evaluated
-    alone)."""
+    step scale after it; `batches`, the batches of proposals formed;
+    `stale_points`, the stale proposals that started a new batch;
+    `lookahead_points`, the proposals a batch evaluated that were never
+    used; and `inversion_errors`, the batches whose green call raised
+    InversionError (each is re-formed as its first proposal alone)."""
 
     def __init__(self, params: EnsembleParams, K: CompactSet, cfg: ChainConfig,
                  seed, states, log_densities, acceptance_rate: float,
@@ -307,7 +307,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     window_acceptance: list[float] = []
     scale_trace: list[float] = []
     batches = stale_points = inversion_errors = 0
-    evaluated = alone = 0  # points of the batches that returned and that raised
+    evaluated = 0  # points of the green calls that returned
     accepted_post = 0
     accepted_window = 0
     burn_accepts = 0
@@ -323,7 +323,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
             lo = hi = 0  # the batch holds the block's proposals lo..hi-1
             for i in range(b):
                 k = ks[i]
-                if i == hi or (moved_in[k] == sub and g_batch is not None):
+                if i == hi or moved_in[k] == sub:
                     # a new batch from the current state, at fixed scale
                     if i < hi:
                         stale_points += 1
@@ -332,19 +332,15 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                     z_batch = pts[idxs[lo:hi]] + scale * unit_moves[lo:hi]
                     batches += 1
                     try:
-                        g_batch = K.green(z_batch).tolist()
+                        g_batch = K.green(z_batch)
                     except InversionError:
-                        g_batch = None  # evaluate each proposal on its own below
+                        # a later proposal may never be made: keep the one at hand
                         inversion_errors += 1
-                        alone += hi - lo
-                    else:
-                        z_batch = z_batch.tolist()
-                        evaluated += hi - lo
-                if g_batch is None:
-                    z_one = pts[k:k + 1] + scale * unit_moves[i:i + 1]
-                    z_new, g_new = z_one.item(), K.green(z_one).item()
-                else:
-                    z_new, g_new = z_batch[i - lo], g_batch[i - lo]
+                        hi, z_batch = i + 1, z_batch[:1]
+                        g_batch = K.green(z_batch)
+                    evaluated += hi - lo
+                    z_batch, g_batch = z_batch.tolist(), g_batch.tolist()
+                z_new, g_new = z_batch[i - lo], g_batch[i - lo]
                 step_index = first + i
                 # O(N) change of the log density; -inf when the proposal
                 # meets another particle or, for s = inf, leaves K
@@ -386,8 +382,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                     scale_trace.append(scale)
                     accepted_window = 0
                 if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
-                    pair_sum = _pair_log_sum(pts)
-                    g = np.atleast_1d(K.green(pts)).astype(float)
+                    pair_sum = _pair_log_sum(pts)  # resets the running sum's rounding drift
 
     log_dens, green_sums = _log_density(params, g_table, pair_sums)
     zero_acc = burn_in > 0 and burn_accepts == 0
@@ -395,11 +390,9 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
         warnings.warn("no proposal was accepted during burn-in; "
                       "the chain is almost surely mis-tuned")
     acc_rate = accepted_post / cfg.steps if cfg.steps else 0.0
-    batched_points = total - alone
     telemetry = {"scale_trace": scale_trace, "window_acceptance": window_acceptance,
-                 "batches": batches, "batched_points": batched_points,
-                 "stale_points": stale_points, "lookahead_points": evaluated - batched_points,
-                 "inversion_errors": inversion_errors}
+                 "batches": batches, "stale_points": stale_points,
+                 "lookahead_points": evaluated - total, "inversion_errors": inversion_errors}
     return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc, telemetry,
                  green_sums)
 
@@ -434,8 +427,8 @@ def tail_mass_estimate(chain: Chain, eps: float) -> float:
     outside.  The green term reads chain.green_sums, recorded by run_chain
     bitwise equal to green on the stored states, so such a chain costs no
     green call."""
-    if len(chain) < 1000:
-        raise ValueError("need at least 1000 stored post-burn-in states")
+    if len(chain) < _MIN_STATES:
+        raise ValueError(f"need at least {_MIN_STATES} stored post-burn-in states")
     n = chain.params.N
     pair = np.concatenate([_pair_log_sum(block) for block in _state_blocks(chain, n * n)])
     values = pair - (n - 1) * chain.green_sums

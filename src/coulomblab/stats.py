@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures
 from .potential import CompactSet, _grid_values, _tensor_mean, equilibrium_integral, robin_energy
-from .sampler import Chain, _state_blocks
+from .sampler import _MIN_STATES, Chain, _state_blocks
 
 
 def symmetrize(f: Callable, state, n: int):
@@ -111,8 +111,8 @@ def _batch_report(series: np.ndarray, target: complex, order: int, label: str) -
 def linear_statistic(chain: Chain, f: Callable, n: int = 1, label: str = "") -> LinearStatReport:
     """Monte Carlo estimate of the n-point marginal integral of f with a
     batch-means standard error and the quadrature target."""
-    if len(chain) < 1000:
-        raise ValueError("need at least 1000 stored post-burn-in states")
+    if len(chain) < _MIN_STATES:
+        raise ValueError(f"need at least {_MIN_STATES} stored post-burn-in states")
     series = _chain_series(chain, f, n)
     target = equilibrium_integral(chain.K, f, n, tol=1e-9)
     return _batch_report(series, target, n, label)
@@ -124,8 +124,8 @@ def moment_statistic(chain: Chain, f: Callable, k: int, m: int,
     against the product of equilibrium averages."""
     if not (k >= 0 and m >= 0 and k + m >= 1):
         raise ValueError(f"need k, m >= 0 and k + m >= 1, got k={k}, m={m}")
-    if len(chain) < 1000:
-        raise ValueError("need at least 1000 stored post-burn-in states")
+    if len(chain) < _MIN_STATES:
+        raise ValueError(f"need at least {_MIN_STATES} stored post-burn-in states")
     u = _chain_series(chain, f, 1)
     series = u**k * np.conj(u) ** m
     base = complex(equilibrium_integral(chain.K, f))

@@ -176,10 +176,20 @@ EXTERIOR = {"type": "exterior_map", "cap": 1, "coeffs": [[0, 0], [0, 0], [0.15, 
      "linstat.moments: need k, m >= 0"),
     ({"linstat": {"moments": [[0, 0]]}}, ["linstat"], "linstat.moments: need k, m >= 0"),
     ({"linstat": {"bins": 0}}, ["linstat"], "linstat.bins:"),
+    ({}, ["linstat", "--N", "4", "--s", "8", "--steps", "500"], "sample.steps:"),
+    ({}, ["partition", "--N", "16", "--s", "16.5", "--beta", "1", "--c0", "nan"],
+     "c0 = nan"),
+    ({}, ["sample", "--N", "4", "--s", "8", "--beta", "inf", "--steps", "300"], "beta = inf"),
+    # a JSON number past the float range, such as 1e400, reads as inf
+    ({"discretize": {"epsilon": math.inf}}, ["discretize"], "epsilon must be finite"),
+    ({"rate": {"radii": [math.inf]}}, ["rate"], "radius must be finite"),
+    ({"fekete": {"max_iterations": -3}}, ["fekete", "--N", "4"], "max_iterations >= 0"),
 ], ids=["seed", "criteria_string", "criteria_99", "criteria_flag_0", "cubature_ellipse_n3",
         "cubature_exterior_map_n3", "fekete_starts_0", "fekete_starts_negative",
         "discretize_base_atoms_0", "discretize_nodes_per_block_0", "linstat_moment_negative",
-        "linstat_moment_zero", "linstat_bins_0"])
+        "linstat_moment_zero", "linstat_bins_0", "linstat_too_few_states", "partition_c0_nan",
+        "sample_beta_inf", "discretize_epsilon_inf", "rate_radius_inf",
+        "fekete_max_iterations_negative"])
 def test_config_error_exits_2(tmp_path, capsys, monkeypatch, config, argv, field):
     # each of these used to escape main with a traceback and exit 1, or to
     # exit 2 only after the chain or the strip discretization had run
@@ -417,7 +427,10 @@ def test_sample_and_reproducibility(tmp_path):
     tel = record["telemetry"]
     assert len(tel["scale_trace"]) == len(tel["window_acceptance"]) == 400 // 200
     assert tel["scale_trace"][-1] == record["step_scale"]
-    assert tel["batched_points"] == 2400 and tel["stale_points"] > 0
+    assert set(tel) == {"scale_trace", "window_acceptance", "batches", "stale_points",
+                        "lookahead_points", "inversion_errors"}
+    assert tel["inversion_errors"] == 0 and tel["stale_points"] > 0
+    assert 0 <= tel["lookahead_points"] <= (cli.sampler._BATCH - 1) * tel["batches"]
     # the record is the file Chain.load reads: the chain comes back whole
     chain = cli.sampler.Chain.load(next(out1.glob("chain_*.csv")).with_suffix(""))
     ran = cli.sampler.run_chain(cli.sampler.EnsembleParams(6, 12.0, 2.0, 0.1),

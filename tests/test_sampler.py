@@ -27,9 +27,19 @@ def test_params_validation():
         cl.EnsembleParams(16, 16.0, 2.0, 0.1)  # s must exceed N
     with pytest.raises(cl.InadmissibleParams):
         cl.EnsembleParams(16, 16.5, 1.0, 1.0)  # beta(s-N+1) = 1.5 < 2 + c0
-    with pytest.raises(ValueError) as err:
-        cl.EnsembleParams(16, 32.0, -1.0, 0.1)
-    assert not isinstance(err.value, cl.InadmissibleParams)
+    # a non-positive or non-finite beta or c0 is a ValueError, not an
+    # ensemble-constraint violation, whether or not the constraint holds
+    for beta, c0 in [(-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan),
+                     (2.0, math.inf), (2.0, -math.inf)]:
+        with pytest.raises(ValueError, match="finite and positive") as err:
+            cl.EnsembleParams(16, 16.5, beta, c0)
+        assert not isinstance(err.value, cl.InadmissibleParams)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        cl.smooth(cl.AtomicMeasure([0.0]), math.inf)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        cl.CircleMeasure(0.0, math.inf)
+    with pytest.raises(ValueError, match="max_iterations >= 0"):
+        cl.fekete.solve(DISK, 4, max_iterations=-3)
 
 
 def test_params_round_trip():
@@ -498,8 +508,7 @@ RING8 = 0.9 * np.exp(2j * math.pi * np.arange(8) / 8)
 # blocks and the periodic full recomputation at step 10000, the N = 2 one
 # three draw blocks with a stale proposal about every third step; burn_in_730
 # ends its burn-in inside a tuning window; in raising_batches about one
-# batch in four raises InversionError, and over a thousand of the proposals
-# evaluated alone belong to a particle accepted earlier in the same batch
+# batch in four raises InversionError and is re-formed as its first proposal
 EXACT_CHAINS = {
     "disk_N1": (cl.EnsembleParams(1, 4.0, 2.0, 0.1), DISK,
                 cl.ChainConfig(steps=6_000, burn_in=1_000, thin=4), 71, None),
@@ -564,12 +573,16 @@ def test_chain_bytes_do_not_depend_on_batch_size(name, monkeypatch):
         assert (ch.acceptance_rate, ch.step_scale) == (ref.acceptance_rate, ref.step_scale)
 
 
-@pytest.mark.parametrize("case", [EXACT_CHAINS["disk_N16"], EXACT_CHAINS["hard_wall"],
-                                  EXACT_CHAINS["ellipse"]],
-                         ids=["disk", "hard_wall", "ellipse"])
+@pytest.mark.parametrize("case", [
+    EXACT_CHAINS["disk_N16"], EXACT_CHAINS["hard_wall"], EXACT_CHAINS["ellipse"],
+    (cl.EnsembleParams(6, 12.0, 2.0, 0.1), cl.ExteriorMap(1.0, (0.0, 0.0, 0.15)),
+     cl.ChainConfig(steps=10_000, burn_in=1_000, thin=10), 4, None)],
+    ids=["disk", "hard_wall", "ellipse", "exterior_map_m2_recompute"])
 def test_stored_densities_are_log_density_of_each_state(case, monkeypatch):
     # run_chain's one pass over its (states, N) green table gives each
-    # stored state bit for bit what _log_density gives that state alone
+    # stored state bit for bit what _log_density gives that state alone;
+    # the table is green on the stored states, past the pair-sum recompute
+    # at step 10000 too, since the loop's green values are never recomputed
     params, K, cfg, seed, init = case
     tables = []
 
@@ -617,15 +630,50 @@ def test_chain_falls_back_to_single_points():
     assert ch.state_array().tobytes() == states.tobytes()
     assert ch.log_densities.tobytes() == log_dens.tobytes()
     assert ch.acceptance_rate == acc and ch.step_scale == scale
-    # the proposals of a batch whose call raised were evaluated alone
+    # each batch whose call raised was re-formed as its first proposal
     tel = ch.telemetry
-    unbatched = cfg.burn_in + cfg.steps - tel["batched_points"]
-    assert 0 < unbatched <= _BATCH * tel["inversion_errors"]
-    assert tel["stale_points"] <= tel["batches"]
     assert tel["inversion_errors"] == _BatchRaisingDisk.raised
+    assert tel["stale_points"] <= tel["batches"]
+    assert 0 <= tel["lookahead_points"] <= (_BATCH - 1) * tel["batches"]
     # the tail mass reads the recorded sums, so no batch of stored states raises
     on_disk = cl.Chain(params, DISK, cfg, 12, ch.states, ch.log_densities, acc, scale)
     assert cl.tail_mass_estimate(ch, 0.2) == cl.tail_mass_estimate(on_disk, 0.2)
+
+
+class _FarRaisingDisk(cl.Disk):
+    """A disk whose green raises InversionError on any array holding a point
+    beyond radius 1.2, keeping each array it raised on."""
+
+    raised_on = []
+
+    def green(self, z):
+        if np.any(np.abs(np.asarray(z) - self.center) > 1.2 * self.radius):
+            _FarRaisingDisk.raised_on.append(np.array(z))
+            raise cl.InversionError("a point beyond radius 1.2")
+        return super().green(z)
+
+
+def test_chain_raises_on_the_proposal_at_hand():
+    # a raising batch is re-formed as the proposal at hand, and the chain
+    # raises only when green raises on that proposal alone: the first
+    # proposal beyond radius 1.2 of the one-proposal-at-a-time chain
+    _FarRaisingDisk.raised_on = []
+    params, seed = cl.EnsembleParams(4, 8.0, 2.0, 0.1), 14
+    cfg = cl.ChainConfig(steps=2_000, burn_in=0, thin=1, step_scale=0.5)
+    with pytest.raises(cl.InversionError):
+        cl.run_chain(params, _FarRaisingDisk(0.0, 1.0), cfg, seed=seed)
+    *batches, last = _FarRaisingDisk.raised_on
+    assert last.shape == (1,) and all(z.size > 1 for z in batches)
+    proposed = []
+
+    class Recording(cl.Disk):
+        def green(self, z):
+            if np.ndim(z) == 0:
+                proposed.append(complex(z))
+            return super().green(z)
+
+    _sequential_chain(params, Recording(0.0, 1.0), cfg, seed)
+    assert last[0] == next(z for z in proposed if abs(z) > 1.2)
 
 
 class _NanGreenDisk(cl.Disk):
@@ -680,10 +728,9 @@ def test_chain_telemetry(chain8, tmp_path):
     assert len(tel["window_acceptance"]) == len(tel["scale_trace"]) == windows
     assert tel["scale_trace"][-1] == chain8.step_scale
     assert all(0.0 <= a <= 1.0 for a in tel["window_acceptance"])
-    assert tel["batched_points"] == chain8.cfg.burn_in + chain8.cfg.steps
     assert tel["inversion_errors"] == 0
     # every batch starts at a block or window start or at a stale proposal
-    assert 0 < tel["stale_points"] <= tel["batches"] <= tel["batched_points"]
+    assert 0 < tel["stale_points"] <= tel["batches"] <= chain8.cfg.burn_in + chain8.cfg.steps
     assert 0 <= tel["lookahead_points"] <= (_BATCH - 1) * tel["batches"]
     fixed = cl.run_chain(chain8.params, DISK, cl.ChainConfig(1_000, 450, 5, step_scale=0.2),
                          seed=2).telemetry
