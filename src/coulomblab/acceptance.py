@@ -261,13 +261,11 @@ def criterion_5(lab: AcceptanceLab) -> CriterionResult:
 def criterion_6(lab: AcceptanceLab) -> CriterionResult:
     """Linear statistics of the N = 16 disk chain against weak-star targets."""
     ch = lab.chain_16
-    f_abs2 = lambda z: np.abs(z) ** 2
-    f_z = lambda z: z
-    f_pair = lambda a, b: (a * np.conj(b)).real
-    r_z = stats.linear_statistic(ch, f_z, 1, label="z")
-    r_abs2 = stats.linear_statistic(ch, f_abs2, 1, label="|z|^2")
-    r_pair = stats.linear_statistic(ch, f_pair, 2, label="pair")
-    r_mom = stats.moment_statistic(ch, f_abs2, 1, 1, label="moment")
+    lib = stats._STAT_LIBRARY
+    r_z = stats.linear_statistic(ch, *lib["z"], label="z")
+    r_abs2 = stats.linear_statistic(ch, *lib["abs2"], label="|z|^2")
+    r_pair = stats.linear_statistic(ch, *lib["pair_product"], label="pair")
+    r_mom = stats.moment_statistic(ch, lib["abs2"][0], 1, 1, label="moment")
     clauses = [
         Clause("f=z z-score", abs(r_z.zscore) <= 3,
                f"|z| = {abs(r_z.zscore):.2f} <= 3"),

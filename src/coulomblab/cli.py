@@ -18,11 +18,10 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import acceptance, fekete, measures, partition, potential, sampler, stats
 
@@ -122,9 +121,9 @@ def _bool(value) -> bool:
 
 
 def _statistic(name) -> str:
-    """A statistic name of _STAT_LIBRARY."""
-    if not isinstance(name, str) or name not in _STAT_LIBRARY:
-        raise ValueError(f"unknown statistic {name!r}; available: {sorted(_STAT_LIBRARY)}")
+    """A statistic name of stats._STAT_LIBRARY."""
+    if not isinstance(name, str) or name not in stats._STAT_LIBRARY:
+        raise ValueError(f"unknown statistic {name!r}; available: {sorted(stats._STAT_LIBRARY)}")
     return name
 
 
@@ -280,8 +279,8 @@ def _cmd_partition(cfg, args) -> int:
 def _cmd_rate(cfg, args) -> int:
     K = potential.compact_set_from_dict(cfg["set"])
     beta, = _fields(cfg, "ensemble", beta=float)
-    if not beta > 0:
-        raise SchemaError(f"ensemble.beta: must be positive, got {beta:g}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise SchemaError(f"ensemble.beta: must be positive and finite, got {beta:g}")
     radii, ells = _fields(cfg, "rate", radii=_list_of(float), ells=_list_of(float))
     # the descriptor keeps each radius as written in the config
     family = [(f"circle_r={r}", measures.CircleMeasure(0.0, radius))
@@ -298,13 +297,6 @@ def _cmd_rate(cfg, args) -> int:
     return 0
 
 
-_STAT_LIBRARY = {
-    "abs2": (lambda z: np.abs(z) ** 2, 1),
-    "z": (lambda z: z, 1),
-    "pair_product": (lambda a, b: (a * np.conj(b)).real, 2),
-}
-
-
 def _cmd_linstat(cfg, args) -> int:
     K, params = _build(cfg)
     names, moments, bins = _fields(cfg, "linstat", statistics=_list_of(_statistic),
@@ -316,10 +308,9 @@ def _cmd_linstat(cfg, args) -> int:
     chain = sampler.run_chain(params, K, chain_cfg, seed=cfg["seed"])
     reports = []
     for name in names:
-        f, n = _STAT_LIBRARY[name]
-        reports.append(stats.linear_statistic(chain, f, n, label=name))
+        reports.append(stats.linear_statistic(chain, *stats._STAT_LIBRARY[name], label=name))
     for k, m in moments:
-        reports.append(stats.moment_statistic(chain, _STAT_LIBRARY["abs2"][0],
+        reports.append(stats.moment_statistic(chain, stats._STAT_LIBRARY["abs2"][0],
                                               k, m, label=f"moment_abs2_{k}_{m}"))
     out = _outdir(cfg, args)
     base = out / _stem("linstat", cfg)

@@ -92,11 +92,14 @@ def _log_density_self_average(nu: SmoothedMeasure, cell: Optional[float] = None)
 
     The density is piecewise constant on disk-overlap regions; a midpoint
     grid of the bounding box (cell eps/40 unless given) resolves it to the
-    needed few digits.  Each grid row only measures distances to the atoms
-    within eps of it in the imaginary part, and only over the columns those
-    atoms can reach; every other cell has density zero and adds nothing.
-    The kept atoms stay in their original order, so each cell and each row
-    sums the same nonzero terms in the same order as the full grid would.
+    needed few digits.  An atom x within eps of grid row y covers the cells
+    whose centres lie within its half chord sqrt(eps^2 - (Im x - y)^2) of
+    Re x, one interval of columns (empty when the chord falls between two
+    centres).  The row's density is one cumulative sum with +w at each
+    interval's first cell and -w just past its last.  Dyadic weights (the
+    partition bound's 1/128) make every cell's density exact, equal bit for
+    bit to a full-grid sum over all atoms; other weights agree with it at
+    rounding level only.
     """
     eps = nu.epsilon
     h = cell if cell is not None else eps / 40.0
@@ -105,24 +108,17 @@ def _log_density_self_average(nu: SmoothedMeasure, cell: Optional[float] = None)
     ys = np.arange(y0 + h / 2, y1, h)
     pts = nu.base.points
     w = nu.base.weights
-    # a hair wider than eps, so rounding in d2 never drops a reaching atom
-    reach = eps * (1.0 + 1e-9)
-    by_im = np.argsort(pts.imag, kind="stable")
-    im = pts.imag[by_im]
-    lo = np.searchsorted(im, ys - reach, side="left")
-    hi = np.searchsorted(im, ys + reach, side="right")
     total = 0.0
     norm = math.pi * eps * eps
-    for yc, i0, i1 in zip(ys, lo, hi):
-        if i0 == i1:
-            continue
-        band = np.sort(by_im[i0:i1])
-        p = pts[band]
-        c0 = np.searchsorted(xs, p.real.min() - reach, side="left")
-        c1 = np.searchsorted(xs, p.real.max() + reach, side="right")
-        centers = xs[c0:c1] + 1j * yc
-        d2 = np.abs(centers[:, None] - p[None, :]) ** 2
-        a = (d2 < eps * eps) @ w[band] / norm
+    for yc in ys:
+        dy = pts.imag - yc
+        near = np.abs(dy) < eps
+        half = np.sqrt(eps * eps - dy[near] ** 2)
+        first = np.searchsorted(xs, pts.real[near] - half, side="right")
+        past = np.searchsorted(xs, pts.real[near] + half, side="left")
+        steps = np.bincount(np.concatenate([first, past]),
+                            np.concatenate([w[near], -w[near]]), minlength=xs.size + 1)
+        a = np.cumsum(steps[:-1]) / norm
         pos = a > 0
         if pos.any():
             total += float(np.sum(a[pos] * np.log(a[pos]))) * h * h

@@ -68,6 +68,14 @@ def tensor_integral(f: Callable, state, n: int):
     return _tensor_mean(f, np.asarray(state, dtype=complex), n)
 
 
+# the named statistics (f, n) of `coulomblab linstat` and criterion 6
+_STAT_LIBRARY = {
+    "abs2": (lambda z: np.abs(z) ** 2, 1),
+    "z": (lambda z: z, 1),
+    "pair_product": (lambda a, b: (a * np.conj(b)).real, 2),
+}
+
+
 @dataclass
 class LinearStatReport:
     estimate: complex

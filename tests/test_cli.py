@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomblab import cli, measures, sampler
+from coulomblab import cli, measures, sampler, stats
 
 
 def run(args):
@@ -183,13 +183,16 @@ EXTERIOR = {"type": "exterior_map", "cap": 1, "coeffs": [[0, 0], [0, 0], [0.15, 
     # a JSON number past the float range, such as 1e400, reads as inf
     ({"discretize": {"epsilon": math.inf}}, ["discretize"], "epsilon must be finite"),
     ({"rate": {"radii": [math.inf]}}, ["rate"], "radius must be finite"),
+    ({}, ["rate", "--beta", "inf"], "ensemble.beta:"),
+    ({}, ["rate", "--beta", "1e400"], "ensemble.beta:"),
+    ({}, ["rate", "--beta", "nan"], "ensemble.beta:"),
     ({"fekete": {"max_iterations": -3}}, ["fekete", "--N", "4"], "max_iterations >= 0"),
 ], ids=["seed", "criteria_string", "criteria_99", "criteria_flag_0", "cubature_ellipse_n3",
         "cubature_exterior_map_n3", "fekete_starts_0", "fekete_starts_negative",
         "discretize_base_atoms_0", "discretize_nodes_per_block_0", "linstat_moment_negative",
         "linstat_moment_zero", "linstat_bins_0", "linstat_too_few_states", "partition_c0_nan",
         "sample_beta_inf", "discretize_epsilon_inf", "rate_radius_inf",
-        "fekete_max_iterations_negative"])
+        "rate_beta_inf", "rate_beta_1e400", "rate_beta_nan", "fekete_max_iterations_negative"])
 def test_config_error_exits_2(tmp_path, capsys, monkeypatch, config, argv, field):
     # each of these used to escape main with a traceback and exit 1, or to
     # exit 2 only after the chain or the strip discretization had run
@@ -198,6 +201,7 @@ def test_config_error_exits_2(tmp_path, capsys, monkeypatch, config, argv, field
 
     monkeypatch.setattr(sampler, "run_chain", fail)
     monkeypatch.setattr(measures, "discretize", fail)
+    monkeypatch.setattr(stats, "positivity_scan", fail)
     cfg = _write_config(tmp_path, {"schema_version": 1, **config})
     assert run(["--config", cfg, "--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err

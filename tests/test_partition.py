@@ -420,9 +420,27 @@ def _inner_nu(K):
                                     (cl.Ellipse(0.0, 2.0, 1.0), None), (DISK, 0.05 / 20)],
                          ids=["disk", "segment", "ellipse", "disk-cell"])
 def test_log_density_matches_full_grid(K, cell):
+    # the 128 atoms weigh 1/128 each, so every cell's density is exact on both sides
     nu = _inner_nu(K)
-    assert _log_density_self_average(nu, cell) == pytest.approx(
-        _log_density_full_grid(nu, cell), rel=1e-12)
+    assert _log_density_self_average(nu, cell) == _log_density_full_grid(nu, cell)
+
+
+def test_log_density_overlapping_non_dyadic_atoms():
+    # seven overlapping atoms of unequal weight: the densities agree with
+    # the full grid at rounding level; the last atom sits just above a grid
+    # row, between two columns, so its half chord on that row covers no cell
+    eps, h = 0.05, 0.05 / 8
+    rng = np.random.default_rng(36)
+    pts = list(rng.uniform(-0.04, 0.04, 6) + 1j * rng.uniform(-0.04, 0.04, 6))
+    x0, y0 = min(p.real for p in pts) - eps, min(p.imag for p in pts) - eps
+    row, col = y0 + h / 2 + 5 * h, x0 + h / 2 + 12 * h
+    pts.append(col + h / 2 + 1j * (row + eps * (1 - 1e-6)))
+    nu = smooth(cl.AtomicMeasure(pts, rng.uniform(0.5, 1.5, 7) / 7), eps)
+    assert nu.bounding_box()[::2] == (x0, y0)
+    half = math.sqrt(eps ** 2 - (pts[-1].imag - row) ** 2)
+    assert 0 < half < h / 2
+    assert _log_density_self_average(nu, h) == pytest.approx(
+        _log_density_full_grid(nu, h), rel=1e-12)
 
 
 def test_log_density_single_atom_closed_form():
