@@ -259,6 +259,19 @@ def _pair_sum(x, wx, y, wy, beta: float) -> float:
     return total
 
 
+def _self_pair_sum(x, wx, beta: float) -> float:
+    """_pair_sum(x, wx, x, wx, beta) from the row blocks on and above the
+    diagonal of the symmetric pair matrix, each block right of the diagonal
+    counted twice: half the kernel evaluations, at rounding level the same."""
+    total = 0.0
+    for rows in _row_blocks(x.size, x.size):
+        d = np.abs(x[rows, None] - x[None, rows.start:]) ** beta
+        twice = wx[rows.start:].copy()
+        twice[d.shape[0]:] *= 2.0
+        total += float(wx[rows] @ d @ twice)
+    return total
+
+
 def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
     """Numerical value of the 2N-dimensional partition integral, N <= 3.
 
@@ -274,7 +287,9 @@ def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
 
     Each pair kernel runs in row blocks of at most _BLOCK_VALUES = 2^18
     values (a few MB of temporaries, whatever the grid); the block size
-    moves values at rounding level only.
+    moves values at rounding level only.  Off the disk, N = 2 is the
+    symmetric sum of the nodes against themselves, taken by _self_pair_sum
+    from the blocks on and above the diagonal.
     """
     N, beta = params.N, params.beta
     if N > 3:
@@ -291,7 +306,7 @@ def partition_cubature(K: CompactSet, params: EnsembleParams) -> float:
         return K.area() + float(np.sum(we))
     z, w = np.concatenate([zi, ze]), np.concatenate([wi, we])
     if not disk:
-        return _pair_sum(z, w, z, w, beta)
+        return _self_pair_sum(z, w, beta)
     rho, u = _radial_rule(params, order)
     r, ur = K.radius * rho, 2 * math.pi * K.radius ** 2 * u
     if N == 2:

@@ -25,8 +25,14 @@ the green values it holds are always green's values on the current state.
 Every log of a distance goes through potential._log_distances except in
 the step loop, which computes each O(N) pair delta inline, as the two
 log-distance sums of the proposal and of the point it moves against the
-other particles, and runs whole with numpy's divide-by-zero report off
-(a per-step zero scan or a per-batch error state measured slower).
+other particles.  The state is the first N entries of one (N + 1,)
+complex array whose last entry holds the proposal at hand, and two
+(2, N - 1) index tables per particle, built once a call, gather both
+against the other particles as one contiguous block: one subtract and one
+row-wise log sum, bit for bit the sums of a broadcast subtract.  The loop
+holds its green values as a list of floats, which each delta reads and
+each acceptance writes, and runs whole with numpy's divide-by-zero report
+off (a per-step zero scan or a per-batch error state measured slower).
 A proposal that lands exactly on another particle gives log 0 = -inf, so
 its delta is -inf and the move is rejected.  The error state changes only
 whether a divide-by-zero is reported, never a value; green reports its
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -172,8 +179,9 @@ class Chain:
     step scale after it; `batches`, the batches of proposals formed;
     `stale_points`, the stale proposals that started a new batch;
     `lookahead_points`, the proposals a batch evaluated that were never
-    used; and `inversion_errors`, the batches whose green call raised
-    InversionError (each is re-formed as its first proposal alone)."""
+    used; `inversion_errors`, the batches whose green call raised
+    InversionError (each is re-formed as its first proposal alone); and
+    `loop_seconds`, the perf_counter wall time of the step loop."""
 
     def __init__(self, params: EnsembleParams, K: CompactSet, cfg: ChainConfig,
                  seed, states, log_densities, acceptance_rate: float,
@@ -293,9 +301,18 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     g = np.atleast_1d(K.green(pts)).astype(float)
     if init is not None and params.s == math.inf and np.any(g > MEMBERSHIP_TOL):
         raise ValueError("init has points off K, where the hard wall s = inf gives density 0")
-    others = list(_others_index(n))
+    gl = g.tolist()  # the green values of the current state
+    ext = np.empty(n + 1, dtype=complex)  # the state, then the proposal at hand
+    ext[:n] = pts
+    pts = ext[:n]
+    # ext[movers[k]] - ext[fixed[k]] is the (2, n - 1) block of the proposal
+    # and of particle k against the other particles
+    others = _others_index(n)
+    movers = np.empty((n, 2, n - 1), dtype=others.dtype)
+    movers[:, 0] = n
+    movers[:, 1] = np.arange(n)[:, None]
+    movers, fixed = list(movers), list(np.stack([others, others], axis=1))
     moved_in = [-1] * n  # first step of the batch in which k last moved
-    moved = np.empty((2, 1), dtype=complex)  # a proposal above the point it moves
     beta, beta_s = params.beta, params.beta * params.s
     hard_wall, paired = params.s == math.inf, n > 1
     burn_in, thin = cfg.burn_in, cfg.thin
@@ -313,6 +330,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     burn_accepts = 0
 
     total = burn_in + cfg.steps
+    loop_start = time.perf_counter()
     with np.errstate(divide="ignore"):  # log 0 = -inf rejects a coincidence
         for first in range(0, total, _DRAW_BLOCK):
             b = min(_DRAW_BLOCK, total - first)
@@ -345,21 +363,21 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                 # O(N) change of the log density; -inf when the proposal
                 # meets another particle or, for s = inf, leaves K
                 if paired:
-                    moved[0, 0], moved[1, 0] = z_new, pts[k]
+                    ext[n] = z_new
                     log_new, log_old = add_reduce(
-                        log(absolute(moved - pts[others[k]])), axis=1).tolist()
+                        log(absolute(ext[movers[k]] - ext[fixed[k]])), axis=1).tolist()
                     delta_pair = log_new - log_old
                 else:
                     delta_pair = 0.0  # a lone particle has no pairs
                 if not hard_wall:
-                    delta = beta * delta_pair - beta_s * (g_new - g[k])
+                    delta = beta * delta_pair - beta_s * (g_new - gl[k])
                 elif g_new > MEMBERSHIP_TOL:
                     delta = -math.inf
                 else:
                     delta = beta * delta_pair
                 if delta > logu[i]:
                     pts[k] = z_new
-                    g[k] = g_new
+                    gl[k] = g_new
                     pair_sum += delta_pair
                     moved_in[k] = sub
                     if step_index < burn_in:
@@ -370,7 +388,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                 if step_index >= burn_in:
                     if (step_index - burn_in + 1) % thin == 0:
                         states[stored] = pts
-                        g_table[stored] = g
+                        g_table[stored] = gl
                         pair_sums[stored] = pair_sum
                         stored += 1
                 elif (step_index + 1) % _TUNE_WINDOW == 0:
@@ -383,6 +401,7 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
                     accepted_window = 0
                 if (step_index + 1) % _FULL_RECOMPUTE_EVERY == 0:
                     pair_sum = _pair_log_sum(pts)  # resets the running sum's rounding drift
+    loop_seconds = time.perf_counter() - loop_start
 
     log_dens, green_sums = _log_density(params, g_table, pair_sums)
     zero_acc = burn_in > 0 and burn_accepts == 0
@@ -392,7 +411,8 @@ def run_chain(params: EnsembleParams, K: CompactSet, cfg: Optional[ChainConfig] 
     acc_rate = accepted_post / cfg.steps if cfg.steps else 0.0
     telemetry = {"scale_trace": scale_trace, "window_acceptance": window_acceptance,
                  "batches": batches, "stale_points": stale_points,
-                 "lookahead_points": evaluated - total, "inversion_errors": inversion_errors}
+                 "lookahead_points": evaluated - total, "inversion_errors": inversion_errors,
+                 "loop_seconds": loop_seconds}
     return Chain(params, K, cfg, seed, states, log_dens, acc_rate, scale, zero_acc, telemetry,
                  green_sums)
 

@@ -432,8 +432,9 @@ def test_sample_and_reproducibility(tmp_path):
     assert len(tel["scale_trace"]) == len(tel["window_acceptance"]) == 400 // 200
     assert tel["scale_trace"][-1] == record["step_scale"]
     assert set(tel) == {"scale_trace", "window_acceptance", "batches", "stale_points",
-                        "lookahead_points", "inversion_errors"}
+                        "lookahead_points", "inversion_errors", "loop_seconds"}
     assert tel["inversion_errors"] == 0 and tel["stale_points"] > 0
+    assert math.isfinite(tel["loop_seconds"]) and tel["loop_seconds"] > 0
     assert 0 <= tel["lookahead_points"] <= (cli.sampler._BATCH - 1) * tel["batches"]
     # the record is the file Chain.load reads: the chain comes back whole
     chain = cli.sampler.Chain.load(next(out1.glob("chain_*.csv")).with_suffix(""))

@@ -13,7 +13,7 @@ from coulomblab.measures import equilibrium_discretization, smooth
 from coulomblab import partition
 from coulomblab.partition import (_BLOCK_VALUES, PartitionReport, _disk_angles, _laurent_nodes,
                                   _log_density_self_average, _pair_sum, _radial_rule,
-                                  build_report)
+                                  _self_pair_sum, build_report)
 
 DISK = cl.Disk(0.0, 1.0)
 SEGMENT = cl.Segment(-2.0, 2.0)
@@ -318,11 +318,15 @@ def test_blocked_cross_pair_sum_matches_one_shot(beta):
 
 
 def test_blocked_pair_sum_matches_one_shot():
+    # also the symmetric sum from the blocks on and above the diagonal, the
+    # last block shorter than the others
     (zi, wi), (ze, we) = _laurent_nodes(cl.Ellipse(0.0, 2.0, 1.0), _P, 12, 32)
     z, w = np.concatenate([zi, ze]), np.concatenate([wi, we])
-    assert z.size ** 2 > 4 * _BLOCK_VALUES
-    one_shot = float(w @ (np.abs(z[:, None] - z[None, :]) ** 2.0) @ w)
-    assert _pair_sum(z, w, z, w, 2.0) == pytest.approx(one_shot, rel=1e-13)
+    assert z.size ** 2 > 4 * _BLOCK_VALUES and z.size % (_BLOCK_VALUES // z.size) != 0
+    for beta in (2.0, 3.0):
+        one_shot = float(w @ (np.abs(z[:, None] - z[None, :]) ** beta) @ w)
+        assert _pair_sum(z, w, z, w, beta) == pytest.approx(one_shot, rel=1e-13)
+        assert _self_pair_sum(z, w, beta) == pytest.approx(one_shot, rel=1e-13)
 
 
 def test_pair_cubature_peak_memory_is_bounded():

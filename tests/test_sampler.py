@@ -544,6 +544,14 @@ EXACT_CHAINS = {
                    cl.ChainConfig(6_000, 1_000, 3), 5, None),
     "segment_N8": (cl.EnsembleParams(8, 16.0, 2.0, 0.1), cl.Segment(-2.0, 2.0),
                    cl.ChainConfig(6_000, 1_000, 3), 5, None),
+    # a burn-in past the pair-sum recompute at step 10000 that ends inside
+    # a tuning window, a step count off the thinning grid, and no steps
+    "burn_in_past_recompute": (cl.EnsembleParams(3, 8.0, 2.0, 0.1), DISK,
+                               cl.ChainConfig(900, 10_300, 3), 75, None),
+    "steps_off_thin": (cl.EnsembleParams(5, 10.0, 2.0, 0.1), DISK,
+                       cl.ChainConfig(2_003, 400, 4), 76, None),
+    "no_steps": (cl.EnsembleParams(4, 8.0, 2.0, 0.1), DISK,
+                 cl.ChainConfig(0, 700, 3), 77, None),
 }
 
 
@@ -724,6 +732,10 @@ def test_green_sums_reject_a_nan_green():
 
 def test_chain_telemetry(chain8, tmp_path):
     tel = chain8.telemetry
+    assert set(tel) == {"scale_trace", "window_acceptance", "batches", "stale_points",
+                        "lookahead_points", "inversion_errors", "loop_seconds"}
+    # the wall time of the step loop
+    assert math.isfinite(tel["loop_seconds"]) and tel["loop_seconds"] > 0
     windows = chain8.cfg.burn_in // _TUNE_WINDOW
     assert len(tel["window_acceptance"]) == len(tel["scale_trace"]) == windows
     assert tel["scale_trace"][-1] == chain8.step_scale
